@@ -9,16 +9,19 @@ describes and the reason HighwayHash amortizes across SIMD lanes.
 
 Three lowerings, strongest applicable wins:
 
-- **Vectorized** (fixed-length plans, NumPy importable): the batch is
-  joined into one buffer, reshaped ``(n, key_length)``, and every IR
-  instruction is applied to a whole *column of keys* as a ``uint64``
-  lane array — loads become strided views, pext runs / shifts / xors
-  become single array ops, and the AES round becomes T-table gathers
-  over index arrays.  This is lane parallelism in the HighwayHash
-  sense: per-key interpreter cost drops to (a share of) a handful of
-  array operations.  A generated guard falls back to the loop form for
-  tiny batches and non-conforming key lengths, so semantics never
-  change.
+- **Vectorized** (fixed-length plans, NumPy importable): a *lane body*
+  ``_<name>_lanes(rows)`` takes a ``uint8[k, key_length]`` row view
+  and applies every IR instruction to a whole *column of keys* as a
+  ``uint64`` lane array — loads become strided views, pext runs /
+  shifts / xors become single array ops, and the AES round becomes
+  T-table gathers over index arrays — returning ``uint64[k]``.  This
+  is lane parallelism in the HighwayHash sense: per-key interpreter
+  cost drops to (a share of) a handful of array operations.  The list
+  entry joins the keys into one buffer, views it as rows, runs the
+  lane body and boxes the result with ``tolist``; it is exposed as the
+  entry's ``lanes`` attribute for callers that already hold a row
+  view.  A generated guard falls back to the loop form for tiny
+  batches and non-conforming key lengths, so semantics never change.
 - **List comprehension** (Naive/OffXor, every intermediate used once):
   the body collapses to one expression evaluated in a comprehension —
   CPython's specialized frame, no per-key ``append`` call.
@@ -64,6 +67,81 @@ _COMPREHENSION_FAMILIES = (HashFamily.NAIVE, HashFamily.OFFXOR)
 VECTOR_MIN_KEYS = 16
 """Below this batch size the generated guard takes the loop fallback:
 array setup costs more than it amortizes."""
+
+
+def length_runs(keys: Sequence[bytes]):
+    """Stable-sort a batch by key length, once: ``(sorted_keys, order, runs)``.
+
+    ``runs`` lists one ``(length, start, stop)`` slice of
+    ``sorted_keys`` per distinct length, shortest first, and
+    ``order[i]`` is the position in ``keys`` of ``sorted_keys[i]`` (a
+    NumPy index array), so results computed in sorted order scatter
+    back with ``out[order] = values``.  A batch of one length is one
+    run: ``sorted_keys`` is then ``keys`` itself and ``order`` is None.
+
+    Lengths below 256 (every format the paper names) are taken as one
+    ``bytes`` object, one byte per key: the homogeneous check is then a
+    ``memchr``-speed ``count`` and the mixed sort a radix sort over a
+    zero-copy ``uint8`` view.  Needs NumPy.
+    """
+    count = len(keys)
+    if not count:
+        return keys, None, []
+    try:
+        lengths = bytes(map(len, keys))
+    except ValueError:  # a key of 256 bytes or more
+        lens = _numpy.fromiter(map(len, keys), dtype=_numpy.intp, count=count)
+        if lens.min() == lens.max():
+            return keys, None, [(len(keys[0]), 0, count)]
+    else:
+        if lengths.count(lengths[:1]) == count:
+            return keys, None, [(lengths[0], 0, count)]
+        lens = _numpy.frombuffer(lengths, dtype=_numpy.uint8)
+    order = _numpy.argsort(lens, kind="stable")
+    ordered = lens[order]
+    cuts = (_numpy.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    bounds = [0, *cuts, count]
+    runs = [
+        (int(ordered[start]), start, stop)
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+    # Gathering through an object array beats a Python-level gather.
+    gathered = _numpy.empty(count, dtype=object)
+    gathered[:] = keys
+    return gathered[order].tolist(), order, runs
+
+
+def unsort(values, order):
+    """Put ``uint64`` results computed in :func:`length_runs` order
+    back in batch order."""
+    if order is None:
+        return values
+    out = _numpy.empty_like(values)
+    out[order] = values
+    return out
+
+
+def group_by_resolution(keys: Sequence[bytes], resolve: Callable):
+    """Group keys by what ``resolve(key)`` returns: ``(groups, unresolved)``.
+
+    ``groups`` lists ``(target, indices, keys)`` per distinct target in
+    first-seen order; ``unresolved`` holds the positions ``resolve``
+    mapped to None.  The per-key path for keys whose length alone does
+    not decide their hash.
+    """
+    groups: Dict[int, tuple] = {}
+    unresolved: List[int] = []
+    for index, key in enumerate(keys):
+        target = resolve(key)
+        if target is None:
+            unresolved.append(index)
+        elif id(target) in groups:
+            group = groups[id(target)]
+            group[1].append(index)
+            group[2].append(key)
+        else:
+            groups[id(target)] = (target, [index], [key])
+    return list(groups.values()), unresolved
 
 
 def _expression_body(func: IRFunction) -> Optional[str]:
@@ -212,8 +290,11 @@ def _emit_vector_arith(
 
 
 def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
-    """Vectorized body over uint64 lane arrays, or None when inapplicable.
+    """Vectorized lane body plus its list entry, or None when inapplicable.
 
+    The lane body ``_<name>_lanes`` maps a ``uint8[k, key_length]`` row
+    view to ``uint64[k]``; the list entry ``<name>`` wraps it (join →
+    ``frombuffer`` → lanes → ``tolist``) and carries it as ``.lanes``.
     Only fixed-length plans qualify (variable-length needs the per-key
     tail loop); any opcode outside the vectorizable set, or a return of
     a compile-time scalar, bails to the loop form.
@@ -279,7 +360,7 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
             returned = args[0]
             if returned in scalars or returned in wide:
                 return None
-            lines.append(f"    return {returned}.tolist()")
+            lines.append(f"    return {returned}")
         else:
             return None
     if returned is None:
@@ -293,7 +374,9 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
             f"_T{i}V = _np.asarray(_T{i}, dtype=_np.uint64)"
             for i in range(4)
         )
-    header = [
+    lanes = [f"def _{name}_lanes(_a):", "    n = _a.shape[0]"]
+    entry = [
+        "",
         f"def {name}(keys, _ifb=int.from_bytes, _aes=_aesenc):",
         "    n = len(keys)",
         f"    if n < {VECTOR_MIN_KEYS}:",
@@ -301,9 +384,12 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
         "    buf = b''.join(keys)",
         f"    if len(buf) != n * {length}:",
         f"        return _{name}_rows(keys)",
-        f"    _a = _np.frombuffer(buf, dtype=_np.uint8).reshape(n, {length})",
+        f"    return _{name}_lanes(_np.frombuffer(buf, dtype=_np.uint8)"
+        f".reshape(n, {length})).tolist()",
+        "",
+        f"{name}.lanes = _{name}_lanes",
     ]
-    return prologue + header + lines
+    return prologue + lanes + lines + entry
 
 
 def emit_python_batch(func: IRFunction, vectorize: bool = True) -> str:

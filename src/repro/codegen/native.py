@@ -294,39 +294,72 @@ class NativeModule:
         ).value
         length = self.key_length
         if length is not None and len(buf) == count * length:
-            # Fixed-length fast path: pointer arithmetic replaces
-            # per-key length computation entirely, and the offsets /
-            # lens vectors are reused across equal-sized batches (the
-            # steady-state shape of dispatcher traffic).  The pointers
-            # vector is allocated fresh per call: concurrent batches
-            # from different threads share this module, and a shared
-            # output buffer would let one batch hash another's keys.
-            cached = self._offsets_cache
-            if cached is None or cached[0] != count:
-                offsets = length * _numpy.arange(
-                    count, dtype=_numpy.uintp
-                )
-                lens = _numpy.full(
-                    count, length, dtype=_numpy.uintp
-                )
-                self._offsets_cache = (count, offsets, lens)
-            else:
-                _, offsets, lens = cached
-            pointers = offsets + _numpy.uintp(base)
-        else:
-            lens = _numpy.fromiter(
-                map(len, keys), dtype=_numpy.uintp, count=count
-            )
-            pointers = _numpy.empty(count, dtype=_numpy.uintp)
-            pointers[0] = base
-            _numpy.cumsum(lens[:-1], out=pointers[1:])
-            pointers[1:] += base
+            # ``buf`` must stay alive through the call; the local
+            # guarantees it.
+            return self._hash_fixed(base, count)
+        lens = _numpy.fromiter(
+            map(len, keys), dtype=_numpy.uintp, count=count
+        )
+        pointers = _numpy.empty(count, dtype=_numpy.uintp)
+        pointers[0] = base
+        _numpy.cumsum(lens[:-1], out=pointers[1:])
+        pointers[1:] += base
         out = _numpy.empty(count, dtype=_numpy.uint64)
         self._batch_raw(
             pointers.ctypes.data, lens.ctypes.data, out.ctypes.data, count
         )
-        # ``buf`` must stay alive through the call; the local above
-        # guarantees it.
+        return out
+
+    def hash_rows(self, rows):
+        """Hash a ``uint8[k, key_length]`` row view into ``uint64[k]``.
+
+        The columnar entry: the rows already sit in one block, so the
+        call is the fixed-length pointer arithmetic of
+        :meth:`hash_many_array` without the join.
+
+        Raises:
+            ValueError: unless ``rows`` is a ``uint8`` matrix as wide as
+                the module's key length (other rows are not its keys).
+        """
+        if (
+            rows.ndim != 2
+            or rows.dtype != _numpy.uint8
+            or rows.shape[1] != self.key_length
+        ):
+            raise ValueError(
+                f"rows must be uint8[k, {self.key_length}]; "
+                f"got {rows.dtype}{rows.shape}"
+            )
+        count = rows.shape[0]
+        if count == 0:
+            return _numpy.empty(0, dtype=_numpy.uint64)
+        rows = _numpy.ascontiguousarray(rows)
+        return self._hash_fixed(rows.ctypes.data, count)
+
+    def _hash_fixed(self, base: int, count: int):
+        """Call the batch entry on ``count`` keys packed from ``base``.
+
+        Pointer arithmetic replaces per-key length computation
+        entirely, and the offsets / lens vectors are reused across
+        equal-sized batches (the steady-state shape of dispatcher
+        traffic).  The pointers vector is allocated fresh per call:
+        concurrent batches from different threads share this module,
+        and a shared output buffer would let one batch hash another's
+        keys.  The caller keeps the block at ``base`` alive.
+        """
+        length = self.key_length
+        cached = self._offsets_cache
+        if cached is None or cached[0] != count:
+            offsets = length * _numpy.arange(count, dtype=_numpy.uintp)
+            lens = _numpy.full(count, length, dtype=_numpy.uintp)
+            self._offsets_cache = (count, offsets, lens)
+        else:
+            _, offsets, lens = cached
+        pointers = offsets + _numpy.uintp(base)
+        out = _numpy.empty(count, dtype=_numpy.uint64)
+        self._batch_raw(
+            pointers.ctypes.data, lens.ctypes.data, out.ctypes.data, count
+        )
         return out
 
     def _hash_many_ctypes(self, keys: Sequence, count: int) -> List[int]:

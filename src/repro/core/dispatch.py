@@ -31,6 +31,12 @@ from typing import (
     Union,
 )
 
+from repro.codegen.batch import (
+    VECTOR_MIN_KEYS,
+    group_by_resolution,
+    length_runs,
+    unsort,
+)
 from repro.core.fast_infer import ENGINE_AUTO
 from repro.core.inference import (
     KeyLike,
@@ -78,8 +84,9 @@ class FormatDispatcher:
     :meth:`stats` snapshots the traffic split.
 
     Args:
-        fallback: general-purpose hash for unrecognized keys (defaults to
-            the STL murmur port, matching SEPE's own fallback rule).
+        fallback: general-purpose 64-bit hash for unrecognized keys
+            (defaults to the STL murmur port, matching SEPE's own
+            fallback rule).
         verify: when True, even a unique-length match is template-checked
             before the specialized function runs; non-conforming keys go
             to the fallback.  Off by default — the paper's functions also
@@ -88,7 +95,7 @@ class FormatDispatcher:
         registry: metrics registry holding the route counters; pass a
             shared registry to aggregate several dispatchers.
         latency: when True, every hashed key (and every ``hash_many``
-            group) is timed into a per-route nanosecond histogram
+            length run) is timed into a per-route nanosecond histogram
             (``dispatch.latency_ns.<label>``, exponential
             :data:`~repro.obs.metrics.NS_LATENCY_BUCKETS` edges) — the
             scrape surface the metric exporters publish.  Off by
@@ -96,7 +103,7 @@ class FormatDispatcher:
             one counter add.
         prefer_native: when True, registration eagerly JIT-compiles each
             format's emitted C++ (through the compile cache) and routes
-            scalar calls and ``hash_many`` groups to the native entry
+            scalar calls and ``hash_many`` runs to the native entry
             points; formats whose native tier degrades (no compiler,
             unsupported ISA) silently keep the Python/NumPy path, so the
             dispatcher works identically on hosts without a toolchain.
@@ -306,153 +313,111 @@ class FormatDispatcher:
         if histogram is not None:
             histogram.observe(elapsed_ns)
 
-    def _group_hash_many(
-        self, entry: _Entry, grouped_keys: List[bytes]
-    ) -> List[int]:
-        """One group through the fastest batch tier this entry has."""
-        if self._prefer_native:
-            native = entry[3].native_batch_function
-            if native is not None:
-                return native(grouped_keys)
-        return entry[3].hash_many(grouped_keys)
-
-    def _homogeneous_entry(self, keys: Sequence[bytes]) -> Optional[_Entry]:
-        """The single entry serving every key of the batch, or None.
-
-        Only lengths in the resolved-route cache qualify — exactly the
-        lengths where per-key resolution is length-only (one candidate,
-        verification off) — so taking the batch shortcut routes each
-        key to the same entry the per-key walk would have picked.
-        """
-        if not keys:
-            return None
-        length = len(keys[0])
-        entry = self._route_cache.get(length)
-        if entry is None:
-            self._resolve(keys[0])  # may populate the cache
-            entry = self._route_cache.get(length)
-            if entry is None:
-                return None
-        for key in keys:
-            if len(key) != length:
-                return None
-        return entry
-
     def hash_many(self, keys: Sequence[bytes]) -> List[int]:
-        """Hash a batch of keys, routing once per group, not per key.
+        """Hash a batch of keys, routing once per length run, not per key.
 
-        Keys are grouped by resolved format; each group is hashed by one
-        call to that format's batch kernel (compiled lazily through the
-        compile cache), so per-key dispatch and function-call overhead
-        is paid once per *group*.  Unrecognized keys go through the
-        scalar fallback.  Results are positionally aligned with
-        ``keys``, and route/fallback counters advance by group sizes
+        The batch is stable-sorted by key length once
+        (:func:`~repro.codegen.batch.length_runs`; a batch of one length
+        needs no sort) and the sorted keys are joined into one block, so
+        every length run is a zero-copy ``uint8[k, L]`` row view of it.
+        A run whose length the route cache owns (one fixed-length
+        candidate, verification off) is hashed by one call — the
+        format's ``hash_many`` on the rows, or its native module with
+        ``prefer_native`` — and written into one ``uint64[n]`` array
+        through the sort order.  Other runs (contested lengths,
+        ``verify=True``, variable-length formats, unregistered lengths)
+        resolve key by key, one batch call per resolved format and the
+        scalar fallback for unrecognized keys.  Results are positionally
+        aligned with ``keys``, and route/fallback counters advance
         exactly as per-key routing would.
-
-        Contiguous same-length batches on an unambiguous route skip
-        per-key resolution and the index scatter entirely: one length
-        sweep, then one batch-kernel call (the native ``hash_many``
-        when the format has it) — the grouped-traffic fast path that
-        recovers most of the native tier's margin over per-key routing.
         """
-        entry = self._homogeneous_entry(keys)
-        if entry is not None:
-            count = len(keys)
-            self._requests.inc(count)
-            entry[2].inc(count)
-            grouped = keys if isinstance(keys, list) else list(keys)
-            if self._latency and entry[4] is not None:
-                started = time.perf_counter_ns()
-                values = self._group_hash_many(entry, grouped)
-                per_key_ns = (
-                    time.perf_counter_ns() - started
-                ) / count
-                histogram = entry[4]
-                for _ in range(count):
-                    histogram.observe(per_key_ns)
-            else:
-                values = self._group_hash_many(entry, grouped)
-            return values
-        out: List[int] = [0] * len(keys)
-        self._requests.inc(len(keys))
-        groups: Dict[int, Tuple[_Entry, List[int], List[bytes]]] = {}
-        fallback_indices: List[int] = []
-        fallback_keys: List[bytes] = []
-        for index, key in enumerate(keys):
-            entry = self._resolve(key)
-            if entry is None:
-                fallback_indices.append(index)
-                fallback_keys.append(key)
-                continue
-            group = groups.get(id(entry))
-            if group is None:
-                groups[id(entry)] = (entry, [index], [key])
-            else:
-                group[1].append(index)
-                group[2].append(key)
-        for entry, indices, grouped_keys in groups.values():
-            entry[2].inc(len(indices))
-            if self._latency and entry[4] is not None:
-                started = time.perf_counter_ns()
-                values = self._group_hash_many(entry, grouped_keys)
-                per_key_ns = (time.perf_counter_ns() - started) / len(
-                    grouped_keys
-                )
-                for _ in indices:
-                    entry[4].observe(per_key_ns)
-            else:
-                values = self._group_hash_many(entry, grouped_keys)
-            for index, value in zip(indices, values):
-                out[index] = value
-        if fallback_indices:
-            self._fallback_counter.inc(len(fallback_indices))
-            fallback = self._fallback
-            fallback_latency = self._fallback_latency if self._latency else None
-            for index, key in zip(fallback_indices, fallback_keys):
-                if fallback_latency is not None:
-                    started = time.perf_counter_ns()
-                    out[index] = fallback(key)
-                    fallback_latency.observe(time.perf_counter_ns() - started)
-                else:
-                    out[index] = fallback(key)
-        return out
+        if _np is None:
+            return [self(key) for key in keys]
+        return self._hash_columnar(keys).tolist()
 
     def hash_many_array(self, keys: Sequence[bytes]):
-        """Hash a batch into a NumPy uint64 array (the fastest tier).
+        """Like :meth:`hash_many`, returning the ``uint64`` array itself.
 
-        A contiguous same-length batch served by one native-backed
-        route goes straight through the module's ``hash_many_array``
-        entry point — no per-key resolution, no ``tolist`` boxing
-        (the single largest cost of the list contract, ~36 vs ~16
-        ns/key on the reference container).  Heterogeneous batches and
-        non-native routes fall back to :meth:`hash_many` plus one array
-        conversion, so callers can use this unconditionally.
+        Skips the ``tolist`` boxing — one Python int per key, the
+        largest cost of the list contract on the native tier (~36 vs
+        ~16 ns/key on the reference container).
 
         Raises:
             RuntimeError: when NumPy is unavailable.
         """
         if _np is None:
             raise RuntimeError("hash_many_array requires NumPy")
-        entry = self._homogeneous_entry(keys)
-        if entry is not None and self._prefer_native:
-            module = entry[3].native_module
-            if module is not None:
-                count = len(keys)
-                self._requests.inc(count)
-                entry[2].inc(count)
-                grouped = keys if isinstance(keys, list) else list(keys)
-                if self._latency and entry[4] is not None:
-                    started = time.perf_counter_ns()
-                    values = module.hash_many_array(grouped)
-                    per_key_ns = (
-                        time.perf_counter_ns() - started
-                    ) / count
-                    histogram = entry[4]
-                    for _ in range(count):
-                        histogram.observe(per_key_ns)
-                    return values
-                return module.hash_many_array(grouped)
-        return _np.asarray(self.hash_many(keys), dtype=_np.uint64)
+        return self._hash_columnar(keys)
+
+    def _hash_columnar(self, keys: Sequence[bytes]):
+        count = len(keys)
+        self._requests.inc(count)
+        ordered, order, runs = length_runs(keys)
+        block = b"".join(ordered)
+        out = _np.empty(count, dtype=_np.uint64)
+        offset = 0
+        for length, start, stop in runs:
+            run = ordered[start:stop]
+            entry = self._route_cache.get(length)
+            if entry is None:
+                self._resolve(run[0])  # may populate the cache
+                entry = self._route_cache.get(length)
+            if entry is None:
+                self._hash_keywise(run, out[start:stop])
+            else:
+                entry[2].inc(stop - start)
+                rows = _np.frombuffer(
+                    block,
+                    dtype=_np.uint8,
+                    count=(stop - start) * length,
+                    offset=offset,
+                ).reshape(stop - start, length)
+                out[start:stop] = self._hash_run(entry, run, rows)
+            offset += (stop - start) * length
+        return unsort(out, order)
+
+    def _hash_run(self, entry: _Entry, keys: Sequence[bytes], rows):
+        """One run (``rows`` its row view) or resolved group (``rows``
+        None) through the fastest batch tier its entry has, timed into
+        the route's latency histogram when ``latency=True``."""
+        histogram = entry[4]
+        started = time.perf_counter_ns() if histogram is not None else 0
+        synthesized = entry[3]
+        module = synthesized.native_module if self._prefer_native else None
+        if module is not None:
+            if rows is not None:
+                values = module.hash_rows(rows)
+            else:
+                values = module.hash_many_array(keys)
+        elif (
+            rows is not None
+            and len(keys) >= VECTOR_MIN_KEYS
+            and synthesized.lane_function is not None
+        ):
+            values = synthesized.hash_many(rows)
+        else:
+            values = synthesized.hash_many(keys)
+        if histogram is not None:
+            elapsed = time.perf_counter_ns() - started
+            histogram.observe_many(elapsed / len(keys), len(keys))
+        return values
+
+    def _hash_keywise(self, keys: Sequence[bytes], out) -> None:
+        """Hash a run the route cache does not own into ``out``,
+        resolving each key; one batch call per resolved format."""
+        groups, fallback = group_by_resolution(keys, self._resolve)
+        for entry, indices, grouped in groups:
+            entry[2].inc(len(indices))
+            out[indices] = self._hash_run(entry, grouped, None)
+        if not fallback:
+            return
+        self._fallback_counter.inc(len(fallback))
+        histogram = self._fallback_latency
+        for index in fallback:
+            started = time.perf_counter_ns()
+            out[index] = self._fallback(keys[index])
+            if histogram is not None:
+                histogram.observe(time.perf_counter_ns() - started)
 
     # -- introspection -----------------------------------------------------
 

@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -62,6 +63,11 @@ from repro.errors import (
     VerificationError,
 )
 from repro.obs.trace import span
+
+try:  # Row views are NumPy arrays; without NumPy there are none.
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy-less installs
+    _np = None
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.codegen.native import NativeModule
@@ -150,9 +156,44 @@ class SynthesizedHash:
             self._batch_callable = artifact.function
         return self._batch_callable
 
-    def hash_many(self, keys: Sequence[bytes]) -> List[int]:
-        """Hash a batch of conforming keys with one generated call."""
-        return self.batch_function(keys)
+    @property
+    def lane_function(self) -> Optional[Callable]:
+        """The vector lane body ``uint8[k, L] rows -> uint64[k]``, or None.
+
+        None when the plan has no vector form (variable length, an
+        opcode the lane lowering refuses, or no NumPy).
+        """
+        return getattr(self.batch_function, "lanes", None)
+
+    def hash_many(self, keys):
+        """Hash a batch with one generated call.
+
+        ``keys`` is either a sequence of ``bytes`` keys, hashed into a
+        list of ints, or a ``uint8[k, L]`` row view (one key per row),
+        hashed into a ``uint64[k]`` array.  Rows go straight to the
+        lane body when the plan has one and ``L`` is its key length;
+        otherwise they are hashed as ``bytes`` keys, exactly as a list.
+
+        Raises:
+            ValueError: for an array that is not a ``uint8`` matrix.
+        """
+        if _np is None or not isinstance(keys, _np.ndarray):
+            return self.batch_function(keys)
+        if keys.ndim != 2 or keys.dtype != _np.uint8:
+            raise ValueError(
+                f"row views are uint8[k, L]; got {keys.dtype}{keys.shape}"
+            )
+        lanes = self.lane_function
+        if lanes is not None and keys.shape[1] == self.plan.key_length:
+            return lanes(keys)
+        width = keys.shape[1]
+        block = keys.tobytes()
+        return _np.array(
+            self.batch_function(
+                [block[i : i + width] for i in range(0, len(block), width)]
+            ),
+            dtype=_np.uint64,
+        )
 
     @property
     def native_module(self) -> Optional["NativeModule"]:

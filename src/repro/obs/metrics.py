@@ -16,6 +16,7 @@ the dispatcher and container telemetry; tests may build private ones.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -120,14 +121,20 @@ class Histogram:
         self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += 1
-        self.count += 1
-        self.sum += value
+        self.observe_many(value, 1)
+
+    def observe_many(self, value: float, count: int) -> None:
+        """Record ``count`` observations of the same ``value`` at once.
+
+        Equivalent to ``count`` calls of :meth:`observe` (one bucket
+        search, one add each), as batch paths that time a whole group
+        and attribute the per-key mean need.
+        """
+        if count <= 0:
+            return
+        self.counts[bisect_left(self.buckets, value)] += count
+        self.count += count
+        self.sum += value * count
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:

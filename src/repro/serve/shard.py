@@ -39,6 +39,9 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
+from repro.codegen.batch import group_by_resolution, length_runs, unsort
 from repro.serve.routes import RouteState, RouteTable
 
 SinkCallable = Callable[[Optional[RouteState], List[bytes], Sequence], None]
@@ -234,11 +237,8 @@ class Shard:
             values = route.batch_array(keys)
         else:
             values = route.batch(keys)
-        count = len(keys)
-        self.hashed += count
-        self.route_counts[route_id] = (
-            self.route_counts.get(route_id, 0) + count
-        )
+        self.hashed += len(keys)
+        self._count_routed(route_id, len(keys))
         sink = self.sink
         if sink is not None:
             sink(route, keys, values)
@@ -322,7 +322,10 @@ class Shard:
         return route.scalar(key)
 
     def hash_many(self, keys: Sequence[bytes]) -> List[int]:
-        """Hash a batch now, grouped by route, positionally aligned."""
+        """Hash a batch now, positionally aligned: one ``route.batch``
+        call per length run a route owns (see
+        :func:`~repro.codegen.batch.length_runs`), template resolution
+        per key for contested lengths, the fallback for the rest."""
         if self.shared:
             with self.lock:
                 return self._hash_many(keys)
@@ -337,39 +340,38 @@ class Shard:
             self.busy = False
 
     def _hash_many(self, keys: Sequence[bytes]) -> List[int]:
-        out: List[int] = [0] * len(keys)
-        self.tick += len(keys)
-        self.hashed += len(keys)
+        count = len(keys)
+        self.tick += count
+        self.hashed += count
         table = self.table
         fast_map = self.fast_map
-        groups: Dict[str, Tuple[RouteState, List[int], List[bytes]]] = {}
-        fallback_pairs: List[Tuple[int, bytes]] = []
-        for index, key in enumerate(keys):
-            route = fast_map.get(len(key))
+        ordered, order, runs = length_runs(keys)
+        out = _np.empty(count, dtype=_np.uint64)
+        for length, start, stop in runs:
+            run = ordered[start:stop]
+            route = fast_map.get(length)
             if route is None:
-                route = table.resolve_checked(key)
-                if route is None:
-                    fallback_pairs.append((index, key))
-                    continue
-            group = groups.get(route.route_id)
-            if group is None:
-                groups[route.route_id] = (route, [index], [key])
-            else:
-                group[1].append(index)
-                group[2].append(key)
-        for route_id, (route, indices, grouped) in groups.items():
-            self.route_counts[route_id] = (
-                self.route_counts.get(route_id, 0) + len(indices)
-            )
-            values = route.batch(grouped)
-            for index, value in zip(indices, values):
-                out[index] = value
-        if fallback_pairs:
-            self.fallback_count += len(fallback_pairs)
-            fallback = self.fallback
-            for index, key in fallback_pairs:
-                out[index] = fallback(key)
-        return out
+                self._hash_keywise(table, run, out[start:stop])
+                continue
+            self._count_routed(route.route_id, stop - start)
+            out[start:stop] = route.batch(run)
+        return unsort(out, order).tolist()
+
+    def _count_routed(self, route_id: str, count: int) -> None:
+        self.route_counts[route_id] = (
+            self.route_counts.get(route_id, 0) + count
+        )
+
+    def _hash_keywise(self, table: RouteTable, keys: Sequence[bytes], out):
+        """Hash a run of a length no single route owns into ``out``:
+        template-resolve each key, one batch call per resolved route."""
+        groups, fallback = group_by_resolution(keys, table.resolve_checked)
+        for route, indices, grouped in groups:
+            self._count_routed(route.route_id, len(indices))
+            out[indices] = route.batch(grouped)
+        if fallback:
+            self.fallback_count += len(fallback)
+            out[fallback] = [self.fallback(keys[index]) for index in fallback]
 
     def hash_batch_direct(
         self, route: RouteState, keys: List[bytes]
@@ -397,9 +399,7 @@ class Shard:
         count = len(keys)
         self.tick += count
         self.hashed += count
-        self.route_counts[route.route_id] = (
-            self.route_counts.get(route.route_id, 0) + count
-        )
+        self._count_routed(route.route_id, count)
         return route.batch_array(keys)
 
     # -- reconciler interface ------------------------------------------

@@ -132,6 +132,72 @@ class TestVectorTier:
         assert batch(keys) == reference(plan, keys)
 
 
+@pytest.mark.skipif(not HAVE_NUMPY, reason="vector tier needs numpy")
+class TestLaneBody:
+    """``SynthesizedHash.hash_many`` on a ``uint8[k, L]`` row view runs
+    the lane body and returns ``uint64[k]``."""
+
+    @staticmethod
+    def rows_of(keys):
+        import numpy
+
+        return numpy.frombuffer(b"".join(keys), dtype=numpy.uint8).reshape(
+            len(keys), len(keys[0])
+        )
+
+    @pytest.mark.parametrize("count", [1, VECTOR_MIN_KEYS - 3, 4096])
+    @pytest.mark.parametrize("family", list(HashFamily))
+    def test_rows_match_interpreter(self, family, count):
+        import numpy
+
+        synthesized = synthesize(KEY_TYPES["MAC"].regex, family)
+        assert synthesized.lane_function is not None
+        keys = fixed_keys("MAC", count=count, seed=count)
+        values = synthesized.hash_many(self.rows_of(keys))
+        assert values.dtype == numpy.uint64
+        assert values.shape == (count,)
+        assert values.tolist() == reference(synthesized.plan, keys)
+
+    def test_partial_last_load(self):
+        """INTS is 100 bytes: the last load reads 4 bytes, zero-padded."""
+        synthesized = synthesize(KEY_TYPES["INTS"].regex, HashFamily.NAIVE)
+        keys = fixed_keys("INTS", count=VECTOR_MIN_KEYS * 2)
+        values = synthesized.hash_many(self.rows_of(keys))
+        assert values.tolist() == reference(synthesized.plan, keys)
+
+    def test_rows_without_a_vector_form_take_the_list_kernel(self):
+        import numpy
+
+        synthesized = synthesize(VARIABLE_REGEX, HashFamily.OFFXOR)
+        assert synthesized.lane_function is None
+        keys = [key[:16] for key in variable_keys(count=40) if len(key) >= 16]
+        values = synthesized.hash_many(self.rows_of(keys))
+        assert values.dtype == numpy.uint64
+        assert values.tolist() == synthesized.hash_many(keys)
+
+    def test_rows_of_another_width_hash_like_the_list_entry(self):
+        synthesized = synthesize(KEY_TYPES["SSN"].regex, HashFamily.PEXT)
+        keys = [key + b"X" for key in fixed_keys("SSN", count=32)]
+        values = synthesized.hash_many(self.rows_of(keys))
+        assert values.tolist() == synthesized.hash_many(keys)
+
+    def test_rows_must_be_a_uint8_matrix(self):
+        import numpy
+
+        synthesized = synthesize(KEY_TYPES["SSN"].regex, HashFamily.PEXT)
+        with pytest.raises(ValueError):
+            synthesized.hash_many(numpy.zeros((4, 11), dtype=numpy.int64))
+        with pytest.raises(ValueError):
+            synthesized.hash_many(numpy.zeros(11, dtype=numpy.uint8))
+
+    def test_list_entry_exposes_its_lane_body(self):
+        plan = synthesize(KEY_TYPES["SSN"].regex, HashFamily.PEXT).plan
+        batch = compile_plan_batch(plan, name="hash_many")
+        loop = compile_plan_batch(plan, name="hash_many", vectorize=False)
+        assert callable(batch.lanes)
+        assert not hasattr(loop, "lanes")
+
+
 class TestComprehensionForm:
     def test_naive_collapses_to_expression(self):
         plan = synthesize(KEY_TYPES["SSN"].regex, HashFamily.NAIVE).plan

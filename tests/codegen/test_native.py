@@ -269,3 +269,49 @@ def test_dispatcher_prefer_native_parity():
         plain(key) for key in keys[:32]
     ]
     assert fast.hash_many(keys) == plain.hash_many(keys)
+
+
+@requires_compiler
+@pytest.mark.parametrize("family", list(HashFamily))
+def test_hash_rows_matches_hash_many(family):
+    numpy = pytest.importorskip("numpy")
+    synthesized = synthesize(SSN, family)
+    module = synthesized.native_module
+    keys = generate_keys("SSN", 300, Distribution.UNIFORM, seed=5)
+    rows = numpy.frombuffer(b"".join(keys), dtype=numpy.uint8).reshape(
+        len(keys), 11
+    )
+    out = module.hash_rows(rows)
+    assert out.dtype == numpy.uint64
+    assert out.tolist() == module.hash_many(keys)
+    # A strided view (every other row) is packed before the call.
+    assert module.hash_rows(rows[::2]).tolist() == module.hash_many(keys[::2])
+    assert module.hash_rows(rows[:0]).shape == (0,)
+    with pytest.raises(ValueError):
+        module.hash_rows(rows[:, :10])
+    with pytest.raises(ValueError):
+        module.hash_rows(rows.astype(numpy.int64))
+
+
+@requires_compiler
+def test_dispatcher_prefer_native_mixed_batch_parity():
+    from repro.core.dispatch import FormatDispatcher
+
+    keys = [
+        key
+        for trio in zip(
+            generate_keys("SSN", 64, Distribution.UNIFORM, seed=8),
+            generate_keys("MAC", 64, Distribution.UNIFORM, seed=8),
+            [b"unregistered-%d" % index for index in range(64)],
+        )
+        for key in trio
+    ]
+    plain = FormatDispatcher(prefer_native=False)
+    fast = FormatDispatcher(prefer_native=True)
+    for dispatcher in (plain, fast):
+        dispatcher.register(SSN, family=HashFamily.PEXT)
+        dispatcher.register(r"([0-9a-f]{2}-){5}[0-9a-f]{2}", HashFamily.AES)
+    expected = [plain(key) for key in keys]
+    assert fast.hash_many(keys) == expected
+    assert fast.hash_many_array(keys).tolist() == expected
+    assert plain.hash_many(keys) == expected

@@ -1,7 +1,13 @@
 """Tests for the multi-format dispatcher."""
 
-import pytest
+import functools
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.codegen.batch import VECTOR_MIN_KEYS
 from repro.core.dispatch import FormatDispatcher, build_dispatcher
 from repro.core.plan import HashFamily
 from repro.core.synthesis import synthesize
@@ -424,3 +430,118 @@ class TestStateLockTelemetry:
                 entry["routes"] for entry in stats["formats"]
             )
         assert snapshots[-1]["registered"] == 1
+
+
+# -- columnar hash_many against per-key dispatch ------------------------------
+
+CPF = KEY_TYPES["CPF"].regex       # length 14, shared with UPPER14
+UPPER14 = r"[A-Z]{14}"
+VARIABLE = r"[0-9a-f]{20,30}"
+PROPERTY_FORMATS = (
+    ("SSN", HashFamily.PEXT),
+    ("IPV6", HashFamily.AES),
+    ("URL1", HashFamily.OFFXOR),
+    ("INTS", HashFamily.NAIVE),    # 100 bytes: a partial last load
+    ("CPF", HashFamily.PEXT),
+)
+REGISTERED_LENGTHS = (11, 14, 39, 48, 100)
+
+
+@functools.lru_cache(maxsize=None)
+def _property_hashes():
+    hashes = [
+        synthesize(KEY_TYPES[name].regex, family)
+        for name, family in PROPERTY_FORMATS
+    ]
+    hashes.append(synthesize(UPPER14, HashFamily.OFFXOR))
+    hashes.append(synthesize(VARIABLE, HashFamily.NAIVE))
+    return tuple(hashes)
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(name):
+    return tuple(generate_keys(name, 64, Distribution.UNIFORM, seed=21))
+
+
+def _segment_keys(kind, count, rng):
+    """``count`` keys of one kind: a format's own keys, same-length
+    off-format bytes (trusted by length unless verifying), or bytes of
+    a length no fixed format has."""
+    if kind in KEY_TYPES:
+        pool = _pool(kind)
+        return [rng.choice(pool) for _ in range(count)]
+    if kind == "UPPER14":
+        alphabet = b"ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+        return [bytes(rng.choices(alphabet, k=14)) for _ in range(count)]
+    if kind == "VARIABLE":
+        return [
+            bytes(rng.choices(b"0123456789abcdef", k=rng.randint(20, 30)))
+            for _ in range(count)
+        ]
+    if kind == "OFF_FORMAT":
+        length = rng.choice(REGISTERED_LENGTHS)
+        return [rng.randbytes(length) for _ in range(count)]
+    return [rng.randbytes(rng.choice((0, 1, 5, 24, 120))) for _ in range(count)]
+
+
+_SEGMENTS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [name for name, _family in PROPERTY_FORMATS]
+            + ["UPPER14", "VARIABLE", "OFF_FORMAT", "UNKNOWN"]
+        ),
+        st.sampled_from([1, 2, VECTOR_MIN_KEYS - 1, VECTOR_MIN_KEYS, 40]),
+    ),
+    max_size=8,
+)
+
+
+def _dispatch_counters(registry):
+    counters = registry.snapshot()["counters"]
+    return {
+        name: value
+        for name, value in counters.items()
+        if name.startswith("dispatch.")
+    }
+
+
+class TestColumnarParityProperty:
+    """``hash_many`` sorts by length and hashes runs as row views; it
+    must agree value for value, and counter for counter, with routing
+    every key through ``__call__``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        segments=_SEGMENTS,
+        seed=st.integers(0, 2**16),
+        shuffle=st.booleans(),
+        verify=st.booleans(),
+    )
+    def test_matches_per_key_dispatch(self, segments, seed, shuffle, verify):
+        from repro.obs.metrics import MetricsRegistry
+
+        rng = random.Random(seed)
+        keys = [
+            key
+            for kind, count in segments
+            for key in _segment_keys(kind, count, rng)
+        ]
+        if shuffle:
+            rng.shuffle(keys)
+        registries = [MetricsRegistry() for _ in range(3)]
+        per_key, listed, arrayed = (
+            FormatDispatcher(verify=verify, registry=registry)
+            for registry in registries
+        )
+        for dispatcher in (per_key, listed, arrayed):
+            for synthesized in _property_hashes():
+                dispatcher.register(synthesized)
+        expected = [per_key(key) for key in keys]
+        assert listed.hash_many(keys) == expected
+        array = arrayed.hash_many_array(keys)
+        assert str(array.dtype) == "uint64"
+        assert array.tolist() == expected
+        counters = [_dispatch_counters(registry) for registry in registries]
+        assert counters[0]["dispatch.requests_total"] == len(keys)
+        assert counters[1] == counters[0]
+        assert counters[2] == counters[0]

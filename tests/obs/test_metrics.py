@@ -84,6 +84,24 @@ class TestHistogramBucketing:
         assert hist.counts == [0, 0]
         assert hist.min is None
 
+    @pytest.mark.parametrize(
+        "values",
+        [[(3.5, 4)], [(0.0, 1), (1.0, 3)], [(2.0, 5), (4.25, 2), (100.0, 7)]],
+    )
+    def test_observe_many_equals_repeated_observe(self, values):
+        batched = Histogram("h", buckets=(1, 2, 4))
+        single = Histogram("h", buckets=(1, 2, 4))
+        for value, count in values:
+            batched.observe_many(value, count)
+            for _ in range(count):
+                single.observe(value)
+        assert batched.snapshot() == single.snapshot()
+
+    def test_observe_many_of_nothing_is_a_no_op(self):
+        hist = Histogram("h", buckets=(1,))
+        hist.observe_many(5.0, 0)
+        assert hist.snapshot() == Histogram("h", buckets=(1,)).snapshot()
+
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
