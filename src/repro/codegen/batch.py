@@ -69,81 +69,6 @@ VECTOR_MIN_KEYS = 16
 array setup costs more than it amortizes."""
 
 
-def length_runs(keys: Sequence[bytes]):
-    """Stable-sort a batch by key length, once: ``(sorted_keys, order, runs)``.
-
-    ``runs`` lists one ``(length, start, stop)`` slice of
-    ``sorted_keys`` per distinct length, shortest first, and
-    ``order[i]`` is the position in ``keys`` of ``sorted_keys[i]`` (a
-    NumPy index array), so results computed in sorted order scatter
-    back with ``out[order] = values``.  A batch of one length is one
-    run: ``sorted_keys`` is then ``keys`` itself and ``order`` is None.
-
-    Lengths below 256 (every format the paper names) are taken as one
-    ``bytes`` object, one byte per key: the homogeneous check is then a
-    ``memchr``-speed ``count`` and the mixed sort a radix sort over a
-    zero-copy ``uint8`` view.  Needs NumPy.
-    """
-    count = len(keys)
-    if not count:
-        return keys, None, []
-    try:
-        lengths = bytes(map(len, keys))
-    except ValueError:  # a key of 256 bytes or more
-        lens = _numpy.fromiter(map(len, keys), dtype=_numpy.intp, count=count)
-        if lens.min() == lens.max():
-            return keys, None, [(len(keys[0]), 0, count)]
-    else:
-        if lengths.count(lengths[:1]) == count:
-            return keys, None, [(lengths[0], 0, count)]
-        lens = _numpy.frombuffer(lengths, dtype=_numpy.uint8)
-    order = _numpy.argsort(lens, kind="stable")
-    ordered = lens[order]
-    cuts = (_numpy.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
-    bounds = [0, *cuts, count]
-    runs = [
-        (int(ordered[start]), start, stop)
-        for start, stop in zip(bounds, bounds[1:])
-    ]
-    # Gathering through an object array beats a Python-level gather.
-    gathered = _numpy.empty(count, dtype=object)
-    gathered[:] = keys
-    return gathered[order].tolist(), order, runs
-
-
-def unsort(values, order):
-    """Put ``uint64`` results computed in :func:`length_runs` order
-    back in batch order."""
-    if order is None:
-        return values
-    out = _numpy.empty_like(values)
-    out[order] = values
-    return out
-
-
-def group_by_resolution(keys: Sequence[bytes], resolve: Callable):
-    """Group keys by what ``resolve(key)`` returns: ``(groups, unresolved)``.
-
-    ``groups`` lists ``(target, indices, keys)`` per distinct target in
-    first-seen order; ``unresolved`` holds the positions ``resolve``
-    mapped to None.  The per-key path for keys whose length alone does
-    not decide their hash.
-    """
-    groups: Dict[int, tuple] = {}
-    unresolved: List[int] = []
-    for index, key in enumerate(keys):
-        target = resolve(key)
-        if target is None:
-            unresolved.append(index)
-        elif id(target) in groups:
-            group = groups[id(target)]
-            group[1].append(index)
-            group[2].append(key)
-        else:
-            groups[id(target)] = (target, [index], [key])
-    return list(groups.values()), unresolved
-
-
 def _expression_body(func: IRFunction) -> Optional[str]:
     """Render the whole body as one expression, or None if impossible.
 

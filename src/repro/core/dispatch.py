@@ -7,17 +7,19 @@ the answer — Polymur branches on key length before hashing — and SEPE
 itself falls back to the standard hash for sub-word keys (footnote 5).
 
 :class:`FormatDispatcher` automates that pattern over synthesized
-functions: each registered format gets a specialized hash; at call time
-the dispatcher routes by key length first (an O(1) dict probe, since
-SEPE formats are fixed-length) and by template match when lengths
-collide; anything unrecognized goes to the general-purpose fallback.
-The common fast path — unique length, no verification — costs one dict
-lookup over calling the specialized function directly.
+functions: each registered format gets a specialized hash, and keys
+route through one immutable :class:`~repro.core.routes.RouteTable` — by
+key length first (an O(1) dict probe, since SEPE formats are
+fixed-length) and by template match when lengths are contested;
+anything unrecognized goes to the general-purpose fallback.  The
+dispatcher is a synchronous façade over that table: the routing policy
+and the columnar batch loop live in :mod:`repro.core.routes`, shared
+with the sharded service.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
 import threading
 import time
 from typing import (
@@ -31,12 +33,6 @@ from typing import (
     Union,
 )
 
-from repro.codegen.batch import (
-    VECTOR_MIN_KEYS,
-    group_by_resolution,
-    length_runs,
-    unsort,
-)
 from repro.core.fast_infer import ENGINE_AUTO
 from repro.core.inference import (
     KeyLike,
@@ -45,8 +41,8 @@ from repro.core.inference import (
 )
 from repro.core.pattern import KeyPattern
 from repro.core.plan import HashFamily
+from repro.core.routes import RouteState, RouteTable, hash_columnar
 from repro.core.synthesis import SynthesizedHash, synthesize
-from repro.errors import SynthesisError
 from repro.hashes.murmur_stl import stl_hash_bytes
 from repro.obs.metrics import (
     NS_LATENCY_BUCKETS,
@@ -63,14 +59,6 @@ except ImportError:  # pragma: no cover - numpy-less installs
 HashCallable = Callable[[bytes], int]
 
 FormatSource = Union[str, KeyPattern, SynthesizedHash]
-
-_Entry = Tuple[
-    KeyPattern,
-    HashCallable,
-    Counter,
-    SynthesizedHash,
-    Optional[Histogram],
-]
 
 
 class FormatDispatcher:
@@ -103,12 +91,11 @@ class FormatDispatcher:
             one counter add.
         prefer_native: when True, registration eagerly JIT-compiles each
             format's emitted C++ (through the compile cache) and routes
-            scalar calls and ``hash_many`` runs to the native entry
-            points; formats whose native tier degrades (no compiler,
-            unsupported ISA) silently keep the Python/NumPy path, so the
-            dispatcher works identically on hosts without a toolchain.
-            Defaults to the ``SEPE_NATIVE_DISPATCH=1`` environment
-            toggle (off otherwise).
+            scalar calls to the native entry point, and batch runs to
+            it when the cost model ranks it first; formats whose native
+            tier degrades (no compiler, unsupported ISA) silently keep
+            the Python/NumPy path, so the dispatcher works identically
+            on hosts without a toolchain.
     """
 
     def __init__(
@@ -117,17 +104,16 @@ class FormatDispatcher:
         verify: bool = False,
         registry: Optional[MetricsRegistry] = None,
         latency: bool = False,
-        prefer_native: Optional[bool] = None,
+        prefer_native: bool = False,
     ):
-        if prefer_native is None:
-            prefer_native = (
-                os.environ.get("SEPE_NATIVE_DISPATCH", "") == "1"
-            )
         self._prefer_native = bool(prefer_native)
         self._fallback = fallback
         self._verify = verify
-        self._by_length: Dict[int, List[_Entry]] = {}
-        self._variable: List[_Entry] = []
+        self._table = RouteTable(())
+        self._serial = itertools.count()
+        # Per-route accounting, keyed by route id: the route counter
+        # and, with ``latency=True``, its histogram.
+        self._accounts: Dict[str, Tuple[Counter, Optional[Histogram]]] = {}
         self._registry = registry if registry is not None else MetricsRegistry()
         self._fallback_counter = self._registry.counter("dispatch.fallback")
         self._requests = self._registry.counter("dispatch.requests_total")
@@ -143,15 +129,8 @@ class FormatDispatcher:
             else None
         )
         self._started_monotonic = time.monotonic()
-        self._labels: List[str] = []
-        # Resolved-route cache: key length -> entry, for lengths where
-        # resolution is unambiguous (one candidate, no verification).
-        # Saves the candidate-list walk on every call; invalidated on
-        # registration.
-        self._route_cache: Dict[int, _Entry] = {}
-        # Guards the registration structures against concurrent
-        # register()/stats()/describe() — NOT taken on the hashing hot
-        # path, which reads dicts that mutate only under this lock.
+        # Serializes register()/stats()/describe() — NOT taken on the
+        # hashing hot path, which reads one immutable table snapshot.
         # Contention is observable: a blocked acquisition first fails a
         # non-blocking attempt and counts a lock-wait event.
         self._state_lock = threading.Lock()
@@ -184,40 +163,28 @@ class FormatDispatcher:
             synthesized = source
         else:
             synthesized = synthesize(source, family)
-        pattern = synthesized.pattern
-        function = synthesized.function
-        if self._prefer_native:
-            # Compile eagerly so the first routed key never pays JIT
-            # latency; degradation leaves the Python callable in place.
-            # Kept outside the state lock: a JIT compile must not stall
-            # concurrent stats() readers.
-            native_scalar = synthesized.native_function
-            if native_scalar is not None:
-                function = native_scalar
-                self._native_formats.inc()
+        serial = next(self._serial)
+        # Built outside the state lock: a native JIT compile must not
+        # stall concurrent stats() readers.
+        state = RouteState(
+            f"r{serial}",
+            synthesized,
+            prefer_native=self._prefer_native,
+            label=synthesized.plan.pattern_regex or f"format-{serial}",
+        )
+        if state.native:
+            self._native_formats.inc()
         self._acquire_state_lock()
         try:
-            label = (
-                synthesized.plan.pattern_regex
-                or f"format-{len(self._labels)}"
-            )
-            counter = self._registry.counter(f"dispatch.route.{label}")
-            histogram = (
+            self._accounts[state.route_id] = (
+                self._registry.counter(f"dispatch.route.{state.label}"),
                 self._registry.histogram(
-                    f"dispatch.latency_ns.{label}", NS_LATENCY_BUCKETS
+                    f"dispatch.latency_ns.{state.label}", NS_LATENCY_BUCKETS
                 )
                 if self._latency
-                else None
+                else None,
             )
-            self._labels.append(label)
-            entry = (pattern, function, counter, synthesized, histogram)
-            if pattern.is_fixed_length:
-                self._by_length.setdefault(
-                    pattern.body_length, []
-                ).append(entry)
-            else:
-                self._variable.append(entry)
-            self._route_cache.clear()
+            self._table = self._table.added(state)
         finally:
             self._state_lock.release()
         return synthesized
@@ -250,90 +217,58 @@ class FormatDispatcher:
     @property
     def format_count(self) -> int:
         """Number of registered formats."""
-        return sum(len(v) for v in self._by_length.values()) + len(
-            self._variable
-        )
+        return len(self._table)
 
     # -- dispatch --------------------------------------------------------
 
-    def _resolve(self, key: bytes) -> Optional[_Entry]:
-        """Find the entry for ``key`` without touching any counter.
-
-        Caches the resolution by key length when it is unambiguous (one
-        fixed-length candidate, verification off) so steady-state calls
-        skip the candidate walk — the compiled callable is re-used, not
-        re-resolved, per call.
-        """
-        length = len(key)
-        entry = self._route_cache.get(length)
-        if entry is not None:
-            return entry
-        candidates = self._by_length.get(length)
-        if candidates:
-            if len(candidates) == 1 and not self._verify:
-                entry = candidates[0]
-                self._route_cache[length] = entry
-                return entry
-            for entry in candidates:
-                if entry[0].matches(key):
-                    return entry
-        for entry in self._variable:
-            if entry[0].matches(key):
-                return entry
-        return None
+    def _route_state(self, key: bytes) -> Optional[RouteState]:
+        """Resolve ``key`` through the table and count the decision;
+        None means fallback traffic."""
+        self._requests.inc()
+        table = self._table
+        state = None if self._verify else table.fast.get(len(key))
+        if state is None:
+            state = table.resolve_checked(key)
+            if state is None:
+                self._fallback_counter.inc()
+                return None
+        self._accounts[state.route_id][0].inc()
+        return state
 
     def route(self, key: bytes) -> HashCallable:
         """The function that would hash ``key`` (for inspection/tests)."""
-        self._requests.inc()
-        entry = self._resolve(key)
-        if entry is None:
-            self._fallback_counter.inc()
-            return self._fallback
-        entry[2].inc()
-        return entry[1]
+        state = self._route_state(key)
+        return self._fallback if state is None else state.scalar
 
     def __call__(self, key: bytes) -> int:
         if not self._latency:
             return self.route(key)(key)
-        function = self.route(key)
+        state = self._route_state(key)
+        if state is None:
+            function, histogram = self._fallback, self._fallback_latency
+        else:
+            function = state.scalar
+            histogram = self._accounts[state.route_id][1]
         started = time.perf_counter_ns()
         value = function(key)
-        self._observe_latency(key, time.perf_counter_ns() - started)
+        histogram.observe(time.perf_counter_ns() - started)
         return value
-
-    def _observe_latency(self, key: bytes, elapsed_ns: float) -> None:
-        """Record one latency observation on the route that served ``key``.
-
-        Called right after :meth:`route`, so ``_resolve`` hits the route
-        cache and costs one dict probe; the fallback owns its own
-        histogram.
-        """
-        entry = self._resolve(key)
-        histogram = entry[4] if entry is not None else self._fallback_latency
-        if histogram is not None:
-            histogram.observe(elapsed_ns)
 
     def hash_many(self, keys: Sequence[bytes]) -> List[int]:
         """Hash a batch of keys, routing once per length run, not per key.
 
-        The batch is stable-sorted by key length once
-        (:func:`~repro.codegen.batch.length_runs`; a batch of one length
-        needs no sort) and the sorted keys are joined into one block, so
-        every length run is a zero-copy ``uint8[k, L]`` row view of it.
-        A run whose length the route cache owns (one fixed-length
-        candidate, verification off) is hashed by one call — the
-        format's ``hash_many`` on the rows, or its native module with
-        ``prefer_native`` — and written into one ``uint64[n]`` array
-        through the sort order.  Other runs (contested lengths,
-        ``verify=True``, variable-length formats, unregistered lengths)
-        resolve key by key, one batch call per resolved format and the
-        scalar fallback for unrecognized keys.  Results are positionally
+        The batch goes through the shared columnar loop
+        (:func:`~repro.core.routes.hash_columnar`): one stable sort by
+        key length, one call per length run the table owns on a
+        zero-copy row view, template resolution per key for contested
+        lengths (and for every key with ``verify=True``), the scalar
+        fallback for unrecognized keys.  Results are positionally
         aligned with ``keys``, and route/fallback counters advance
         exactly as per-key routing would.
         """
         if _np is None:
             return [self(key) for key in keys]
-        return self._hash_columnar(keys).tolist()
+        return self.hash_many_array(keys).tolist()
 
     def hash_many_array(self, keys: Sequence[bytes]):
         """Like :meth:`hash_many`, returning the ``uint64`` array itself.
@@ -347,102 +282,54 @@ class FormatDispatcher:
         """
         if _np is None:
             raise RuntimeError("hash_many_array requires NumPy")
-        return self._hash_columnar(keys)
+        self._requests.inc(len(keys))
+        return hash_columnar(
+            self._table, keys, self._fallback, self._count_run, self._verify
+        )
 
-    def _hash_columnar(self, keys: Sequence[bytes]):
-        count = len(keys)
-        self._requests.inc(count)
-        ordered, order, runs = length_runs(keys)
-        block = b"".join(ordered)
-        out = _np.empty(count, dtype=_np.uint64)
-        offset = 0
-        for length, start, stop in runs:
-            run = ordered[start:stop]
-            entry = self._route_cache.get(length)
-            if entry is None:
-                self._resolve(run[0])  # may populate the cache
-                entry = self._route_cache.get(length)
-            if entry is None:
-                self._hash_keywise(run, out[start:stop])
-            else:
-                entry[2].inc(stop - start)
-                rows = _np.frombuffer(
-                    block,
-                    dtype=_np.uint8,
-                    count=(stop - start) * length,
-                    offset=offset,
-                ).reshape(stop - start, length)
-                out[start:stop] = self._hash_run(entry, run, rows)
-            offset += (stop - start) * length
-        return unsort(out, order)
-
-    def _hash_run(self, entry: _Entry, keys: Sequence[bytes], rows):
-        """One run (``rows`` its row view) or resolved group (``rows``
-        None) through the fastest batch tier its entry has, timed into
-        the route's latency histogram when ``latency=True``."""
-        histogram = entry[4]
-        started = time.perf_counter_ns() if histogram is not None else 0
-        synthesized = entry[3]
-        module = synthesized.native_module if self._prefer_native else None
-        if module is not None:
-            if rows is not None:
-                values = module.hash_rows(rows)
-            else:
-                values = module.hash_many_array(keys)
-        elif (
-            rows is not None
-            and len(keys) >= VECTOR_MIN_KEYS
-            and synthesized.lane_function is not None
-        ):
-            values = synthesized.hash_many(rows)
+    def _count_run(
+        self, state: Optional[RouteState], count: int, elapsed_ns: int
+    ) -> None:
+        """Account one hashed run: its route counter (or the fallback's)
+        and, with ``latency=True``, the per-key mean into the histogram."""
+        if state is None:
+            self._fallback_counter.inc(count)
+            histogram = self._fallback_latency
         else:
-            values = synthesized.hash_many(keys)
+            counter, histogram = self._accounts[state.route_id]
+            counter.inc(count)
         if histogram is not None:
-            elapsed = time.perf_counter_ns() - started
-            histogram.observe_many(elapsed / len(keys), len(keys))
-        return values
-
-    def _hash_keywise(self, keys: Sequence[bytes], out) -> None:
-        """Hash a run the route cache does not own into ``out``,
-        resolving each key; one batch call per resolved format."""
-        groups, fallback = group_by_resolution(keys, self._resolve)
-        for entry, indices, grouped in groups:
-            entry[2].inc(len(indices))
-            out[indices] = self._hash_run(entry, grouped, None)
-        if not fallback:
-            return
-        self._fallback_counter.inc(len(fallback))
-        histogram = self._fallback_latency
-        for index in fallback:
-            started = time.perf_counter_ns()
-            out[index] = self._fallback(keys[index])
-            if histogram is not None:
-                histogram.observe(time.perf_counter_ns() - started)
+            histogram.observe_many(elapsed_ns / count, count)
 
     # -- introspection -----------------------------------------------------
+
+    @staticmethod
+    def _ordered_routes(table: RouteTable) -> List[RouteState]:
+        """Fixed-length routes by length, then variable-length ones."""
+
+        def order(route: RouteState) -> Tuple[int, int]:
+            pattern = route.pattern
+            if pattern.is_fixed_length:
+                return 0, pattern.body_length
+            return 1, 0
+
+        return sorted(table.routes, key=order)
 
     def describe(self) -> List[str]:
         """Human-readable routing table, one line per registered format."""
         from repro.core.regex_render import render_regex
 
-        self._acquire_state_lock()
-        try:
-            fixed = [
-                (length, entry[0])
-                for length in sorted(self._by_length)
-                for entry in self._by_length[length]
-            ]
-            variable = [entry[0] for entry in self._variable]
-        finally:
-            self._state_lock.release()
-        lines = [
-            f"len {length:4d}: {render_regex(pattern)}"
-            for length, pattern in fixed
-        ]
-        for pattern in variable:
-            lines.append(
-                f"len {pattern.min_length}+  : {render_regex(pattern)}"
-            )
+        lines = []
+        for route in self._ordered_routes(self._table):
+            pattern = route.pattern
+            if pattern.is_fixed_length:
+                lines.append(
+                    f"len {pattern.body_length:4d}: {render_regex(pattern)}"
+                )
+            else:
+                lines.append(
+                    f"len {pattern.min_length}+  : {render_regex(pattern)}"
+                )
         lines.append("otherwise  : fallback")
         return lines
 
@@ -469,8 +356,8 @@ class FormatDispatcher:
         ``latency`` summary (observation ``count`` and ``mean_ns``) from
         its histogram.
 
-        The whole snapshot is taken in one critical section — entry
-        list and every counter value read back to back under the state
+        The whole snapshot is taken in one critical section — route
+        table and every counter value read back to back under the state
         lock — so concurrent registrations cannot interleave a
         half-visible format, and ``total_routes`` is the sum of exactly
         the per-format counts reported beside it.  Formatting (regex
@@ -479,24 +366,21 @@ class FormatDispatcher:
         """
         self._acquire_state_lock()
         try:
-            entries: List[Tuple[_Entry, Optional[int]]] = [
-                (entry, length)
-                for length in sorted(self._by_length)
-                for entry in self._by_length[length]
+            routes = self._ordered_routes(self._table)
+            counts = [
+                self._accounts[route.route_id][0].value for route in routes
             ]
-            entries.extend((entry, None) for entry in self._variable)
-            counts = [entry[2].value for entry, _length in entries]
             fallback_routes = self._fallback_counter.value
             native_formats = self._native_formats.value
         finally:
             self._state_lock.release()
         formats = [
-            self._format_stats(entry, length, routes)
-            for (entry, length), routes in zip(entries, counts)
+            self._format_stats(route, routes_count)
+            for route, routes_count in zip(routes, counts)
         ]
         total = sum(counts)
         stats: Dict[str, object] = {
-            "registered": len(entries),
+            "registered": len(routes),
             "total_routes": total + fallback_routes,
             "fallback_routes": fallback_routes,
             "formats": formats,
@@ -516,21 +400,19 @@ class FormatDispatcher:
             }
         return stats
 
-    @staticmethod
     def _format_stats(
-        entry: _Entry, length: Optional[int], routes: int
+        self, route: RouteState, routes: int
     ) -> Dict[str, object]:
         from repro.core.regex_render import render_regex
 
+        pattern = route.pattern
         record: Dict[str, object] = {
-            "regex": render_regex(entry[0]),
-            "length": length,
+            "regex": render_regex(pattern),
+            "length": pattern.body_length if pattern.is_fixed_length else None,
             "routes": routes,
-            # True only when the native module is already loaded — this
-            # must never trigger a compile from a stats snapshot.
-            "native": entry[3]._native_state == "loaded",
+            "native": route.native,
         }
-        histogram = entry[4]
+        histogram = self._accounts[route.route_id][1]
         if histogram is not None:
             record["latency"] = {
                 "count": histogram.count,

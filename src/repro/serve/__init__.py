@@ -17,8 +17,10 @@ Layers, hot path downward:
 - :mod:`repro.serve.service` — :class:`HashService`: registration,
   thread→shard binding, atomic table install, lifecycle.
 - :mod:`repro.serve.shard` — the single-writer submission lanes.
-- :mod:`repro.serve.routes` — immutable :class:`RouteTable` /
-  :class:`RouteState` snapshots (the thing that hot-swaps).
+- :mod:`repro.core.routes` — immutable :class:`RouteTable` /
+  :class:`RouteState` snapshots (the thing that hot-swaps) and the
+  columnar batch loop, shared with
+  :class:`~repro.core.dispatch.FormatDispatcher`: one router for both.
 - :mod:`repro.serve.drift` — pattern-vs-sample drift detection as
   monoid algebra over :class:`~repro.core.fast_infer.PatternAccumulator`.
 - :mod:`repro.serve.reconciler` — the background resynthesize-and-swap
@@ -26,6 +28,7 @@ Layers, hot path downward:
 - :mod:`repro.serve.replay` — the traffic-replay benchmark harness.
 """
 
+from repro.core.routes import RouteState, RouteTable, build_route_state
 from repro.serve.drift import (
     DRIFT_KINDS,
     DRIFT_NEW_LENGTH,
@@ -44,7 +47,6 @@ from repro.serve.replay import (
     run_replay,
     scaling_ratio,
 )
-from repro.serve.routes import RouteState, RouteTable, build_route_state
 from repro.serve.service import HashService
 from repro.serve.shard import Shard, sampling_mask
 

@@ -9,7 +9,7 @@ shard partition is invisible to the result), and runs
 2. **Widened byte class** — the route's own samples joined to a wider
    pattern.  The merged pattern (plan ⊔ observation) is re-synthesized
    with ``verify="strict"``; on success a fresh
-   :class:`~repro.serve.routes.RouteState` (generation + 1, callables
+   :class:`~repro.core.routes.RouteState` (generation + 1, callables
    pre-compiled, native tier JIT-ed *in this thread*) is installed via
    :meth:`HashService.swap_route` — one reference store per shard,
    traffic never pauses.
@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.fast_infer import PatternAccumulator
 from repro.core.pattern import KeyPattern
+from repro.core.routes import RouteState
 from repro.core.synthesis import synthesize
 from repro.errors import SynthesisError, VerificationError
 from repro.obs.trace import span
@@ -53,7 +54,6 @@ from repro.serve.drift import (
     detect_drift,
     route_affinity,
 )
-from repro.serve.routes import RouteState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.service import HashService

@@ -36,10 +36,10 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.plan import HashFamily
+from repro.core.routes import RouteState
 from repro.keygen import Distribution, generate_keys, key_spec
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.drift import DRIFT_NEW_LENGTH, DRIFT_WIDENED_BYTE_CLASS
-from repro.serve.routes import RouteState
 from repro.serve.service import HashService
 
 _HEX_FOR_DIGIT = b"abcdefabcd"

@@ -44,6 +44,7 @@ from typing import (
 from repro.core.fast_infer import as_key_bytes, infer_pattern_fast
 from repro.core.inference import KeyLike
 from repro.core.plan import HashFamily
+from repro.core.routes import RouteState, RouteTable, build_route_state
 from repro.core.synthesis import FormatSource, SynthesizedHash
 from repro.hashes.murmur_stl import stl_hash_bytes
 from repro.obs.metrics import (
@@ -51,7 +52,6 @@ from repro.obs.metrics import (
     exponential_buckets,
     get_registry,
 )
-from repro.serve.routes import RouteState, RouteTable, build_route_state
 from repro.serve.shard import (
     DEFAULT_FLUSH_SIZE,
     Shard,
@@ -274,29 +274,14 @@ class HashService:
         return self.shard_for_caller().hash_many(keys)
 
     def hash_many_array(self, keys: Sequence[bytes]):
-        """Batch hash to a NumPy uint64 array (fastest for one route).
-
-        Homogeneous batches served by a native-backed route skip list
-        boxing entirely; everything else goes through
-        :meth:`hash_many` and converts.
+        """Batch hash to a NumPy uint64 array, skipping list boxing.
 
         Raises:
             RuntimeError: when NumPy is unavailable.
         """
         if _np is None:
             raise RuntimeError("hash_many_array requires NumPy")
-        shard = self.shard_for_caller()
-        if keys:
-            table = shard.table
-            length = len(keys[0])
-            route = table.fast.get(length)
-            if (
-                route is not None
-                and route.batch_array is not None
-                and all(len(key) == length for key in keys)
-            ):
-                return shard.hash_batch_direct(route, list(keys))
-        return _np.asarray(shard.hash_many(keys), dtype=_np.uint64)
+        return self.shard_for_caller().hash_many_array(keys)
 
     def flush(self) -> None:
         """Flush every shard's pending buffers.

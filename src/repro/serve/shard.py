@@ -27,7 +27,7 @@ The contract, precisely:
 
 Route-table swaps need no handshake at all: shards read ``self.table``
 once per operation, and the service replaces the whole immutable
-:class:`~repro.serve.routes.RouteTable` by reference.  Keys already
+:class:`~repro.core.routes.RouteTable` by reference.  Keys already
 sitting in a pending buffer keep the :class:`RouteState` they resolved
 under and are flushed through it — the stale plan serves until the
 swap lands, never a torn mix of old offsets and new masks.
@@ -39,10 +39,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as _np
-
-from repro.codegen.batch import group_by_resolution, length_runs, unsort
-from repro.serve.routes import RouteState, RouteTable
+from repro.core.routes import RouteState, RouteTable, hash_columnar
 
 SinkCallable = Callable[[Optional[RouteState], List[bytes], Sequence], None]
 """Receives every flushed batch: ``(route, keys, values)``; ``route`` is
@@ -322,85 +319,46 @@ class Shard:
         return route.scalar(key)
 
     def hash_many(self, keys: Sequence[bytes]) -> List[int]:
-        """Hash a batch now, positionally aligned: one ``route.batch``
-        call per length run a route owns (see
-        :func:`~repro.codegen.batch.length_runs`), template resolution
-        per key for contested lengths, the fallback for the rest."""
+        """Hash a batch now, positionally aligned (see
+        :meth:`hash_many_array`)."""
+        return self.hash_many_array(keys).tolist()
+
+    def hash_many_array(self, keys: Sequence[bytes]):
+        """Hash a batch now into a ``uint64`` array, through the shared
+        columnar loop (:func:`~repro.core.routes.hash_columnar`): one
+        batch call per length run a route owns, template resolution per
+        key for contested lengths, the fallback for the rest."""
         if self.shared:
             with self.lock:
-                return self._hash_many(keys)
+                return self._hash_many_array(keys)
         self.busy = True
         if self.shared:
             self.busy = False
             with self.lock:
-                return self._hash_many(keys)
+                return self._hash_many_array(keys)
         try:
-            return self._hash_many(keys)
+            return self._hash_many_array(keys)
         finally:
             self.busy = False
 
-    def _hash_many(self, keys: Sequence[bytes]) -> List[int]:
+    def _hash_many_array(self, keys: Sequence[bytes]):
         count = len(keys)
         self.tick += count
         self.hashed += count
-        table = self.table
-        fast_map = self.fast_map
-        ordered, order, runs = length_runs(keys)
-        out = _np.empty(count, dtype=_np.uint64)
-        for length, start, stop in runs:
-            run = ordered[start:stop]
-            route = fast_map.get(length)
-            if route is None:
-                self._hash_keywise(table, run, out[start:stop])
-                continue
-            self._count_routed(route.route_id, stop - start)
-            out[start:stop] = route.batch(run)
-        return unsort(out, order).tolist()
+        return hash_columnar(self.table, keys, self.fallback, self._count_run)
+
+    def _count_run(
+        self, route: Optional[RouteState], count: int, _elapsed_ns: int
+    ) -> None:
+        if route is None:
+            self.fallback_count += count
+        else:
+            self._count_routed(route.route_id, count)
 
     def _count_routed(self, route_id: str, count: int) -> None:
         self.route_counts[route_id] = (
             self.route_counts.get(route_id, 0) + count
         )
-
-    def _hash_keywise(self, table: RouteTable, keys: Sequence[bytes], out):
-        """Hash a run of a length no single route owns into ``out``:
-        template-resolve each key, one batch call per resolved route."""
-        groups, fallback = group_by_resolution(keys, table.resolve_checked)
-        for route, indices, grouped in groups:
-            self._count_routed(route.route_id, len(indices))
-            out[indices] = route.batch(grouped)
-        if fallback:
-            self.fallback_count += len(fallback)
-            out[fallback] = [self.fallback(keys[index]) for index in fallback]
-
-    def hash_batch_direct(
-        self, route: RouteState, keys: List[bytes]
-    ):
-        """Hash a pre-resolved homogeneous batch via the array tier.
-
-        The caller (the service's ``hash_many_array``) has already
-        checked that every key has the route's length and that the
-        route carries a native array entry point.
-        """
-        if self.shared:
-            with self.lock:
-                return self._hash_batch_direct(route, keys)
-        self.busy = True
-        if self.shared:
-            self.busy = False
-            with self.lock:
-                return self._hash_batch_direct(route, keys)
-        try:
-            return self._hash_batch_direct(route, keys)
-        finally:
-            self.busy = False
-
-    def _hash_batch_direct(self, route: RouteState, keys: List[bytes]):
-        count = len(keys)
-        self.tick += count
-        self.hashed += count
-        self._count_routed(route.route_id, count)
-        return route.batch_array(keys)
 
     # -- reconciler interface ------------------------------------------
 

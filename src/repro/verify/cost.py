@@ -5,7 +5,7 @@ entropy domains of :mod:`repro.verify.dataflow`): given the opcode
 profile of a plan's optimized IR, predict ns/key for each execution
 backend *without running a single key*.  Predictions feed the
 ``sepe analyze`` cost ladder, the ``cost-anomaly`` lint, and the
-serving layer's tier selection (:mod:`repro.serve.routes`), which
+router's batch-tier selection (:mod:`repro.core.routes`), which
 orders callables by predicted cost and falls back to the fixed
 native → NumPy → interp preference whenever the model abstains.
 

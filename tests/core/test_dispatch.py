@@ -432,6 +432,62 @@ class TestStateLockTelemetry:
         assert snapshots[-1]["registered"] == 1
 
 
+    def test_concurrent_registration_while_hashing(self):
+        """Registrations from several threads each install one route;
+        a hashing thread meanwhile always sees a complete table."""
+        import sys
+        import threading
+
+        hashes = [
+            synthesize(regex, family)
+            for regex, family in (
+                (SSN, HashFamily.PEXT),
+                (MAC, HashFamily.AES),
+                (IPV4, HashFamily.OFFXOR),
+                (r"[A-Z]{14}", HashFamily.NAIVE),
+            )
+        ]
+        keys = generate_keys("SSN", 32, Distribution.UNIFORM, seed=15)
+        expected = [stl_hash_bytes(key) for key in keys]
+        dispatcher = FormatDispatcher()
+        errors = []
+        done = threading.Event()
+
+        def register(synthesized):
+            for _ in range(3):
+                dispatcher.register(synthesized)
+
+        def hash_keys():
+            while not done.is_set():
+                values = dispatcher.hash_many(keys)
+                # Before any SSN route lands: the fallback; after: SSN.
+                if values not in (expected, [hashes[0](k) for k in keys]):
+                    errors.append(values)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader = threading.Thread(target=hash_keys)
+            reader.start()
+            writers = [
+                threading.Thread(target=register, args=(synthesized,))
+                for synthesized in hashes
+            ]
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=30)
+            done.set()
+            reader.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive()
+        assert not any(thread.is_alive() for thread in writers)
+        assert not errors
+        assert dispatcher.format_count == 12
+        assert dispatcher.stats()["registered"] == 12
+
+
 # -- columnar hash_many against per-key dispatch ------------------------------
 
 CPF = KEY_TYPES["CPF"].regex       # length 14, shared with UPPER14
@@ -545,3 +601,137 @@ class TestColumnarParityProperty:
         assert counters[0]["dispatch.requests_total"] == len(keys)
         assert counters[1] == counters[0]
         assert counters[2] == counters[0]
+
+
+# -- one router: the dispatcher and the service agree -------------------------
+
+
+class TestSharedRouter:
+    def test_contested_length_routes_by_template(self):
+        """A 14-byte hex key belongs to the variable hex route even
+        though only one *fixed* format has length 14."""
+        dispatcher = FormatDispatcher()
+        dispatcher.register(UPPER14)
+        hex_route = dispatcher.register(r"[0-9a-f]{10,20}")
+        key = b"0123456789abcd"
+        expected = hex_route(key)
+        assert dispatcher.route(key) is not dispatcher.route(b"ABCDEFGHIJKLMN")
+        assert dispatcher(key) == expected
+        assert dispatcher.hash_many([key, b"ABCDEFGHIJKLMN"])[0] == expected
+        assert dispatcher.hash_many_array([key]).tolist() == [expected]
+
+    def test_wide_variable_route_keeps_fixed_lengths_fast(self, monkeypatch):
+        """An unbounded route contests only its own lengths: a
+        homogeneous SSN batch is still one run call on a row view."""
+        numpy = pytest.importorskip("numpy")
+        dispatcher = FormatDispatcher()
+        ssn = dispatcher.register(SSN)
+        dispatcher.register(r"[a-z]{20}[a-z]*", family=HashFamily.OFFXOR)
+        calls = []
+        hash_many = ssn.hash_many
+
+        def counting(keys):
+            calls.append(keys)
+            return hash_many(keys)
+
+        monkeypatch.setattr(ssn, "hash_many", counting)
+        keys = generate_keys("SSN", 64, Distribution.UNIFORM, seed=14)
+        assert dispatcher.hash_many(keys) == [ssn(key) for key in keys]
+        assert len(calls) == 1
+        assert isinstance(calls[0], numpy.ndarray)
+        assert calls[0].shape == (64, 11)
+
+
+SERVICE_FORMATS = (
+    (KEY_TYPES["SSN"].regex, HashFamily.PEXT),     # 11: owned
+    (CPF, HashFamily.PEXT),                        # 14: contested
+    (UPPER14, HashFamily.OFFXOR),                  # 14: contested
+    (r"[0-9a-f]{13,16}", HashFamily.NAIVE),        # narrow variable
+    (r"[a-z]{20}[a-z]*", HashFamily.OFFXOR),       # wide variable
+    (KEY_TYPES["IPV6"].regex, HashFamily.AES),     # 39: inside the wide range
+)
+SERVICE_LENGTHS = (11, 13, 14, 15, 16, 20, 27, 39)
+
+
+@functools.lru_cache(maxsize=None)
+def _service_hashes():
+    return tuple(synthesize(regex, family) for regex, family in SERVICE_FORMATS)
+
+
+@functools.lru_cache(maxsize=None)
+def _conforming_pool():
+    rng = random.Random(31)
+    keys = list(_pool("SSN")) + list(_pool("CPF")) + list(_pool("IPV6"))
+    for _ in range(32):
+        keys.append(bytes(rng.choices(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", k=14)))
+        keys.append(
+            bytes(rng.choices(b"0123456789abcdef", k=rng.randint(13, 16)))
+        )
+        keys.append(
+            bytes(rng.choices(b"abcdefghijklmnopqrstuvwxyz",
+                              k=rng.randint(20, 60)))
+        )
+    return tuple(keys)
+
+
+_SERVICE_KEYS = st.one_of(
+    st.sampled_from(_conforming_pool()),
+    st.sampled_from(SERVICE_LENGTHS).flatmap(
+        lambda length: st.binary(min_size=length, max_size=length)
+    ),
+    st.binary(max_size=48),
+)
+
+
+class TestDispatcherServiceParity:
+    """``FormatDispatcher`` and ``HashService`` route through the same
+    table, so they agree key by key; with ``verify=True`` the dispatcher
+    differs only in sending keys no template accepts to the fallback."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        keys=st.lists(_SERVICE_KEYS, max_size=40),
+        homogeneous=st.integers(0, 2 * VECTOR_MIN_KEYS),
+        rng=st.randoms(use_true_random=False),
+        verify=st.booleans(),
+    )
+    def test_values_and_counters_agree(self, keys, homogeneous, rng, verify):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.serve import HashService
+
+        keys = keys + [rng.choice(_pool("SSN")) for _ in range(homogeneous)]
+        rng.shuffle(keys)
+        service = HashService(
+            shards=1,
+            prefer_native=False,
+            sample_every=0,
+            registry=MetricsRegistry(),
+        )
+        registries = [MetricsRegistry() for _ in range(4)]
+        dispatchers = [
+            FormatDispatcher(verify=verify, registry=registry)
+            for registry in registries
+        ]
+        for synthesized in _service_hashes():
+            service.register(synthesized)
+            for dispatcher in dispatchers:
+                dispatcher.register(synthesized)
+        table = service.table
+        expected = [
+            service.hash(key)
+            if not verify or table.resolve_checked(key) is not None
+            else stl_hash_bytes(key)
+            for key in keys
+        ]
+        if not verify:
+            assert service.hash_many(keys) == expected
+            assert service.hash_many_array(keys).tolist() == expected
+        tally, scalar, listed, arrayed = dispatchers
+        for key in keys:
+            tally.route(key)
+        assert [scalar(key) for key in keys] == expected
+        assert listed.hash_many(keys) == expected
+        assert arrayed.hash_many_array(keys).tolist() == expected
+        counters = [_dispatch_counters(registry) for registry in registries]
+        assert counters[0]["dispatch.requests_total"] == len(keys)
+        assert counters[1:] == [counters[0]] * 3

@@ -9,7 +9,7 @@ way the chosen callable must hash identically to the scalar path.
 from repro.core.plan import HashFamily
 from repro.core.synthesis import synthesize
 from repro.keygen import KEY_TYPES
-from repro.serve.routes import _pick_batch_tier, build_route_state
+from repro.core.routes import _pick_batch_tier, build_route_state
 from repro.verify.cost import predict_plan_costs
 
 
@@ -32,10 +32,12 @@ class TestBatchTierSelection:
 
     def test_cost_ordering_matches_prediction_when_priced(self):
         state = _ssn_state()
+        if not state.native:
+            # A sole candidate is taken without pricing it.
+            assert not state.cost_ordered
+            return
         prediction = predict_plan_costs(state.synthesized.plan)
-        candidates = (
-            ("native", "numpy") if state.native else ("numpy",)
-        )
+        candidates = ("native", "numpy")
         if all(prediction.cost(tier) is not None for tier in candidates):
             assert state.cost_ordered
             expected = next(
@@ -63,12 +65,19 @@ class TestBatchTierSelection:
         scalar = state.synthesized.function
         assert list(state.batch(keys)) == [scalar(k) for k in keys]
 
-    def test_pick_batch_tier_single_candidate(self):
+    def test_pick_batch_tier_single_candidate(self, monkeypatch):
+        import repro.verify.cost
+
+        def refuse(plan):
+            raise AssertionError("a sole candidate must not be priced")
+
+        monkeypatch.setattr(repro.verify.cost, "predict_plan_costs", refuse)
         synthesized = synthesize(
             KEY_TYPES["SSN"].regex, family=HashFamily.PEXT
         )
-        batch, tier, _ = _pick_batch_tier(
+        batch, tier, cost_ordered = _pick_batch_tier(
             synthesized, {"numpy": synthesized.batch_function}
         )
         assert tier == "numpy"
         assert batch is synthesized.batch_function
+        assert cost_ordered is False

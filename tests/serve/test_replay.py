@@ -144,7 +144,7 @@ class TestScalingRatio:
 class TestVerifyingSinkCatchesCorruption:
     def test_mismatched_values_counted_as_errors(self):
         from repro.serve.replay import VerifyingSink
-        from repro.serve.routes import build_route_state
+        from repro.core.routes import build_route_state
         from repro.keygen.keyspec import KEY_TYPES
 
         state = build_route_state("r0", KEY_TYPES["SSN"].regex)

@@ -6,7 +6,7 @@ from repro.core.plan import HashFamily
 from repro.core.synthesis import synthesize
 from repro.keygen import Distribution, generate_keys
 from repro.keygen.keyspec import KEY_TYPES
-from repro.serve.routes import RouteState, RouteTable, build_route_state
+from repro.core.routes import RouteState, RouteTable, build_route_state
 
 SSN = KEY_TYPES["SSN"].regex    # length 11
 IPV4 = KEY_TYPES["IPV4"].regex  # length 15
@@ -83,7 +83,9 @@ class TestRouteTable:
     def test_unbounded_variable_route_disables_fast_map(self):
         state = route("rv", r"abcdefgh[0-9]{4}.*")
         table = RouteTable([route("r0", SSN), state])
-        assert table.fast == {}
+        # The unbounded route contests only lengths 12 and up, so SSN's
+        # length 11 stays owned; the route claims no fast entry itself.
+        assert table.fast == {11: table.get("r0")}
         assert table.resolve(b"123-45-6789").route_id == "r0"
         assert table.resolve(b"abcdefgh1234-tail").route_id == "rv"
 

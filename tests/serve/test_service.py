@@ -221,7 +221,7 @@ class TestSharding:
         keys = generate_keys("SSN", 64, Distribution.UNIFORM, seed=7)
         for key in keys[:32]:
             svc.submit(key)
-        from repro.serve.routes import RouteState
+        from repro.core.routes import RouteState
 
         successor = RouteState(
             state.route_id,

@@ -9,7 +9,7 @@ from repro.core.synthesis import synthesize
 from repro.hashes.murmur_stl import stl_hash_bytes
 from repro.keygen import Distribution, generate_keys
 from repro.keygen.keyspec import KEY_TYPES
-from repro.serve.routes import RouteState, RouteTable
+from repro.core.routes import RouteState, RouteTable
 from repro.serve.shard import Shard
 
 FORMATS = (
@@ -85,3 +85,13 @@ def test_empty_and_single_key_batches(table):
     assert shard.hash_many([]) == []
     key = generate_keys("SSN", 1, Distribution.UNIFORM, seed=4)[0]
     assert shard.hash_many([key]) == [table.resolve(key).scalar(key)]
+
+
+def test_hash_many_array_is_the_list_path_unboxed(table):
+    keys = mixed_keys(5)
+    arrayed = Shard(0, table, stl_hash_bytes)
+    listed = Shard(1, table, stl_hash_bytes)
+    values = arrayed.hash_many_array(keys)
+    assert str(values.dtype) == "uint64"
+    assert values.tolist() == listed.hash_many(keys)
+    assert counts(arrayed) == counts(listed)
