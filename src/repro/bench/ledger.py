@@ -481,11 +481,15 @@ def update_ledger(
     note: str = "",
     max_history: int = 24,
 ) -> Dict[str, Any]:
-    """Replace the current entry set, demoting it into the history.
+    """Merge ``entries`` into the current set by row id.
 
-    The displaced snapshot keeps only headline values (not samples), so
-    the committed trajectory stays small; history is bounded at
-    ``max_history`` snapshots, oldest dropped first.
+    A recorded row replaces the current row of the same id; every other
+    current row is kept, so recording one family (say the ``batch/*``
+    smoke rows) never drops another's (the ``perfect/*`` rows).  The
+    prior snapshot is demoted into the history first, keeping only
+    headline values (not samples) so the committed trajectory stays
+    small; history is bounded at ``max_history`` snapshots, oldest
+    dropped first.
     """
     if ledger.get("entries"):
         ledger.setdefault("history", []).append(
@@ -505,7 +509,8 @@ def update_ledger(
     ledger["fingerprint"] = fingerprint()
     ledger["note"] = note
     ledger["entries"] = {
-        entry.id: entry.to_dict() for entry in entries
+        **ledger.get("entries", {}),
+        **{entry.id: entry.to_dict() for entry in entries},
     }
     return ledger
 

@@ -12,16 +12,20 @@ Three lowerings, strongest applicable wins:
 - **Vectorized** (fixed-length plans, NumPy importable): a *lane body*
   ``_<name>_lanes(rows)`` takes a ``uint8[k, key_length]`` row view
   and applies every IR instruction to a whole *column of keys* as a
-  ``uint64`` lane array — loads become strided views, pext runs /
-  shifts / xors become single array ops, and the AES round becomes
-  T-table gathers over index arrays — returning ``uint64[k]``.  This
-  is lane parallelism in the HighwayHash sense: per-key interpreter
-  cost drops to (a share of) a handful of array operations.  The list
-  entry joins the keys into one buffer, views it as rows, runs the
-  lane body and boxes the result with ``tolist``; it is exposed as the
-  entry's ``lanes`` attribute for callers that already hold a row
-  view.  A generated guard falls back to the loop form for tiny
-  batches and non-conforming key lengths, so semantics never change.
+  ``uint64`` lane array — a load is one strided word gather, pext runs
+  / shifts / xors become single array ops — returning ``uint64[k]``.
+  The AES state lives as byte planes (``uint32[4, k]`` column planes,
+  one strided byte plane per state byte), and each round is one call
+  of the shared :func:`repro.isa.aes.aesenc_planes` helper: ShiftRows
+  is plane slicing and the T-table lookups are four gathers on whole
+  planes.  This is lane parallelism in the HighwayHash sense: per-key
+  interpreter cost drops to (a share of) a handful of array
+  operations.  The list entry joins the keys into one buffer, views it
+  as rows, runs the lane body and boxes the result with ``tolist``; it
+  is exposed as the entry's ``lanes`` attribute for callers that
+  already hold a row view.  A generated guard falls back to the loop
+  form for tiny batches and non-conforming key lengths, so semantics
+  never change.
 - **List comprehension** (Naive/OffXor, every intermediate used once):
   the body collapses to one expression evaluated in a comprehension —
   CPython's specialized frame, no per-key ``append`` call.
@@ -44,7 +48,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.codegen.ir import AES_ROUND_KEY, IRFunction, build_ir, optimize
 from repro.codegen.python_backend import (
-    _AES_GATHER,
     MASK64,
     _pext_expression,
     compile_source,
@@ -143,44 +146,18 @@ def _loop_form_lines(func: IRFunction, name: str) -> List[str]:
 def _emit_vector_aes_absorb(
     dest: str, state: str, lo: str, hi: str, wide: set
 ) -> List[str]:
-    """Lane-pair AES round: the 128-bit state as two uint64 arrays.
+    """Byte-plane AES round: one shared helper call per round.
 
-    Mirrors the scalar backend's T-table lowering
-    (``python_backend._emit_aes_absorb``) with the 128-bit ``_x`` split
-    into ``_xl``/``_xh`` — valid because the round is xor/lookup only,
-    no carries cross the lane boundary.
+    The 128-bit lane state is ``uint32[4, k]`` column planes — viewed as
+    bytes, every AES state byte of every key is one strided plane — and
+    :func:`repro.isa.aes.aesenc_planes` (bound as ``_aesenc_planes``,
+    next to ``_T0``..``_T3``) runs the round on whole planes: xor in the
+    ``[lo, hi]`` block, ShiftRows as plane slicing, four ``uint32``
+    T-table gathers xored together, then the round key (the prologue's
+    ``_AES_KEY``).  A per-plan scalar state becomes broadcast planes.
     """
-    state_lo = f"{state}_lo" if state in wide else f"({state} & {hex(MASK64)})"
-    state_hi = f"{state}_hi" if state in wide else f"({state} >> 64)"
-    lines = [
-        f"    _xl = {state_lo} ^ {lo}",
-        f"    _xh = {state_hi} ^ {hi}",
-    ]
-    columns: List[str] = []
-    for col in range(4):
-        terms = []
-        for row in range(4):
-            shift = 8 * _AES_GATHER[col][row]
-            if shift < 64:
-                extract = (
-                    "_xl & 0xff" if shift == 0 else f"(_xl >> {shift}) & 0xff"
-                )
-            else:
-                shift -= 64
-                extract = (
-                    "_xh & 0xff" if shift == 0 else f"(_xh >> {shift}) & 0xff"
-                )
-            terms.append(f"_T{row}V[{extract}]")
-        columns.append(" ^ ".join(terms))
-    lines.append(f"    _c0 = {columns[0]}")
-    lines.append(f"    _c1 = {columns[1]}")
-    lines.append(f"    _c2 = {columns[2]}")
-    lines.append(f"    _c3 = {columns[3]}")
-    round_lo = AES_ROUND_KEY & MASK64
-    round_hi = AES_ROUND_KEY >> 64
-    lines.append(f"    {dest}_lo = (_c0 | (_c1 << 32)) ^ {hex(round_lo)}")
-    lines.append(f"    {dest}_hi = (_c2 | (_c3 << 32)) ^ {hex(round_hi)}")
-    return lines
+    source = state if state in wide else f"_aes_planes({state})"
+    return [f"    {dest} = _aesenc_planes({source}, {lo}, {hi}, _AES_KEY)"]
 
 
 def _emit_vector_arith(
@@ -229,27 +206,23 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
         return None
     length = plan.key_length
     lines: List[str] = []
-    wide: set = set()  # registers holding 128-bit lane pairs
+    wide: set = set()  # registers holding 128-bit column planes
     scalars: set = set()  # registers holding per-plan (not per-key) ints
     uses_aes = any(instr.opcode == "aes_absorb" for instr in func.instrs)
     returned: Optional[str] = None
     for instr in func.instrs:
         op, dest, args = instr.opcode, instr.dest, instr.args
         if op == "const":
-            value = args[0]
-            if value >= 1 << 64:
-                wide.add(dest)
-                lines.append(f"    {dest}_lo = {hex(value & MASK64)}")
-                lines.append(f"    {dest}_hi = {hex(value >> 64)}")
-            else:
-                scalars.add(dest)
-                lines.append(f"    {dest} = {hex(value)}")
+            scalars.add(dest)
+            lines.append(f"    {dest} = {hex(args[0])}")
         elif op == "load64":
             offset, width = args
             if width == 8:
+                # One strided uint64 gather: viewing the row slice as a
+                # word first avoids copying a [k, 8] byte block.
                 lines.append(
-                    f"    {dest} = _np.ascontiguousarray("
-                    f"_a[:, {offset}:{offset + 8}]).view('<u8').ravel()"
+                    f"    {dest} = _a[:, {offset}:{offset + 8}]"
+                    ".view('<u8')[:, 0].copy()"
                 )
             else:
                 lines.extend(
@@ -263,24 +236,28 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
         elif op in ("pext", "shl", "shr", "mul64", "rotl", "xor", "or", "add"):
             # uint64 lane arrays wrap implicitly, so the emitted ops
             # carry no `& MASK64`.  A per-plan Python-int operand would
-            # break that invariant (ints don't wrap), and a 128-bit lane
-            # pair can't flow through plain arithmetic — degrade both to
-            # the loop form.
+            # break that invariant (ints don't wrap), and 128-bit column
+            # planes can't flow through plain arithmetic — degrade both
+            # to the loop form.
             register_args = [arg for arg in args if isinstance(arg, str)]
             if any(arg in scalars or arg in wide for arg in register_args):
                 return None
             _emit_vector_arith(lines, op, dest, args)
         elif op == "aes_absorb":
             state, lo, hi = args
-            if lo in scalars or hi in scalars:
+            if state not in wide and state not in scalars:
+                return None  # a narrow lane array is no 128-bit state
+            if any(arg in scalars or arg in wide for arg in (lo, hi)):
                 return None
-            lines.extend(_emit_vector_aes_absorb(dest, state, lo, hi, wide))
+            lines.extend(
+                _emit_vector_aes_absorb(dest, state, lo, hi, wide)
+            )
             wide.add(dest)
         elif op == "aes_fold":
             source = args[0]
             if source not in wide:
                 return None
-            lines.append(f"    {dest} = {source}_lo ^ {source}_hi")
+            lines.append(f"    {dest} = _aes_fold_planes({source})")
         elif op == "ret":
             returned = args[0]
             if returned in scalars or returned in wide:
@@ -295,11 +272,12 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
         "_u64 = _np.uint64",
     ]
     if uses_aes:
-        prologue.extend(
-            f"_T{i}V = _np.asarray(_T{i}, dtype=_np.uint64)"
-            for i in range(4)
-        )
-    lanes = [f"def _{name}_lanes(_a):", "    n = _a.shape[0]"]
+        prologue.append(f"_AES_KEY = _aes_planes({hex(AES_ROUND_KEY)})")
+    lanes = [
+        f"def _{name}_lanes(_a):",
+        "    _a = _np.ascontiguousarray(_a)",
+        "    n = _a.shape[0]",
+    ]
     entry = [
         "",
         f"def {name}(keys, _ifb=int.from_bytes, _aes=_aesenc):",

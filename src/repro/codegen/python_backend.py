@@ -29,7 +29,13 @@ from typing import Callable, Dict, List
 
 from repro.codegen.ir import AES_ROUND_KEY, IRFunction, build_ir, optimize
 from repro.core.plan import SynthesisPlan
-from repro.isa.aes import _TTABLES, aesenc_fast
+from repro.isa.aes import (
+    _TTABLES,
+    aes_fold_planes,
+    aes_planes,
+    aesenc_fast,
+    aesenc_planes,
+)
 from repro.isa.bits import mask_to_runs
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
@@ -218,6 +224,10 @@ def compile_source(source: str, name: str) -> HashCallable:
         "_T1": _TTABLES[1],
         "_T2": _TTABLES[2],
         "_T3": _TTABLES[3],
+        # The NumPy lane form of the AES round (repro.codegen.batch).
+        "_aes_planes": aes_planes,
+        "_aesenc_planes": aesenc_planes,
+        "_aes_fold_planes": aes_fold_planes,
     }
     exec(compile(source, f"<sepe:{name}>", "exec"), namespace)
     return namespace[name]  # type: ignore[return-value]

@@ -407,6 +407,42 @@ def unsort(values, order):
     return out
 
 
+def row_view(block: bytes, offset: int, count: int, length: int):
+    """The zero-copy ``uint8[count, length]`` view of ``count`` keys of
+    ``length`` bytes joined in ``block`` from byte ``offset`` on."""
+    return _np.frombuffer(
+        block, dtype=_np.uint8, count=count * length, offset=offset
+    ).reshape(count, length)
+
+
+def hash_fallback(fallback: Callable[[bytes], int], keys, rows=None):
+    """Hash keys no route owns: a ``uint64`` array or a list of ints.
+
+    A fallback carrying a NumPy row kernel as ``fallback.lanes`` (the
+    STL murmur port does) hashes each length run of at least
+    :data:`~repro.codegen.batch.VECTOR_MIN_KEYS` keys with one call on
+    its ``uint8[k, L]`` row view — ``rows`` when the caller already
+    holds it for keys of one length.  Shorter runs, and every key of a
+    fallback without ``.lanes``, take one ``fallback(key)`` call per key,
+    in order.  Results are aligned with ``keys``.
+    """
+    lanes = getattr(fallback, "lanes", None)
+    if lanes is None or len(keys) < VECTOR_MIN_KEYS:
+        return [fallback(key) for key in keys]
+    if rows is not None:
+        return lanes(rows)
+    ordered, order, runs = length_runs(keys)
+    block = b"".join(ordered)
+    out = _np.empty(len(keys), dtype=_np.uint64)
+    offset = 0
+    for length, start, stop in runs:
+        size = stop - start
+        rows = row_view(block, offset, size, length)
+        out[start:stop] = hash_fallback(fallback, ordered[start:stop], rows)
+        offset += size * length
+    return unsort(out, order)
+
+
 def group_by_resolution(keys: Sequence[bytes], resolve: Callable):
     """Group keys by what ``resolve(key)`` returns: ``(groups, unresolved)``.
 
@@ -446,7 +482,8 @@ def hash_columnar(
     ``uint8[k, L]`` row view of that block.  Every other run — and
     every run when ``checked`` (no length trust) — resolves key by key
     through :meth:`RouteTable.resolve_checked`, one ``hash_run`` per
-    resolved route, and ``fallback`` hashes the keys no route accepts.
+    resolved route, and :func:`hash_fallback` hashes the keys no route
+    accepts from the run's rows.
     Results land in batch order.  After each hashing call ``on_run``
     receives the route (None for the fallback), its key count and the
     call's wall time, for the caller's own accounting.
@@ -463,11 +500,9 @@ def hash_columnar(
     for length, start, stop in runs:
         size = stop - start
         run = ordered[start:stop]
+        rows = row_view(block, offset, size, length)
         route = fast.get(length)
         if route is not None:
-            rows = _np.frombuffer(
-                block, dtype=_np.uint8, count=size * length, offset=offset
-            ).reshape(size, length)
             started = perf()
             out[start:stop] = route.hash_run(run, rows)
             on_run(route, size, perf() - started)
@@ -482,7 +517,11 @@ def hash_columnar(
                 on_run(route, len(indices), perf() - started)
             if unresolved:
                 started = perf()
-                window[unresolved] = [fallback(run[i]) for i in unresolved]
+                window[unresolved] = hash_fallback(
+                    fallback,
+                    [run[i] for i in unresolved],
+                    rows[unresolved],
+                )
                 on_run(None, len(unresolved), perf() - started)
         offset += size * length
     return unsort(out, order)

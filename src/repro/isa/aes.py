@@ -176,3 +176,70 @@ def aesenc_fast(state: int, round_key: int) -> int:
         )
         result |= word << (32 * col)
     return (result ^ round_key) & MASK128
+
+
+# ---------------------------------------------------------------------------
+# Lane form: one round over k states at once, for the NumPy batch tier.
+# A batch of 128-bit states is held as four uint32 *column planes*,
+# ``uint32[4, k]``: plane c is column c (bytes 4c..4c+3, row r in byte r)
+# of every state, so viewed as bytes each state byte is one strided byte
+# plane and every T-table gather reads whole planes.  A per-plan constant
+# is ``uint32[4, 1]`` and broadcasts against any k.
+# ---------------------------------------------------------------------------
+
+try:  # The lane form is a NumPy perf tier; the scalar forms need nothing.
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy-less installs
+    _np = None
+else:
+    _TTABLE_PLANES = [
+        _np.asarray(table, dtype=_np.uint32) for table in _TTABLES
+    ]
+
+
+def aes_planes(value: int):
+    """A 128-bit constant as ``uint32[4, 1]`` column planes."""
+    return _np.array(
+        [[(value >> (32 * col)) & 0xFFFFFFFF] for col in range(4)],
+        dtype=_np.uint32,
+    )
+
+
+def aesenc_planes(state, lo, hi, round_key):
+    """``aesenc(state ^ (lo | hi << 64), round_key)`` for k lanes at once.
+
+    ``state`` and ``round_key`` are column planes (``uint32[4, k]`` or a
+    broadcast ``uint32[4, 1]``), ``lo``/``hi`` the ``uint64[k]`` halves
+    of the absorbed block; returns the new ``uint32[4, k]`` state.  One
+    round is 13 array ops: four xors take in the block, one copy extends
+    the planes cyclically so that ShiftRows becomes slicing, and four
+    T-table gathers plus four xors make the output columns.
+    Bit-identical to :func:`aesenc_fast` on every lane.
+    """
+    count = lo.shape[0]
+    lo_words = _np.ascontiguousarray(lo, dtype="<u8").view("<u4")
+    hi_words = _np.ascontiguousarray(hi, dtype="<u8").view("<u4")
+    # Planes 4..6 repeat columns 0..2: output columns 0..3 of row r read
+    # input columns r..r+3 (mod 4), which is then the slice [r:r + 4].
+    planes = _np.empty((7, count), dtype="<u4")
+    _np.bitwise_xor(lo_words[0::2], state[0], out=planes[0])
+    _np.bitwise_xor(lo_words[1::2], state[1], out=planes[1])
+    _np.bitwise_xor(hi_words[0::2], state[2], out=planes[2])
+    _np.bitwise_xor(hi_words[1::2], state[3], out=planes[3])
+    planes[4:] = planes[:3]
+    rows = planes.view(_np.uint8).reshape(7, count, 4)
+    t0, t1, t2, t3 = _TTABLE_PLANES
+    columns = _np.take(t0, rows[0:4, :, 0])
+    columns ^= _np.take(t1, rows[1:5, :, 1])
+    columns ^= _np.take(t2, rows[2:6, :, 2])
+    columns ^= _np.take(t3, rows[3:7, :, 3])
+    columns ^= round_key
+    return columns
+
+
+def aes_fold_planes(state):
+    """Fold ``uint32[4, k]`` column planes to ``uint64[k]``: lo ^ hi."""
+    folded = _np.empty((state.shape[1], 2), dtype="<u4")
+    _np.bitwise_xor(state[0], state[2], out=folded[:, 0])
+    _np.bitwise_xor(state[1], state[3], out=folded[:, 1])
+    return folded.view("<u8").ravel()

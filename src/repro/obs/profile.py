@@ -212,16 +212,18 @@ def _profile_vector(func, keys: Sequence[bytes], stats: Dict[str, list]):
 
     Mirrors the lowering rules of
     :func:`repro.codegen.batch._emit_vector_lines` — the same bail-out
-    conditions (variable length, per-plan scalar operands, 128-bit lane
-    pairs in plain arithmetic) raise :class:`_NotVectorizable`, so this
-    profiler only reports vector timings for plans whose real batch
-    kernel runs the vector tier.
+    conditions (variable length, per-plan scalar operands, 128-bit
+    column planes in plain arithmetic) raise :class:`_NotVectorizable`,
+    so this profiler only reports vector timings for plans whose real
+    batch kernel runs the vector tier.  ``aes_absorb`` and ``aes_fold``
+    call the same :mod:`repro.isa.aes` plane helpers the generated
+    kernel calls, so an AES profile times the code that runs.
     """
     import numpy as np
 
     from repro.codegen.ir import AES_ROUND_KEY
-    from repro.codegen.python_backend import _TTABLES
-    from repro.isa.bits import MASK64, mask_to_runs
+    from repro.isa.aes import aes_fold_planes, aes_planes, aesenc_planes
+    from repro.isa.bits import mask_to_runs
 
     plan = func.plan
     if not plan.is_fixed_length:
@@ -240,7 +242,7 @@ def _profile_vector(func, keys: Sequence[bytes], stats: Dict[str, list]):
     if len(buf) != n * length:
         raise _NotVectorizable("non-conforming key lengths in batch")
     arr = np.frombuffer(buf, dtype=np.uint8).reshape(n, length)
-    tables = [np.asarray(table, dtype=np.uint64) for table in _TTABLES]
+    round_key = aes_planes(AES_ROUND_KEY)
 
     cpu_now = time.thread_time()
     wall_now = time.perf_counter()
@@ -258,23 +260,13 @@ def _profile_vector(func, keys: Sequence[bytes], stats: Dict[str, list]):
     for instr in func.instrs:
         op, dest, args = instr.opcode, instr.dest, instr.args
         if op == "const":
-            value = args[0]
-            if value >= 1 << 64:
-                wide.add(dest)
-                registers[dest] = (
-                    np.full(n, value & MASK64, dtype=np.uint64),
-                    np.full(n, value >> 64, dtype=np.uint64),
-                )
-            else:
-                scalars.add(dest)
-                registers[dest] = value
+            scalars.add(dest)
+            registers[dest] = args[0]
         elif op == "load64":
             offset, width = args
             if width == 8:
                 registers[dest] = (
-                    np.ascontiguousarray(arr[:, offset : offset + 8])
-                    .view("<u8")
-                    .ravel()
+                    arr[:, offset : offset + 8].view("<u8")[:, 0].copy()
                 )
             else:
                 widened = np.zeros((n, 8), dtype=np.uint8)
@@ -311,51 +303,22 @@ def _profile_vector(func, keys: Sequence[bytes], stats: Dict[str, list]):
                 registers[dest] = registers[args[0]] + registers[args[1]]
         elif op == "aes_absorb":
             state, lo, hi = args
-            if lo in scalars or hi in scalars:
+            if state not in wide and state not in scalars:
+                raise _NotVectorizable("narrow lane array as aes state")
+            if any(arg in scalars or arg in wide for arg in (lo, hi)):
                 raise _NotVectorizable("scalar lane in aes_absorb")
-            if state in wide:
-                state_lo, state_hi = registers[state]
-            else:
-                state_value = registers[state]
-                if isinstance(state_value, int):
-                    state_lo = np.full(
-                        n, state_value & MASK64, dtype=np.uint64
-                    )
-                    state_hi = np.full(n, state_value >> 64, dtype=np.uint64)
-                else:
-                    state_lo, state_hi = state_value, np.zeros(
-                        n, dtype=np.uint64
-                    )
-            xl = state_lo ^ registers[lo]
-            xh = state_hi ^ registers[hi]
-            from repro.codegen.python_backend import _AES_GATHER
-
-            columns = []
-            for col in range(4):
-                acc = None
-                for row in range(4):
-                    shift = 8 * _AES_GATHER[col][row]
-                    lane, local = (xl, shift) if shift < 64 else (
-                        xh,
-                        shift - 64,
-                    )
-                    index = (lane >> np.uint64(local)) & np.uint64(0xFF)
-                    term = tables[row][index.astype(np.intp)]
-                    acc = term if acc is None else acc ^ term
-                columns.append(acc)
-            round_lo = np.uint64(AES_ROUND_KEY & MASK64)
-            round_hi = np.uint64(AES_ROUND_KEY >> 64)
-            registers[dest] = (
-                (columns[0] | (columns[1] << np.uint64(32))) ^ round_lo,
-                (columns[2] | (columns[3] << np.uint64(32))) ^ round_hi,
+            source = registers[state]
+            if state not in wide:
+                source = aes_planes(source)
+            registers[dest] = aesenc_planes(
+                source, registers[lo], registers[hi], round_key
             )
             wide.add(dest)
         elif op == "aes_fold":
             source = args[0]
             if source not in wide:
                 raise _NotVectorizable("aes_fold of a narrow register")
-            lane_lo, lane_hi = registers[source]
-            registers[dest] = lane_lo ^ lane_hi
+            registers[dest] = aes_fold_planes(registers[source])
         elif op == "ret":
             returned = args[0]
             if returned in scalars or returned in wide:

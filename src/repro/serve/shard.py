@@ -39,12 +39,18 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.routes import RouteState, RouteTable, hash_columnar
+from repro.core.routes import (
+    RouteState,
+    RouteTable,
+    hash_columnar,
+    hash_fallback,
+)
 
 SinkCallable = Callable[[Optional[RouteState], List[bytes], Sequence], None]
 """Receives every flushed batch: ``(route, keys, values)``; ``route`` is
-None for fallback traffic and ``values`` is a NumPy uint64 array when
-the native array tier produced it, else a list of ints."""
+None for fallback traffic.  ``values`` is a NumPy uint64 array when the
+native array tier produced it — or, for fallback traffic, when the
+fallback's row kernel (``fallback.lanes``) did — else a list of ints."""
 
 DEFAULT_FLUSH_SIZE = 1024
 """Keys buffered per route before a batched flush; large enough to
@@ -243,8 +249,7 @@ class Shard:
     def _flush_fallback(self) -> None:
         keys = self.fallback_pending
         self.fallback_pending = []
-        fallback = self.fallback
-        values = [fallback(key) for key in keys]
+        values = hash_fallback(self.fallback, keys)
         count = len(keys)
         self.hashed += count
         self.fallback_count += count

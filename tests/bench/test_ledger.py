@@ -157,6 +157,66 @@ class TestLedgerDocument:
         points = trajectory(ledger, "batch/SSN/pext/scalar_ns_per_key")
         assert [value for _at, value in points] == [101.0, 102.0, 103.0]
 
+    def test_recording_one_family_keeps_the_others(self):
+        ledger = new_ledger()
+        update_ledger(
+            ledger,
+            [
+                _entry("perfect/SSN/certified/ns_per_key", 50.0),
+                _entry("serve/scaling/shards2/ns_per_key", 300.0),
+                _entry("batch/SSN/aes/batch_ns_per_key", 200.0),
+            ],
+        )
+        update_ledger(
+            ledger,
+            [
+                _entry("batch/SSN/aes/batch_ns_per_key", 120.0),
+                _entry("batch/MAC/aes/batch_ns_per_key", 130.0),
+            ],
+        )
+        assert {
+            entry.id: entry.value for entry in ledger_entries(ledger)
+        } == {
+            "perfect/SSN/certified/ns_per_key": 50.0,
+            "serve/scaling/shards2/ns_per_key": 300.0,
+            "batch/SSN/aes/batch_ns_per_key": 120.0,
+            "batch/MAC/aes/batch_ns_per_key": 130.0,
+        }
+        # The replaced value stays on the row's trajectory.
+        points = trajectory(ledger, "batch/SSN/aes/batch_ns_per_key")
+        assert [value for _at, value in points] == [200.0, 120.0]
+
+    def test_cli_record_merges_into_committed_rows(self, tmp_path):
+        path = tmp_path / "LEDGER.json"
+        ledger = new_ledger()
+        update_ledger(
+            ledger, [_entry("perfect/SSN/certified/ns_per_key", 5.0)]
+        )
+        write_ledger(ledger, str(path))
+        report = tmp_path / "batch.json"
+        report.write_text(
+            json.dumps(
+                {
+                    "experiment": "batch_vs_scalar_h_time",
+                    "rows": [
+                        {
+                            "key_type": "SSN",
+                            "family": "aes",
+                            "scalar_ns_per_key": 900.0,
+                            "batch_ns_per_key": 150.0,
+                        }
+                    ],
+                }
+            )
+        )
+        assert _main(["--out", str(path), "--reports", str(report)]) == 0
+        ids = {entry.id for entry in ledger_entries(load_ledger(str(path)))}
+        assert ids == {
+            "perfect/SSN/certified/ns_per_key",
+            "batch/SSN/aes/scalar_ns_per_key",
+            "batch/SSN/aes/batch_ns_per_key",
+        }
+
     def test_round_trip_through_disk(self, tmp_path):
         path = tmp_path / "LEDGER.json"
         ledger = new_ledger()

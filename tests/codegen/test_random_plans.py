@@ -7,9 +7,11 @@ hold for every plan a future analysis pass might produce, not just
 today's.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codegen.batch import compile_plan_batch
 from repro.codegen.interp import interpret
 from repro.codegen.ir import build_ir, optimize
 from repro.codegen.python_backend import compile_plan
@@ -106,3 +108,26 @@ class TestRandomPlans:
         raw = build_ir(plan, name="f")
         optimized = optimize(build_ir(plan, name="f"))
         assert interpret(raw, key) == interpret(optimized, key)
+
+
+class TestRandomPlanLanes:
+    """The NumPy lane body agrees with the interpreter on every row."""
+
+    np = pytest.importorskip("numpy")
+
+    @given(
+        random_plan(),
+        st.sampled_from([16, 17, 257]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lanes_match_interpreter(self, plan, rows_count, seed):
+        np = self.np
+        lanes = compile_plan_batch(plan, name="f").lanes
+        rows = np.random.default_rng(seed).integers(
+            0, 256, size=(rows_count, KEY_LENGTH), dtype=np.uint8
+        )
+        func = optimize(build_ir(plan, name="f"))
+        assert lanes(rows).tolist() == [
+            interpret(func, row.tobytes()) for row in rows
+        ]

@@ -74,3 +74,50 @@ class TestBehaviour:
     def test_distinct_on_sample(self, ssn_keys):
         hashes = {stl_hash_bytes(key) for key in ssn_keys}
         assert len(hashes) == len(set(ssn_keys))
+
+
+class TestRowKernel:
+    """``stl_hash_rows`` (``stl_hash_bytes.lanes``) against the port."""
+
+    np = pytest.importorskip("numpy")
+
+    @staticmethod
+    def _rows(keys, length):
+        np = TestRowKernel.np
+        return np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(
+            len(keys), length
+        )
+
+    @pytest.mark.parametrize("length", [*range(65), 255, 256, 300])
+    def test_parity_with_scalar_port(self, length):
+        from repro.hashes.murmur_stl import stl_hash_rows
+
+        keys = [
+            bytes((17 * row + 31 * col + length) & 0xFF
+                  for col in range(length))
+            for row in range(5)
+        ]
+        assert stl_hash_rows(self._rows(keys, length)).tolist() == [
+            stl_hash_bytes(key) for key in keys
+        ]
+
+    @pytest.mark.parametrize("length", [0, 7, 8, 24])
+    def test_empty_batch(self, length):
+        from repro.hashes.murmur_stl import stl_hash_rows
+
+        values = stl_hash_rows(self._rows([], length))
+        assert values.shape == (0,)
+        assert values.dtype == self.np.uint64
+
+    @given(st.lists(st.binary(min_size=24, max_size=24), max_size=40))
+    @settings(max_examples=40, deadline=None)
+    def test_random_rows(self, keys):
+        from repro.hashes.murmur_stl import stl_hash_rows
+
+        values = stl_hash_rows(self._rows(keys, 24))
+        assert values.tolist() == [stl_hash_bytes(key) for key in keys]
+
+    def test_exposed_as_lanes(self):
+        from repro.hashes.murmur_stl import stl_hash_rows
+
+        assert stl_hash_bytes.lanes is stl_hash_rows
