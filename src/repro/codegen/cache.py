@@ -16,8 +16,10 @@ Two tiers:
   ``tests.codegen.test_cache`` via the ``codegen.python.exec_calls``
   counter) and, for the native kind, zero compiler invocations;
 - an optional on-disk tier (``source_dir``): generated Python source is
-  persisted as ``.py`` files (a process restart skips IR construction
-  and emission, paying only the ``exec``), and native shared objects as
+  persisted as ``.py`` files named by fingerprint *and* lowering version
+  (a process restart skips IR construction and emission, paying only
+  the ``exec``; a newer emitter never loads an older one's source), and
+  native shared objects as
   ``.so`` files tagged with the compiler identity (a restart skips the
   C++ compiler entirely and goes straight to ``dlopen``).
 
@@ -45,7 +47,11 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.codegen.batch import emit_python_batch
 from repro.codegen.ir import IRFunction, build_ir, optimize
-from repro.codegen.python_backend import compile_source, emit_python
+from repro.codegen.python_backend import (
+    LOWERING_VERSION,
+    compile_source,
+    emit_python,
+)
 from repro.core.plan import SynthesisPlan
 from repro.errors import NativeUnavailableError
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -133,8 +139,11 @@ class CompileCache:
         registry: metrics registry for the hit/miss/eviction counters
             (the process-wide one by default, so ``sepe obs`` sees it).
         source_dir: when set, generated source is also persisted to
-            ``<fingerprint>.<kind>.<name>.py`` files there and reloaded
-            on an in-memory miss, skipping IR construction and emission.
+            ``<fingerprint>.<kind>.v<version>.<name>.py`` files there
+            (``version`` is
+            :data:`~repro.codegen.python_backend.LOWERING_VERSION`) and
+            reloaded on an in-memory miss, skipping IR construction and
+            emission.
     """
 
     def __init__(
@@ -364,8 +373,14 @@ class CompileCache:
     # -- on-disk source tier --------------------------------------------
 
     def _disk_path(self, fingerprint: str, name: str, kind: str) -> Path:
+        """``<fingerprint>.<kind>.v<LOWERING_VERSION>.<name>.py``: the
+        fingerprint names the plan, the version the emitter, so source
+        persisted by an older lowering is re-emitted, never exec'd."""
         assert self._source_dir is not None
-        return self._source_dir / f"{fingerprint}.{kind}.{name}.py"
+        return (
+            self._source_dir
+            / f"{fingerprint}.{kind}.v{LOWERING_VERSION}.{name}.py"
+        )
 
     def _read_disk(
         self, fingerprint: str, name: str, kind: str

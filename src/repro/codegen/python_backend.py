@@ -10,22 +10,34 @@ iterate word by word with multiplies and shifts.
 
 Two deliberate lowerings replace per-call helpers with inline code:
 
-- ``pext`` with a compile-time mask becomes its contiguous-run
-  decomposition (:func:`repro.isa.bits.mask_to_runs`), an unrolled OR of
-  shift/and terms — the standard software fallback for BMI2, loop-free.
+- The GF(2)-linear part of a body — loads, ``pext`` with a compile-time
+  mask, shifts, rotations, xor and bit-disjoint or — is *fused*, not
+  lowered one opcode at a time.  Loads share one ``int.from_bytes`` per
+  key window of up to :data:`LOAD_WINDOW_BYTES` bytes, and a register
+  built from them is emitted as one ``(_w >> d) & m`` gather per
+  distinct shift distance ``d``: each pext mask run moves its bits by
+  ``shift - out_pos`` (:func:`repro.isa.bits.mask_to_gathers`), the
+  following shifts move them further, and runs that end up at the same
+  distance share one mask.  CPython pays per int operation, whatever
+  its width, so this is where the plan's specialization is kept; the
+  standard per-run shift/and/shift/or software pext would spend three
+  operations a run and one call per loaded word.  The NumPy tier
+  (:mod:`repro.codegen.batch`) lowers ``pext`` to the same gathers, two
+  array ops per run.
 - ``aes_absorb`` becomes inline T-table lookups (16 byte extractions,
   16 table reads, four column folds) against module-level tables bound
   into the function's namespace, skipping the Python call and state
   re-marshalling of :func:`repro.isa.aes.aesenc_fast` on every word pair.
 
-Differential tests (:mod:`tests.codegen.test_interp`) pin both against
-the reference interpreter, which uses the plain :func:`repro.isa.aes
-.aesenc` and :func:`repro.isa.bits.pext`.
+Differential tests (:mod:`tests.codegen.test_interp`,
+:mod:`tests.codegen.test_random_plans`) pin both against the reference
+interpreter, which uses the plain :func:`repro.isa.aes.aesenc` and
+:func:`repro.isa.bits.pext`, on keys of every length.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.codegen.ir import AES_ROUND_KEY, IRFunction, build_ir, optimize
 from repro.core.plan import SynthesisPlan
@@ -36,13 +48,34 @@ from repro.isa.aes import (
     aesenc_fast,
     aesenc_planes,
 )
-from repro.isa.bits import mask_to_runs
+from repro.isa.bits import mask_to_gathers
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 
 MASK64 = (1 << 64) - 1
 
 HashCallable = Callable[[bytes], int]
+
+LOAD_WINDOW_BYTES = 16
+"""Widest key slice one fused load reads: loads whose byte ranges fit
+in a span this wide share one ``int.from_bytes`` call."""
+
+LOWERING_VERSION = 2
+"""Version of the emitted source for an unchanged plan.  The compile
+cache's on-disk tier puts it in file names, so a persisted lowering
+from an older emitter is re-emitted rather than loaded."""
+
+_MAX_GATHERS = 32
+"""Most gathers a symbolic register may hold.  A linear op whose result
+would exceed it runs as written on materialized operands instead: this
+bounds both the emitted expression (thousands of terms, as RQ6's
+2**14-byte keys would give, exceed the compiler's nesting limit) and
+the quadratic cost of merging a long combine chain."""
+
+_LINEAR_OPS = ("pext", "shl", "shr", "rotl", "xor", "or")
+"""Opcodes that are GF(2)-linear in their register operands (``or``
+only when the operands share no bits); with ``load64`` they stay
+symbolic in the fused lowering."""
 
 # After ShiftRows, output column c row r reads input byte 4*((c+r)%4)+r.
 _AES_GATHER = [
@@ -51,20 +84,14 @@ _AES_GATHER = [
 
 
 def _pext_expression(src: str, mask: int) -> str:
-    """Render an unrolled run-decomposed parallel bit extraction."""
-    runs = mask_to_runs(mask)
-    terms: List[str] = []
-    for shift, run_mask, out_pos in runs:
-        if shift == 0:
-            term = f"({src} & {hex(run_mask)})"
-        else:
-            term = f"(({src} >> {shift}) & {hex(run_mask)})"
-        if out_pos:
-            term = f"({term} << {out_pos})"
-        terms.append(term)
-    if not terms:
-        return "0"
-    return " | ".join(terms)
+    """Render a constant-mask parallel bit extraction of ``src``: one
+    ``(src >> distance) & out_mask`` gather per mask run
+    (:func:`repro.isa.bits.mask_to_gathers`), OR-ed together."""
+    terms = [
+        _gather_expression(src, distance, out_mask, MASK64 >> distance)
+        for distance, out_mask in mask_to_gathers(mask)
+    ]
+    return " | ".join(terms) or "0"
 
 
 def _emit_aes_absorb(
@@ -121,82 +148,298 @@ def emit_body_lines(
     Shared by the scalar emitter and the batch emitter
     (:mod:`repro.codegen.batch`): the batch backend emits the same body
     at loop depth, with ``ret`` lowered to an ``append`` instead of a
-    ``return`` (``ret_template`` receives the result register).
+    ``return`` (``ret_template`` receives the result register).  The
+    lowering is the fused bit-gather form described in
+    :class:`_FusedBody`.
 
     Raises:
         ValueError: on an unknown opcode or a body without ``ret``.
     """
-    lines: List[str] = []
-    body_emitted = False
-    for instr in func.instrs:
-        op, dest, args = instr.opcode, instr.dest, instr.args
-        if op == "const":
-            lines.append(f"{indent}{dest} = {hex(args[0])}")
-        elif op == "load64":
+    return _FusedBody(func, indent).lower(ret_template)
+
+
+def _gather_expression(
+    name: str, distance: int, mask: int, possible: int
+) -> str:
+    """Render ``shift(name, distance) & mask`` (``>>`` for a positive
+    distance, ``<<`` for a negative one); the ``&`` is dropped when
+    ``mask`` keeps every bit the shifted value can have."""
+    if distance > 0:
+        shifted = f"({name} >> {distance})"
+    elif distance < 0:
+        shifted = f"({name} << {-distance})"
+    else:
+        shifted = name
+    if mask == possible:
+        return shifted
+    return f"({shifted} & {hex(mask)})"
+
+
+Terms = Dict[Tuple[int, int], int]
+"""A symbolic register: ``(window, distance) -> mask``, standing for the
+xor over its entries of ``shift(_w<window>, distance) & mask``."""
+
+
+class _FusedBody:
+    """The scalar lowering: GF(2)-linear chains fused into bit gathers.
+
+    Every ``load64`` reads from a *window* — one little-endian load
+    ``_w<k> = _ifb(key[a:b], 'little')`` of at most
+    :data:`LOAD_WINDOW_BYTES` bytes covering one or more loads.  A
+    register computed only by ``load64``, ``pext``, ``shl``, ``shr``,
+    ``rotl``, ``xor`` and bit-disjoint ``or`` stays symbolic, as
+    :data:`Terms`: ``pext`` maps each mask run by its distance
+    ``shift - out_pos``, shifts and rotations move distances and masks,
+    and terms at the same distance merge by xor-ing their masks.  A
+    symbolic register is *materialized* — one ``shift & mask`` term per
+    distinct distance — only where something else reads it: ``ret``,
+    ``add``, ``mul64``, the AES opcodes, ``tail_xor``, an ``or`` whose
+    operands may share bits, a linear op with a concrete operand, or a
+    linear op whose result would hold more than :data:`_MAX_GATHERS`
+    terms.
+
+    This is exact on every key, conforming or not: slicing past the end
+    of a key zero-fills ``key[o:o+w]`` and ``key[a:b]`` alike, so
+    ``(_w >> 8*(o-a)) & (2**(8*w) - 1) == ifb(key[o:o+w])`` for any
+    key length, the empty key included.
+    """
+
+    def __init__(self, func: IRFunction, indent: str):
+        self.func = func
+        self.indent = indent
+        self.lines: List[str] = []
+        self.windows: List[List[int]] = []  # [start, end) byte ranges
+        self.load_window: Dict[Tuple[int, int], int] = {}
+        spans = sorted(
+            {
+                (instr.args[0], instr.args[0] + instr.args[1])
+                for instr in func.instrs
+                if instr.opcode == "load64"
+            }
+        )
+        for start, end in spans:
+            if self.windows and end - self.windows[-1][0] <= LOAD_WINDOW_BYTES:
+                self.windows[-1][1] = max(self.windows[-1][1], end)
+            else:
+                self.windows.append([start, end])
+            self.load_window[(start, end)] = len(self.windows) - 1
+        self.loaded: set = set()
+        self.symbolic: Dict[str, Terms] = {}
+        self.names: Dict[str, str] = {}  # materialized aliases
+
+    # -- terms -------------------------------------------------------------
+
+    def _possible(self, window: int, distance: int) -> int:
+        """Bits ``shift(_w<window>, distance)`` can have."""
+        start, end = self.windows[window]
+        bits = (1 << (8 * (end - start))) - 1
+        return bits >> distance if distance >= 0 else bits << -distance
+
+    def _merge(self, *parts: Iterable[Tuple[Tuple[int, int], int]]) -> Terms:
+        """Xor ``parts`` together into canonical terms of a 64-bit value:
+        masks trimmed to what each gather can set, zeros dropped."""
+        terms: Terms = {}
+        for part in parts:
+            for slot, mask in part:
+                terms[slot] = terms.get(slot, 0) ^ mask
+        out: Terms = {}
+        for slot, mask in terms.items():
+            mask &= self._possible(*slot) & MASK64
+            if mask:
+                out[slot] = mask
+        return out
+
+    @staticmethod
+    def _shifted(terms: Terms, by: int, keep: int = -1) -> List:
+        """Terms of ``(value >> by) & keep`` (``<<`` when ``by`` is
+        negative): each gather moves ``by`` bits further."""
+        return [
+            (
+                (window, distance + by),
+                (mask >> by if by >= 0 else mask << -by) & keep,
+            )
+            for (window, distance), mask in terms.items()
+        ]
+
+    def _linear(self, op: str, args: tuple) -> Optional[Terms]:
+        """The terms of a linear opcode, or None when it must run as is."""
+        if op == "load64":
             offset, width = args
-            lines.append(
-                f"{indent}{dest} = "
-                f"_ifb(key[{offset}:{offset + width}], 'little')"
+            window = self.load_window[(offset, offset + width)]
+            distance = 8 * (offset - self.windows[window][0])
+            return self._merge(
+                [((window, distance), (1 << (8 * width)) - 1)]
             )
-        elif op == "pext":
-            lines.append(
-                f"{indent}{dest} = {_pext_expression(args[0], args[1])}"
+        sources = [arg for arg in args if isinstance(arg, str)]
+        if op not in _LINEAR_OPS or any(
+            src not in self.symbolic for src in sources
+        ):
+            return None
+        terms = self.symbolic[args[0]]
+        if op == "pext":
+            return self._merge(
+                *(
+                    self._shifted(terms, distance, out_mask)
+                    for distance, out_mask in mask_to_gathers(args[1])
+                )
             )
-        elif op == "shl":
-            lines.append(
-                f"{indent}{dest} = ({args[0]} << {args[1]}) & {hex(MASK64)}"
+        if op == "shl":
+            return self._merge(self._shifted(terms, -args[1]))
+        if op == "shr":
+            return self._merge(self._shifted(terms, args[1]))
+        if op == "rotl":
+            amount = args[1] % 64
+            return self._merge(
+                self._shifted(terms, -amount),
+                self._shifted(terms, 64 - amount),
             )
-        elif op == "shr":
-            lines.append(f"{indent}{dest} = {args[0]} >> {args[1]}")
-        elif op == "mul64":
-            lines.append(
-                f"{indent}{dest} = ({args[0]} * {hex(args[1])}) & "
-                f"{hex(MASK64)}"
+        other = self.symbolic[args[1]]
+        if op == "or" and self._bits(terms) & self._bits(other):
+            return None  # overlapping bits: `|` is not `^`
+        return self._merge(terms.items(), other.items())
+
+    @staticmethod
+    def _bits(terms: Terms) -> int:
+        bits = 0
+        for mask in terms.values():
+            bits |= mask
+        return bits
+
+    # -- emission ----------------------------------------------------------
+
+    def _gathers(self, terms: Terms) -> List[str]:
+        """One gather per distinct (window, distance), emitting each
+        window's load the first time it is read."""
+        rendered = []
+        for window, distance in sorted(terms):
+            if window not in self.loaded:
+                self.loaded.add(window)
+                start, end = self.windows[window]
+                self.lines.append(
+                    f"{self.indent}_w{window} = "
+                    f"_ifb(key[{start}:{end}], 'little')"
+                )
+            rendered.append(
+                _gather_expression(
+                    f"_w{window}",
+                    distance,
+                    terms[(window, distance)],
+                    self._possible(window, distance),
+                )
             )
-        elif op == "rotl":
-            amount = args[1]
-            lines.append(
-                f"{indent}{dest} = (({args[0]} << {amount}) | "
-                f"({args[0]} >> {64 - amount})) & {hex(MASK64)}"
-            )
-        elif op == "xor":
-            lines.append(f"{indent}{dest} = {args[0]} ^ {args[1]}")
-        elif op == "or":
-            lines.append(f"{indent}{dest} = {args[0]} | {args[1]}")
-        elif op == "add":
-            lines.append(
-                f"{indent}{dest} = ({args[0]} + {args[1]}) & {hex(MASK64)}"
-            )
-        elif op == "aes_absorb":
-            state, lo, hi = args
-            lines.extend(_emit_aes_absorb(dest, state, lo, hi, indent))
-        elif op == "aes_fold":
-            lines.append(
-                f"{indent}{dest} = ({args[0]} ^ ({args[0]} >> 64)) & "
-                f"{hex(MASK64)}"
-            )
-        elif op == "tail_xor":
-            acc, start = args
-            lines.extend(
-                [
-                    f"{indent}{dest} = {acc}",
-                    f"{indent}_n = len(key)",
-                    f"{indent}_p = {start}",
-                    f"{indent}while _p + 8 <= _n:",
-                    f"{indent}    {dest} ^= _ifb(key[_p:_p + 8], 'little')",
-                    f"{indent}    _p += 8",
-                    f"{indent}if _p < _n:",
-                    f"{indent}    {dest} ^= _ifb(key[_p:_n], 'little')",
-                ]
-            )
-        elif op == "ret":
-            lines.append(f"{indent}{ret_template.format(args[0])}")
-            body_emitted = True
-        else:
-            raise ValueError(f"unknown IR opcode: {op}")
-    if not body_emitted:
-        raise ValueError("IR function has no return")
-    return lines
+        return rendered
+
+    def _name(self, register, bind: bool = True) -> str:
+        """A readable name for ``register``, materializing it if needed
+        (``bind=False`` returns a symbolic register's expression instead
+        of assigning it, for a single use such as ``ret``)."""
+        if isinstance(register, int):
+            return hex(register)
+        if register in self.names:
+            return self.names[register]
+        terms = self.symbolic.get(register)
+        if terms is None:
+            return register
+        joiner = " ^ " if self._overlaps(terms) else " | "
+        expression = joiner.join(self._gathers(terms)) or "0"
+        if not bind:
+            return expression
+        del self.symbolic[register]
+        if expression.isidentifier():
+            self.names[register] = expression
+            return expression
+        self.lines.append(f"{self.indent}{register} = {expression}")
+        self.names[register] = register
+        return register
+
+    @staticmethod
+    def _overlaps(terms: Terms) -> bool:
+        seen = 0
+        for mask in terms.values():
+            if seen & mask:
+                return True
+            seen |= mask
+        return False
+
+    def lower(self, ret_template: str) -> List[str]:
+        indent = self.indent
+        lines = self.lines
+        body_emitted = False
+        for instr in self.func.instrs:
+            op, dest, args = instr.opcode, instr.dest, instr.args
+            terms = self._linear(op, args)
+            if terms is not None and len(terms) <= _MAX_GATHERS:
+                self.symbolic[dest] = terms
+                continue
+            if op == "ret":
+                result = self._name(args[0], bind=False)
+                lines.append(f"{indent}{ret_template.format(result)}")
+                body_emitted = True
+                continue
+            names = [
+                self._name(arg) if isinstance(arg, str) else arg
+                for arg in args
+            ]
+            if op == "const":
+                lines.append(f"{indent}{dest} = {hex(args[0])}")
+            elif op == "pext":
+                lines.append(
+                    f"{indent}{dest} = {_pext_expression(names[0], args[1])}"
+                )
+            elif op == "shl":
+                lines.append(
+                    f"{indent}{dest} = ({names[0]} << {args[1]}) & "
+                    f"{hex(MASK64)}"
+                )
+            elif op == "shr":
+                lines.append(f"{indent}{dest} = {names[0]} >> {args[1]}")
+            elif op == "mul64":
+                lines.append(
+                    f"{indent}{dest} = ({names[0]} * {hex(args[1])}) & "
+                    f"{hex(MASK64)}"
+                )
+            elif op == "rotl":
+                amount = args[1]
+                lines.append(
+                    f"{indent}{dest} = (({names[0]} << {amount}) | "
+                    f"({names[0]} >> {64 - amount})) & {hex(MASK64)}"
+                )
+            elif op == "xor":
+                lines.append(f"{indent}{dest} = {names[0]} ^ {names[1]}")
+            elif op == "or":
+                lines.append(f"{indent}{dest} = {names[0]} | {names[1]}")
+            elif op == "add":
+                lines.append(
+                    f"{indent}{dest} = ({names[0]} + {names[1]}) & "
+                    f"{hex(MASK64)}"
+                )
+            elif op == "aes_absorb":
+                lines.extend(_emit_aes_absorb(dest, *names, indent))
+            elif op == "aes_fold":
+                lines.append(
+                    f"{indent}{dest} = ({names[0]} ^ ({names[0]} >> 64)) & "
+                    f"{hex(MASK64)}"
+                )
+            elif op == "tail_xor":
+                acc, start = names
+                lines.extend(
+                    [
+                        f"{indent}{dest} = {acc}",
+                        f"{indent}_n = len(key)",
+                        f"{indent}_p = {start}",
+                        f"{indent}while _p + 8 <= _n:",
+                        f"{indent}    {dest} ^= "
+                        "_ifb(key[_p:_p + 8], 'little')",
+                        f"{indent}    _p += 8",
+                        f"{indent}if _p < _n:",
+                        f"{indent}    {dest} ^= _ifb(key[_p:_n], 'little')",
+                    ]
+                )
+            else:
+                raise ValueError(f"unknown IR opcode: {op}")
+        if not body_emitted:
+            raise ValueError("IR function has no return")
+        return lines
 
 
 def _emit_python_lines(func: IRFunction) -> str:

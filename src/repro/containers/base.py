@@ -98,7 +98,10 @@ class HashTableBase:
 
     Args:
         hash_function: the hash under test, ``bytes -> int``.
-        policy: bucket growth policy (defaults to libstdc++'s).
+        policy: bucket growth policy (defaults to libstdc++'s).  The
+            insert path inlines its ``needs_rehash`` test, reading
+            ``max_load_factor``, and asks ``next_bucket_count`` for the
+            new size.
         allow_duplicates: multimap/multiset behaviour when True.
         telemetry: a :class:`ContainerTelemetry` to record into; when
             None, one is attached automatically iff
@@ -123,6 +126,11 @@ class HashTableBase:
         "_telemetry",
         "_assume_perfect",
     )
+
+    _discard_bits = 0
+    """Least-significant hash bits dropped before the bucket modulo: 0
+    here (libstdc++'s plain ``hash % bucket_count``); the low-mixing
+    container of RQ7 sets its own per instance."""
 
     def __init__(
         self,
@@ -157,26 +165,30 @@ class HashTableBase:
         self._telemetry = telemetry
 
     # -- bucket mechanics ------------------------------------------------
+    #
+    # The hot paths (_insert, _find, _erase, _rehash) inline the bucket
+    # rule of _bucket_index and the growth test of
+    # PrimeRehashPolicy.needs_rehash: each saves a Python call per
+    # operation, and the table's observables (bucket counts, chain
+    # order, resize events) are exactly those of the helpers.
 
     def _bucket_index(self, hash_value: int) -> int:
-        """Map a hash value to a bucket: libstdc++ uses plain modulo."""
-        return hash_value % len(self._buckets)
+        """Map a hash value to a bucket: ``(hash >> discard) % count``."""
+        return (hash_value >> self._discard_bits) % len(self._buckets)
 
-    def _maybe_rehash(self) -> None:
-        if self._policy.needs_rehash(len(self._buckets), self._size):
-            old_count = len(self._buckets)
-            new_count = self._policy.next_bucket_count(
-                old_count, self._size
+    def _rehash(self, new_count: int) -> None:
+        """Redistribute every node over ``new_count`` fresh buckets,
+        keeping each chain's relative order."""
+        old_buckets = self._buckets
+        buckets = self._buckets = [[] for _ in range(new_count)]
+        discard = self._discard_bits
+        for bucket in old_buckets:
+            for node in bucket:
+                buckets[(node[0] >> discard) % new_count].append(node)
+        if self._telemetry is not None:
+            self._telemetry.record_resize(
+                len(old_buckets), new_count, self._size
             )
-            old_buckets = self._buckets
-            self._buckets = [[] for _ in range(new_count)]
-            for bucket in old_buckets:
-                for node in bucket:
-                    self._buckets[self._bucket_index(node[0])].append(node)
-            if self._telemetry is not None:
-                self._telemetry.record_resize(
-                    old_count, new_count, self._size
-                )
 
     def reserve(self, element_count: int) -> None:
         """Grow the table to hold ``element_count`` elements up front.
@@ -186,44 +198,43 @@ class HashTableBase:
         fill pays.  Shrinking is never performed.
         """
         target = self._policy.bucket_count_for(element_count)
-        if target <= len(self._buckets):
-            return
-        old_count = len(self._buckets)
-        old_buckets = self._buckets
-        self._buckets = [[] for _ in range(target)]
-        for bucket in old_buckets:
-            for node in bucket:
-                self._buckets[self._bucket_index(node[0])].append(node)
-        if self._telemetry is not None:
-            self._telemetry.record_resize(old_count, target, self._size)
+        if target > len(self._buckets):
+            self._rehash(target)
 
     # -- core operations -------------------------------------------------
 
     def _insert(self, key: bytes, value: Any) -> bool:
         """Insert a node; returns False for a rejected duplicate."""
         hash_value = self._hash(key)
-        bucket = self._buckets[self._bucket_index(hash_value)]
+        buckets = self._buckets
+        bucket = buckets[(hash_value >> self._discard_bits) % len(buckets)]
         if not self._allow_duplicates:
             for node in bucket:
                 if node[0] == hash_value and node[1] == key:
                     return False
-        self._maybe_rehash()
-        # The bucket list may have been reallocated by the rehash.
-        target = self._buckets[self._bucket_index(hash_value)]
-        target.append((hash_value, key, value))
-        self._size += 1
+        size = self._size
+        if size + 1 > len(buckets) * self._policy.max_load_factor:
+            self._rehash(
+                self._policy.next_bucket_count(len(buckets), size)
+            )
+            buckets = self._buckets
+            bucket = buckets[
+                (hash_value >> self._discard_bits) % len(buckets)
+            ]
+        bucket.append((hash_value, key, value))
+        self._size = size + 1
         if self._telemetry is not None:
-            self._telemetry.record_insert(len(target) - 1)
+            self._telemetry.record_insert(len(bucket) - 1)
         return True
 
     def _insert_many(self, items: Iterable[Tuple[bytes, Any]]) -> int:
         """Bulk insert with a single upfront reservation.
 
         Reserves capacity for every incoming item before the loop, so
-        the per-item ``_maybe_rehash`` check never fires — one resize
-        replaces the O(log n) a key-at-a-time fill performs.  Returns
-        the number of items actually inserted (duplicates may be
-        rejected, per the container's uniqueness rule).
+        the per-item growth check never fires — one resize replaces the
+        O(log n) a key-at-a-time fill performs.  Returns the number of
+        items actually inserted (duplicates may be rejected, per the
+        container's uniqueness rule).
         """
         items = list(items)
         self.reserve(self._size + len(items))
@@ -236,17 +247,19 @@ class HashTableBase:
 
     def _find(self, key: bytes) -> Optional[Tuple[int, bytes, Any]]:
         hash_value = self._hash(key)
+        buckets = self._buckets
+        bucket = buckets[(hash_value >> self._discard_bits) % len(buckets)]
         if self._assume_perfect:
             # Certified-perfect hash: within the closed set, equal hash
             # implies equal key, so the equality probe (and any chain
             # walk past the first hash match) is provably redundant.
-            for node in self._buckets[self._bucket_index(hash_value)]:
+            for node in bucket:
                 if node[0] == hash_value:
                     if self._telemetry is not None:
                         self._telemetry.record_perfect_hit()
                     return node
             return None
-        for node in self._buckets[self._bucket_index(hash_value)]:
+        for node in bucket:
             if node[0] == hash_value and node[1] == key:
                 return node
         return None
@@ -255,8 +268,17 @@ class HashTableBase:
         """Erase all nodes equal to ``key`` (STL ``erase(key)`` semantics);
         returns the number removed."""
         hash_value = self._hash(key)
-        index = self._bucket_index(hash_value)
-        bucket = self._buckets[index]
+        buckets = self._buckets
+        index = (hash_value >> self._discard_bits) % len(buckets)
+        bucket = buckets[index]
+        if not self._allow_duplicates:
+            # Unique keys: at most one node matches.
+            for position, node in enumerate(bucket):
+                if node[0] == hash_value and node[1] == key:
+                    del bucket[position]
+                    self._size -= 1
+                    return 1
+            return 0
         kept = [
             node
             for node in bucket
@@ -264,7 +286,7 @@ class HashTableBase:
         ]
         removed = len(bucket) - len(kept)
         if removed:
-            self._buckets[index] = kept
+            buckets[index] = kept
             self._size -= removed
         return removed
 

@@ -43,9 +43,6 @@ class LowMixingMap(HashTableBase):
         """Least-significant bits dropped before bucket indexing."""
         return self._discard_bits
 
-    def _bucket_index(self, hash_value: int) -> int:
-        return (hash_value >> self._discard_bits) % len(self._buckets)
-
     def insert(self, key: bytes, value: Any = None) -> bool:
         """Insert; returns False if the key already exists."""
         return self._insert(key, value)

@@ -35,9 +35,10 @@ class UnorderedMap(HashTableBase):
             assume_perfect=perfect,
         )
 
-    def insert(self, key: bytes, value: Any) -> bool:
-        """Insert; returns False if the key already exists (STL insert)."""
-        return self._insert(key, value)
+    # insert/erase *are* the base bodies, not wrappers around them: the
+    # affectation loop saves one Python frame per operation.
+    insert = HashTableBase._insert
+    """Insert; returns False if the key already exists (STL insert)."""
 
     def insert_many(self, items: Iterable[Tuple[bytes, Any]]) -> int:
         """Bulk insert with one upfront resize; returns the count
@@ -62,9 +63,8 @@ class UnorderedMap(HashTableBase):
         node = self._find(key)
         return node[2] if node is not None else None
 
-    def erase(self, key: bytes) -> int:
-        """Remove the key; returns 0 or 1."""
-        return self._erase(key)
+    erase = HashTableBase._erase
+    """Remove the key; returns 0 or 1."""
 
     def count(self, key: bytes) -> int:
         """0 or 1, like STL ``count`` on unique-key containers."""

@@ -182,15 +182,29 @@ def resolve_oracles(names: Optional[Sequence[str]]) -> List[Oracle]:
 # -- differential oracles ----------------------------------------------------
 
 
+def _off_length_keys(keys: Sequence[bytes]) -> List[bytes]:
+    """Each key, then it truncated by one byte and extended by 8, then
+    ``b""``: the non-conforming lengths where a fused wide load of the
+    scalar backend reads past a key's end and must zero-fill exactly as
+    the interpreter's per-load slices do."""
+    probes: List[bytes] = []
+    for key in keys:
+        probes.extend((key, key[:-1], key + b"\xa5" * 8))
+    probes.append(b"")
+    return probes
+
+
 @_oracle("python-vs-interp", GROUP_DIFFERENTIAL)
 def check_python_vs_interp(ctx: CaseContext) -> Optional[str]:
-    """Compiled Python backend agrees with the IR interpreter, all families."""
+    """Compiled Python backend agrees with the IR interpreter, all
+    families, on each key and on its off-length neighbours."""
     if not ctx.synthesizable:
         return None
+    probes = _off_length_keys(ctx.keys)
     for family in HashFamily:
         synthesized = ctx.synthesized(family)
         func = ctx.ir(family)
-        for key in ctx.keys:
+        for key in probes:
             expected = interpret(func, key)
             actual = synthesized(key)
             if actual != expected:

@@ -140,6 +140,27 @@ def mask_to_runs(mask: int) -> List[Tuple[int, int, int]]:
     return list(_mask_to_runs_cached(mask & MASK64))
 
 
+def mask_to_gathers(mask: int) -> List[Tuple[int, int]]:
+    """Decompose ``mask`` into ``(distance, out_mask)`` bit gathers.
+
+    Each run of :func:`mask_to_runs` moves by ``distance = shift -
+    out_pos`` bits, so one shift and one and place it::
+
+        pext(x, mask) == OR over gathers of (x >> distance) & out_mask
+
+    (``x << -distance`` when ``distance`` is negative, which a pext run
+    never is; callers composing shifts reuse the same form).  Runs are
+    maximal, so every run has its own distance, strictly increasing.
+
+    >>> mask_to_gathers(0x0F0F)
+    [(0, 15), (4, 240)]
+    """
+    return [
+        (shift - out_pos, run_mask << out_pos)
+        for shift, run_mask, out_pos in mask_to_runs(mask)
+    ]
+
+
 def pext_via_runs(src: int, runs: List[Tuple[int, int, int]]) -> int:
     """Evaluate a pre-decomposed parallel bit extraction.
 

@@ -223,7 +223,7 @@ def _profile_vector(func, keys: Sequence[bytes], stats: Dict[str, list]):
 
     from repro.codegen.ir import AES_ROUND_KEY
     from repro.isa.aes import aes_fold_planes, aes_planes, aesenc_planes
-    from repro.isa.bits import mask_to_runs
+    from repro.isa.bits import mask_to_gathers
 
     plan = func.plan
     if not plan.is_fixed_length:
@@ -279,9 +279,10 @@ def _profile_vector(func, keys: Sequence[bytes], stats: Dict[str, list]):
             if op == "pext":
                 source = registers[args[0]]
                 out = np.zeros(n, dtype=np.uint64)
-                for shift, run_mask, out_pos in mask_to_runs(args[1]):
-                    term = (source >> np.uint64(shift)) & np.uint64(run_mask)
-                    out |= term << np.uint64(out_pos)
+                for distance, out_mask in mask_to_gathers(args[1]):
+                    out |= (source >> np.uint64(distance)) & np.uint64(
+                        out_mask
+                    )
                 registers[dest] = out
             elif op == "shl":
                 registers[dest] = registers[args[0]] << np.uint64(args[1])

@@ -14,6 +14,7 @@ from repro.codegen.cache import (
     get_compile_cache,
     plan_fingerprint,
 )
+from repro.codegen.python_backend import LOWERING_VERSION
 from repro.core.plan import HashFamily, LoadOp
 from repro.core.synthesis import synthesize
 from repro.keygen.keyspec import KEY_TYPES
@@ -149,8 +150,36 @@ class TestDiskTier:
         plan = ssn_plan()
         cache = CompileCache(registry=MetricsRegistry(), source_dir=tmp_path)
         cache.batch(plan, name="hm")
-        expected = tmp_path / f"{plan_fingerprint(plan)}.batch.hm.py"
+        expected = (
+            tmp_path
+            / f"{plan_fingerprint(plan)}.batch.v{LOWERING_VERSION}.hm.py"
+        )
         assert expected.exists()
+
+    @pytest.mark.parametrize("kind", ["scalar", "batch"])
+    def test_source_of_another_lowering_version_is_re_emitted(
+        self, tmp_path, kind
+    ):
+        """Source an older emitter persisted for the same plan is not
+        exec'd: the file name carries the lowering version, so the cache
+        misses the stale file and writes the current lowering beside it."""
+        plan = ssn_plan()
+        fingerprint = plan_fingerprint(plan)
+        stale = tmp_path / f"{fingerprint}.{kind}.v{LOWERING_VERSION - 1}.f.py"
+        stale.write_text("def f(key):\n    return 12345\n")
+        legacy = tmp_path / f"{fingerprint}.{kind}.f.py"
+        legacy.write_text("def f(key):\n    return 12345\n")
+        cache = CompileCache(registry=MetricsRegistry(), source_dir=tmp_path)
+        artifact = getattr(cache, kind)(plan, name="f")
+        assert cache.stats()["disk_hits"] == 0
+        assert "12345" not in artifact.source
+        key = b"123-45-6789"
+        value = artifact.function([key])[0] if kind == "batch" else (
+            artifact.function(key)
+        )
+        assert value == synthesize(SSN, HashFamily.PEXT)(key)
+        current = tmp_path / f"{fingerprint}.{kind}.v{LOWERING_VERSION}.f.py"
+        assert current.read_text() == artifact.source
 
 
 class TestSynthesisIntegration:

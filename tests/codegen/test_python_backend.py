@@ -1,16 +1,22 @@
 """Tests for the Python code generation backend."""
 
+import ast
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codegen.interp import interpret
 from repro.codegen.ir import build_ir, optimize
 from repro.codegen.python_backend import (
+    LOAD_WINDOW_BYTES,
     _pext_expression,
     compile_plan,
     compile_source,
     emit_python,
 )
+from repro.core.synthesis import synthesize
+from repro.keygen.keyspec import KEY_TYPES
 from repro.core.plan import (
     CombineOp,
     HashFamily,
@@ -48,6 +54,67 @@ class TestPextExpression:
 
     def test_single_low_run_is_simple_and(self):
         assert _pext_expression("x", 0xFF) == "(x & 0xff)"
+
+    def test_one_shift_and_one_and_per_run(self):
+        assert (
+            _pext_expression("x", 0x0F0F) == "(x & 0xf) | ((x >> 4) & 0xf0)"
+        )
+
+
+def _gather_distance(node):
+    """Shift distance of a gather's left operand: ``_w`` is 0, ``_w >> d``
+    is ``d``, ``_w << d`` is ``-d``."""
+    if isinstance(node, ast.Name):
+        return node.id, 0
+    assert isinstance(node, ast.BinOp) and isinstance(node.left, ast.Name)
+    amount = node.right.value
+    sign = 1 if isinstance(node.op, ast.RShift) else -1
+    return node.left.id, sign * amount
+
+
+def _calls(source):
+    return [
+        node.func.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+    ]
+
+
+class TestFusedLowering:
+    @pytest.mark.parametrize("name", ["SSN", "IPV4"])
+    def test_pext_is_one_load_and_one_gather_per_distance(self, name):
+        plan = synthesize(KEY_TYPES[name].regex, HashFamily.PEXT).plan
+        source = emit_python(optimize(build_ir(plan, name="f")))
+        assert _calls(source) == ["_ifb"]
+        gathers = [
+            _gather_distance(node.left)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+        ]
+        assert gathers
+        assert len(gathers) == len(set(gathers))
+
+    def test_window_is_capped(self):
+        plan = make_plan([LoadOp(offset) for offset in (0, 8, 16, 24)],
+                         key_length=32)
+        source = emit_python(optimize(build_ir(plan, name="f")))
+        assert _calls(source).count("_ifb") == 32 // LOAD_WINDOW_BYTES
+        key = bytes(range(7, 39))
+        assert compile_source(source, "f")(key) == interpret(
+            optimize(build_ir(plan, name="f")), key
+        )
+
+    def test_overlapping_or_is_materialized(self):
+        """``or`` of operands that may share bits is not an xor: both
+        sides are materialized and or-ed as written."""
+        plan = make_plan(
+            [LoadOp(0, mask=0xFF), LoadOp(1, mask=0xFF00)],
+            combine=CombineOp.OR,
+        )
+        func = optimize(build_ir(plan, name="f"))
+        function = compile_source(emit_python(func), "f")
+        for key in (b"\x0f\xf0" + bytes(14), b"\xff" * 16, bytes(16)):
+            assert function(key) == interpret(func, key)
 
 
 class TestEmitPython:

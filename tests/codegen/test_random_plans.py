@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen.batch import compile_plan_batch
+from repro.codegen.batch import compile_plan_batch, emit_python_batch
 from repro.codegen.interp import interpret
 from repro.codegen.ir import build_ir, optimize
-from repro.codegen.python_backend import compile_plan
+from repro.codegen.python_backend import compile_plan, compile_source
 from repro.codegen.serialize import dumps, loads
 from repro.core.plan import (
     CombineOp,
@@ -40,10 +40,11 @@ def random_plan(draw):
         if combine is CombineOp.AESENC:
             loads.append(LoadOp(offset))
             continue
+        width = draw(st.sampled_from([8, 8, 1, 3, 7]))
         mask = draw(
             st.one_of(
                 st.none(),
-                st.integers(min_value=1, max_value=MASK64),
+                st.integers(min_value=1, max_value=(1 << (8 * width)) - 1),
             )
         )
         transform = draw(st.sampled_from(["none", "shift", "rotate"]))
@@ -52,7 +53,9 @@ def random_plan(draw):
             shift = draw(st.integers(min_value=0, max_value=63))
         elif transform == "rotate":
             rotate = draw(st.integers(min_value=0, max_value=63))
-        loads.append(LoadOp(offset, mask=mask, shift=shift, rotate=rotate))
+        loads.append(
+            LoadOp(offset, mask=mask, shift=shift, rotate=rotate, width=width)
+        )
     return SynthesisPlan(
         family=draw(
             st.sampled_from(
@@ -100,6 +103,30 @@ class TestRandomPlans:
         original = compile_plan(plan, name="f")
         rebuilt = compile_plan(loads(dumps(plan)), name="f")
         assert original(key) == rebuilt(key)
+
+    @given(
+        random_plan(),
+        st.binary(min_size=KEY_LENGTH + 8, max_size=KEY_LENGTH + 8),
+        st.integers(min_value=0, max_value=KEY_LENGTH + 8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_fused_lowering_matches_interpreter_on_any_length(
+        self, plan, data, length
+    ):
+        """The fused wide loads agree with per-load slicing on keys of
+        every length: empty, shorter than one load, one byte short, the
+        plan's length, 8 bytes longer, and a drawn length."""
+        func = optimize(build_ir(plan, name="f"))
+        scalar = compile_plan(plan, name="f")
+        loop = compile_source(emit_python_batch(func, vectorize=False), "f")
+        keys = [
+            data[:n]
+            for n in (0, 1, 7, KEY_LENGTH - 1, KEY_LENGTH, KEY_LENGTH + 8,
+                      length)
+        ]
+        expected = [interpret(func, key) for key in keys]
+        assert [scalar(key) for key in keys] == expected
+        assert loop(keys) == expected
 
     @given(random_plan())
     @settings(max_examples=40, deadline=None)

@@ -130,6 +130,26 @@ class TestOraclesCatchBugs:
         # And the healthy pipeline is restored on exit.
         assert check_python_vs_interp(CaseContext(case)) is None
 
+    def test_off_length_fault_caught_by_python_vs_interp(self):
+        """A compiled hash that is wrong only on keys of another length
+        (a fused wide load that does not zero-fill like the per-load
+        slices) is caught: the oracle also probes each key truncated by
+        one byte, extended by 8, and the empty key."""
+        from repro.core.plan import HashFamily
+        from repro.fuzz.oracles import check_python_vs_interp
+
+        case = _case(SSN_SPEC)
+        ctx = CaseContext(case)
+        length = len(case.keys[0])
+        for family in HashFamily:
+            ctx.ir(family)  # built from the honest plan first
+            honest = ctx.synthesized(family)
+            ctx._synthesized[family] = (
+                lambda key, f=honest: f(key) ^ (len(key) != length)
+            )
+        message = check_python_vs_interp(ctx)
+        assert message is not None and "!=" in message
+
     def test_batch_fault_caught_by_batch_oracle(self):
         from repro.fuzz.faults import injected_fault
         from repro.fuzz.oracles import check_batch_vs_scalar
