@@ -10,7 +10,8 @@ memory:
   ``section/subject/variant/metric`` ids — e.g.
   ``batch/SSN/pext/scalar_ns_per_key`` or
   ``infer/fixed/bigint/ns_per_key`` — each carrying a headline value
-  (ns/key, lower is better), the per-repeat samples when the producer
+  (ns/key, or ms per plan for the ``native_compile_ms`` rows; lower is
+  better), the per-repeat samples when the producer
   kept them, and the machine/python fingerprint context.
 - **The ledger** (``BENCH_LEDGER.json``) stores the current entry set
   plus a bounded history of prior snapshots, so the committed artifact
@@ -333,6 +334,7 @@ def collect_smoke_entries(
     """
     from repro.bench.batch_compare import DEFAULT_FAMILIES
     from repro.bench.runner import measure_h_time, measure_h_time_batch
+    from repro.codegen.native import compile_plan_native
     from repro.core.synthesis import synthesize
     from repro.keygen.distributions import Distribution
     from repro.keygen.generator import generate_keys
@@ -386,15 +388,25 @@ def collect_smoke_entries(
                     * scale
                     for _ in range(repeats)
                 ]
-                entries.append(
-                    LedgerEntry(
-                        id=f"{stem}/native_ns_per_key",
-                        value=min(native),
-                        samples=native,
-                        repeats=repeats,
-                        source="smoke",
+                # Each repeat compiles afresh, bypassing the compile
+                # cache: the row gates what a new or swapped route pays.
+                compile_ms = [
+                    compile_plan_native(synthesized.plan)[0].compile_ms
+                    for _ in range(repeats)
+                ]
+                for metric, samples in (
+                    ("native_ns_per_key", native),
+                    ("native_compile_ms", compile_ms),
+                ):
+                    entries.append(
+                        LedgerEntry(
+                            id=f"{stem}/{metric}",
+                            value=min(samples),
+                            samples=samples,
+                            repeats=repeats,
+                            source="smoke",
+                        )
                     )
-                )
     return entries
 
 

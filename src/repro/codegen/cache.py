@@ -19,9 +19,10 @@ Two tiers:
   persisted as ``.py`` files named by fingerprint *and* lowering version
   (a process restart skips IR construction and emission, paying only
   the ``exec``; a newer emitter never loads an older one's source), and
-  native shared objects as
-  ``.so`` files tagged with the compiler identity (a restart skips the
-  C++ compiler entirely and goes straight to ``dlopen``).
+  native shared objects as ``.so`` files tagged with the toolchain's
+  artifact key — compiler, flags, features, JIT unit version and host
+  CPU (a restart skips the C++ compiler entirely and goes straight to
+  ``dlopen``).
 
 The ``native`` kind delegates compilation to
 :mod:`repro.codegen.native` and adds a *negative cache*: a plan whose
@@ -347,17 +348,20 @@ class CompileCache:
     def _native_disk_path(
         self, fingerprint: str, name: str, toolchain
     ) -> Optional[Path]:
-        """Compiler-tagged ``.so`` path, or None without a disk tier.
+        """Toolchain-tagged ``.so`` path, or None without a disk tier.
 
-        The filename embeds a digest of the compiler identity so shared
-        objects produced by different toolchains (or versions) never
-        collide — a cache dir migrated between hosts recompiles instead
-        of dlopening a foreign artifact.
+        The filename embeds a digest of
+        :meth:`~repro.codegen.native.Toolchain.artifact_key`: compiler
+        identity, flags, features, JIT unit version and, under
+        ``-march=native``, the host CPU.  Shared objects from another
+        toolchain, flag set or CPU never collide, so a cache dir shared
+        between hosts recompiles instead of dlopening an object that
+        may use instructions this CPU lacks.
         """
         if self._source_dir is None:
             return None
         tag = hashlib.sha256(
-            toolchain.identity.encode("utf-8")
+            toolchain.artifact_key().encode("utf-8")
         ).hexdigest()[:12]
         return self._source_dir / f"{fingerprint}.native.{name}.{tag}.so"
 

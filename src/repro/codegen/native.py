@@ -3,24 +3,34 @@
 Everything the reproduction measured before this module existed ran in
 Python — the generated scalar functions, the NumPy lane kernels, the
 interpreter.  The paper's numbers come from *compiled* specialized hash
-functions, so this tier closes that gap: it takes the translation unit
-from :func:`repro.codegen.cpp_backend.emit_cpp_native` (the regular
-functor unit plus ``extern "C"`` scalar and batched entry points),
-shells out to the system C++ compiler (``c++ -O2 -shared -fPIC``), and
-loads the shared object back through :mod:`ctypes`.
+functions, so this tier closes that gap: it takes the JIT translation
+unit from :func:`repro.codegen.cpp_backend.emit_cpp_native` (the hash
+core plus ``extern "C"`` scalar and batched entry points, behind a
+header-light prelude that calls the ``pext``/``aesenc`` compiler
+builtins instead of including ``<immintrin.h>``), shells out to the
+system C++ compiler (``c++ -O2 -shared -fPIC``), and loads the shared
+object back through :mod:`ctypes`.
 
 Toolchain discovery (:func:`detect_toolchain`) is deliberately paranoid:
 
 - candidates are probed in order ``$CXX``, ``c++``, ``clang++``,
   ``g++`` — first one that can compile *and run* a trivial program
-  wins;
-- ISA feature probes (BMI2 ``_pext_u64``, AES-NI / NEON crypto) are
+  wins, with ``-march=native`` tried first and no arch flag only when
+  that fails;
+- ISA feature probes (BMI2 ``pext``, AES-NI / NEON crypto) are
   compiled as tiny executables and **executed in a subprocess**, so a
   compiler that accepts ``-mbmi2`` on a CPU without BMI2 produces a
-  dead child process, not a SIGILL in the Python interpreter;
+  dead child process, not a SIGILL in the Python interpreter.  On x86
+  they compile the JIT unit's own prelude, so they exercise the exact
+  primitives the kernels call, and every probe must print the result
+  :mod:`repro.isa` predicts;
 - ``-march=native`` is preferred when the probe survives it, otherwise
   explicit per-feature flags are tried, otherwise the feature is
   recorded as unavailable and plans needing it degrade.
+
+The probe is not cached on disk: the CPU can change under the same
+compiler, and the probe is what stands between a ``-march=native``
+object and a SIGILL.
 
 Every degradation path — no compiler, compile error, unsupported
 target/feature — raises :class:`repro.errors.NativeUnavailableError`.
@@ -33,12 +43,13 @@ Observability: ``codegen.native.probe`` and ``codegen.native.compile``
 spans, ``codegen.native.compiles`` / ``compile_failures`` /
 ``unavailable`` / ``fallbacks`` counters, and a
 ``codegen.native.compile_ms`` latency histogram (per-plan compile cost,
-typically 200–600 ms with gcc at ``-O2``).
+63–82 ms with g++ 12 at ``-O2 -march=native`` on a 2-vCPU x86 VM).
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import platform
 import shutil
@@ -51,8 +62,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.codegen.cpp_backend import NATIVE_SYMBOL, emit_cpp_native
-from repro.core.plan import CombineOp, SynthesisPlan
+from repro.codegen.cpp_backend import (
+    NATIVE_SYMBOL,
+    NATIVE_UNIT_VERSION,
+    emit_cpp_native,
+    plan_isa_features,
+    x86_jit_prelude,
+)
+from repro.codegen.ir import AES_INITIAL_STATE, AES_ROUND_KEY
+from repro.core.plan import SynthesisPlan
 from repro.errors import NativeUnavailableError, SynthesisError
 from repro.obs.metrics import exponential_buckets, get_registry
 from repro.obs.trace import span
@@ -71,11 +89,11 @@ __all__ = [
     "compile_plan_native",
     "compile_shared_object",
     "detect_toolchain",
+    "host_cpu_identity",
     "load_native_module",
     "native_available",
     "native_enabled",
     "native_target",
-    "plan_native_features",
     "reset_native_state",
 ]
 
@@ -87,6 +105,8 @@ COMPILE_MS_BUCKETS: Tuple[float, ...] = exponential_buckets(4, 2, 12)
 
 _BASE_FLAGS: Tuple[str, ...] = ("-O2", "-fPIC", "-std=c++17")
 
+_MASK64 = (1 << 64) - 1
+
 _PROBE_MAIN = """\
 #include <cstdio>
 int main() {
@@ -95,28 +115,55 @@ int main() {
 }
 """
 
-_PROBE_PEXT = """\
-#include <immintrin.h>
-#include <cstdio>
-int main() {
-    unsigned long long packed = _pext_u64(0xf0f0ULL, 0xff00ULL);
-    std::printf("%llu\\n", packed);
-    return packed == 0xf0ULL ? 0 : 1;
-}
-"""
+# The x86 feature probes compile the JIT unit's own prelude
+# (:func:`~repro.codegen.cpp_backend.x86_jit_prelude`) plus a ``main``,
+# so a passing probe has executed the primitives the kernels call.  The
+# inputs are volatile so the compiler cannot fold the call away, and
+# each probe prints its whole result for comparison with the expected
+# output, which ``tests/codegen/test_native_probes.py`` derives from
+# :mod:`repro.isa`.
 
-_PROBE_AES_X86 = """\
-#include <immintrin.h>
+_PEXT_PROBE_ARGS = (0x0123456789ABCDEF, 0xFF00F0F00FF00F0F)
+_PEXT_PROBE_EXPECT = "21404383"
+
+_PROBE_PEXT = x86_jit_prelude({"pext"}) + """\
 #include <cstdio>
 int main() {
-    __m128i state = _mm_set_epi64x(0x1234, 0x5678);
-    state = _mm_aesenc_si128(state, _mm_set_epi64x(0x9abc, 0xdef0));
-    unsigned long long lane =
-        (unsigned long long)_mm_extract_epi64(state, 1);
-    std::printf("%llu\\n", lane);
+    volatile uint64_t value = UINT64_C(%#x);
+    volatile uint64_t mask = UINT64_C(%#x);
+    std::printf("%%llu\\n", (unsigned long long)sepe_pext(value, mask));
     return 0;
 }
-"""
+""" % _PEXT_PROBE_ARGS
+
+# ``(state, round key)`` of the probe round: the Aes kernels' own
+# initial state and round key, as 128-bit little-endian integers.
+_AES_PROBE_ARGS = (AES_INITIAL_STATE, AES_ROUND_KEY)
+_AES_X86_PROBE_EXPECT = "11012308514663870964 13432742152343533349"
+
+_PROBE_AES_X86 = x86_jit_prelude({"aes"}) + """\
+#include <cstdio>
+int main() {
+    volatile uint64_t words[4] = {
+        UINT64_C(%#x), UINT64_C(%#x),
+        UINT64_C(%#x), UINT64_C(%#x)};
+    sepe_v2di state = sepe_set_epi64x(words[1], words[0]);
+    sepe_v2di key = sepe_set_epi64x(words[3], words[2]);
+    state = sepe_aesenc(state, key);
+    std::printf("%%llu %%llu\\n", (unsigned long long)state[0],
+                (unsigned long long)state[1]);
+    return 0;
+}
+""" % (
+    _AES_PROBE_ARGS[0] & _MASK64,
+    _AES_PROBE_ARGS[0] >> 64,
+    _AES_PROBE_ARGS[1] & _MASK64,
+    _AES_PROBE_ARGS[1] >> 64,
+)
+
+# One aesenc round with a zero key on a state of sixteen 0x5a bytes:
+# AESE with a zero key then AESMC is exactly that round on aarch64.
+_AES_ARM_PROBE_EXPECT = "190"
 
 _PROBE_AES_ARM = """\
 #include <arm_neon.h>
@@ -156,6 +203,25 @@ class Toolchain:
 
     def supports(self, needed: Iterable[str]) -> bool:
         return set(needed) <= self.features
+
+    def artifact_key(self) -> str:
+        """Everything a shared object built by this toolchain depends on.
+
+        The compiler identity, its flags, the probed features, the JIT
+        unit version and, when ``-march=native`` is in the flags, the
+        host CPU (two hosts with the same compiler but different CPUs
+        produce objects that need not run on each other).  The compile
+        cache tags persisted ``.so`` files with a digest of this key.
+        """
+        parts = [
+            self.identity,
+            " ".join(self.flags),
+            ",".join(sorted(self.features)),
+            f"unit-v{NATIVE_UNIT_VERSION}",
+        ]
+        if "-march=native" in self.flags:
+            parts.append(host_cpu_identity())
+        return "\n".join(parts)
 
 
 class NativeModule:
@@ -423,12 +489,13 @@ def _probe_runs(
     source: str,
     work: Path,
     stem: str,
-    expect: Optional[str] = None,
+    expect: str,
 ) -> bool:
-    """Compile ``source`` as an executable with ``flags`` and run it.
+    """Compile ``source`` with ``flags``, run it, and check its output.
 
     Running (not just compiling) is the point: an unsupported
-    instruction kills the probe subprocess, never this interpreter.
+    instruction kills the probe subprocess, never this interpreter, and
+    a wrong result (stdout other than ``expect``) fails the probe too.
     """
     src = work / f"{stem}.cpp"
     exe = work / f"{stem}.bin"
@@ -445,9 +512,40 @@ def _probe_runs(
         return False
     if ran.returncode != 0:
         return False
-    if expect is not None:
-        return ran.stdout.decode("utf-8", "replace").strip() == expect
-    return True
+    return ran.stdout.decode("utf-8", "replace").strip() == expect
+
+
+_CPUINFO_KEYS = frozenset(
+    {
+        # x86
+        "vendor_id", "cpu family", "model", "model name", "flags",
+        # aarch64
+        "CPU implementer", "CPU architecture", "CPU variant", "CPU part",
+        "Features",
+    }
+)
+
+
+@functools.lru_cache(maxsize=None)
+def host_cpu_identity() -> str:
+    """The host CPU's model and ISA flags, as ``-march=native`` sees them.
+
+    Read from the first processor block of ``/proc/cpuinfo``; where that
+    file does not exist, ``platform`` supplies a coarser identity.
+    """
+    try:
+        with open("/proc/cpuinfo", "r", encoding="utf-8") as handle:
+            block = handle.read().split("\n\n", 1)[0]
+    except OSError:
+        block = ""
+    fields = []
+    for line in block.splitlines():
+        key, _, value = line.partition(":")
+        if key.strip() in _CPUINFO_KEYS:
+            fields.append(f"{key.strip()}={value.strip()}")
+    if not fields:
+        fields = [platform.machine(), platform.processor()]
+    return "; ".join(fields)
 
 
 def _compiler_identity(command: str) -> str:
@@ -485,11 +583,9 @@ def _probe_toolchain() -> Tuple[Optional[Toolchain], Optional[str]]:
     with tempfile.TemporaryDirectory(prefix="sepe-probe-") as tmp:
         work = Path(tmp)
         for command in candidates:
-            if not _probe_runs(
-                command, [], _PROBE_MAIN, work, "base", expect="42"
-            ):
-                continue
-            arch_flags: List[str] = []
+            # -march=native first: on a working host that one compile
+            # proves the compiler, and the flagless probe only runs when
+            # the arch flag is what failed.
             if _probe_runs(
                 command,
                 ["-march=native"],
@@ -499,24 +595,35 @@ def _probe_toolchain() -> Tuple[Optional[Toolchain], Optional[str]]:
                 expect="42",
             ):
                 arch_flags = ["-march=native"]
+            elif _probe_runs(
+                command, [], _PROBE_MAIN, work, "base", expect="42"
+            ):
+                arch_flags = []
+            else:
+                continue
             features = set()
             feature_flags: List[str] = []
             if target == "x86":
                 feature_probes = [
-                    ("pext", _PROBE_PEXT, ["-mbmi2"]),
-                    ("aes", _PROBE_AES_X86, ["-maes", "-msse4.1"]),
+                    ("pext", _PROBE_PEXT, ["-mbmi2"], _PEXT_PROBE_EXPECT),
+                    ("aes", _PROBE_AES_X86, ["-maes"], _AES_X86_PROBE_EXPECT),
                 ]
             else:
                 feature_probes = [
-                    ("aes", _PROBE_AES_ARM, ["-march=armv8-a+crypto"]),
+                    (
+                        "aes",
+                        _PROBE_AES_ARM,
+                        ["-march=armv8-a+crypto"],
+                        _AES_ARM_PROBE_EXPECT,
+                    ),
                 ]
-            for name, source, explicit in feature_probes:
+            for name, source, explicit, expect in feature_probes:
                 if arch_flags and _probe_runs(
-                    command, arch_flags, source, work, f"{name}_arch"
+                    command, arch_flags, source, work, f"{name}_arch", expect
                 ):
                     features.add(name)
                 elif _probe_runs(
-                    command, explicit, source, work, f"{name}_flag"
+                    command, explicit, source, work, f"{name}_flag", expect
                 ):
                     features.add(name)
                     feature_flags.extend(
@@ -606,20 +713,6 @@ def warn_native_fallback(reason: str) -> None:
             RuntimeWarning,
             stacklevel=3,
         )
-
-
-# -- plan requirements ------------------------------------------------------
-
-def plan_native_features(plan: SynthesisPlan) -> frozenset:
-    """ISA features ``plan``'s emitted C++ requires on this target."""
-    needed = set()
-    if plan.combine is CombineOp.AESENC:
-        needed.add("aes")
-    full = (1 << 64) - 1
-    for load in plan.loads:
-        if load.mask is not None and load.mask not in (0, full):
-            needed.add("pext")
-    return frozenset(needed)
 
 
 # -- compilation ------------------------------------------------------------
@@ -716,7 +809,7 @@ def compile_plan_native(
             the Pext family on aarch64), or a compile/load failure.
     """
     toolchain = toolchain if toolchain is not None else detect_toolchain()
-    needed = plan_native_features(plan)
+    needed = plan_isa_features(plan)
     if not toolchain.supports(needed):
         missing = ", ".join(sorted(needed - toolchain.features))
         raise NativeUnavailableError(

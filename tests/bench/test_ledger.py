@@ -447,3 +447,35 @@ class TestPerfectReport:
         # RQ samples are committed-artifact-only in the smoke pass.
         assert not any("/ssn/" in id for id in ids)
         assert all(entry.source == "smoke" for entry in entries)
+
+
+class TestSmokeEntries:
+    @pytest.mark.native
+    def test_native_compile_rows_compile_afresh_per_repeat(self):
+        from repro.bench.ledger import collect_smoke_entries
+        from repro.codegen import native as native_mod
+        from repro.core.plan import HashFamily
+
+        if not native_mod.native_available():
+            pytest.skip("no working C++ toolchain on this host")
+        before = native_mod.get_registry().counter(
+            "codegen.native.compiles"
+        ).value
+        entries = {
+            entry.id: entry
+            for entry in collect_smoke_entries(
+                key_types=("SSN",),
+                families=(HashFamily.NAIVE,),
+                keys_per_type=64,
+                repeats=2,
+            )
+        }
+        row = entries["batch/SSN/naive/native_compile_ms"]
+        assert len(row.samples) == 2
+        assert all(sample > 0 for sample in row.samples)
+        assert row.value == min(row.samples)
+        assert "batch/SSN/naive/native_ns_per_key" in entries
+        compiles = native_mod.get_registry().counter(
+            "codegen.native.compiles"
+        ).value
+        assert compiles - before >= 2

@@ -182,6 +182,62 @@ class TestDiskTier:
         assert current.read_text() == artifact.source
 
 
+class TestNativeArtifactTag:
+    """The persisted ``.so`` is named by everything its code depends on."""
+
+    @staticmethod
+    def _path(tmp_path, **overrides):
+        from repro.codegen.native import Toolchain
+
+        fields = dict(
+            command="/usr/bin/c++",
+            identity="c++ 12.2.0",
+            flags=("-O2", "-fPIC", "-std=c++17", "-march=native"),
+            features=frozenset({"aes", "pext"}),
+            target="x86",
+        )
+        fields.update(overrides)
+        cache = CompileCache(registry=MetricsRegistry(), source_dir=tmp_path)
+        return cache._native_disk_path(
+            "f" * 64, "sepe_native", Toolchain(**fields)
+        )
+
+    def test_same_toolchain_same_path(self, tmp_path):
+        assert self._path(tmp_path) == self._path(tmp_path)
+
+    def test_flags_perturb_path(self, tmp_path):
+        assert self._path(tmp_path) != self._path(
+            tmp_path, flags=("-O2", "-fPIC", "-std=c++17", "-mbmi2")
+        )
+
+    def test_features_perturb_path(self, tmp_path):
+        assert self._path(tmp_path) != self._path(
+            tmp_path, features=frozenset({"pext"})
+        )
+
+    def test_host_cpu_perturbs_march_native_path(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.codegen import native as native_mod
+
+        explicit = ("-O2", "-fPIC", "-std=c++17", "-mbmi2", "-maes")
+        monkeypatch.setattr(native_mod, "host_cpu_identity", lambda: "A")
+        first = self._path(tmp_path)
+        first_explicit = self._path(tmp_path, flags=explicit)
+        monkeypatch.setattr(native_mod, "host_cpu_identity", lambda: "B")
+        assert self._path(tmp_path) != first
+        # Without -march=native the object does not depend on the CPU.
+        assert self._path(tmp_path, flags=explicit) == first_explicit
+
+    def test_unit_version_perturbs_path(self, tmp_path, monkeypatch):
+        from repro.codegen import native as native_mod
+
+        first = self._path(tmp_path)
+        version = native_mod.NATIVE_UNIT_VERSION
+        monkeypatch.setattr(native_mod, "NATIVE_UNIT_VERSION", version + 1)
+        assert self._path(tmp_path) != first
+
+
 class TestSynthesisIntegration:
     def test_warm_synthesis_performs_zero_exec(self):
         """The acceptance criterion: synthesizing an already-seen format

@@ -1,8 +1,18 @@
 """Structural tests for the C++ backend (no C++ toolchain assumed)."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.codegen.cpp_backend import emit_cpp, emit_skip_table_cpp
+from repro.codegen.cpp_backend import (
+    CORE_FUNCTION,
+    emit_cpp,
+    emit_cpp_native,
+    emit_skip_table_cpp,
+    plan_isa_features,
+    x86_jit_prelude,
+)
+from repro.core.synthesis import synthesize
 from repro.core.plan import (
     CombineOp,
     HashFamily,
@@ -145,3 +155,102 @@ class TestBalancedOutput:
         source = emit_cpp(make_plan(family=family, combine=combine), target)
         assert source.count("{") == source.count("}")
         assert source.count("(") == source.count(")")
+
+
+SHIPPED_UNITS = Path(__file__).parent / "shipped_units"
+
+# One plan per family (and the aarch64 Aes unit), chosen to cover the
+# tail loop, pext with a rotate, and an odd load count for Aes.
+SHIPPED_CASES = [
+    ("naive", r"\d{8,24}", "x86"),
+    ("offxor", r"\d{3}-\d{2}-\d{4}", "x86"),
+    ("pext", r"[a-f0-9]{12}:[a-f0-9]{4,12}", "x86"),
+    ("aes", r"([0-9a-f]{2}-){5}[0-9a-f]{2}", "x86"),
+    ("aes", r"([0-9a-f]{2}-){5}[0-9a-f]{2}", "aarch64"),
+]
+
+
+class TestShippedUnitPinned:
+    """``emit_cpp`` is what ``sepe keysynth`` ships and the paper
+    figures show: its text is pinned byte for byte."""
+
+    @pytest.mark.parametrize("family,regex,target", SHIPPED_CASES)
+    def test_unit_unchanged(self, family, regex, target):
+        plan = synthesize(regex, HashFamily(family)).plan
+        expected = (SHIPPED_UNITS / f"{family}_{target}.cpp").read_text()
+        assert emit_cpp(plan, target) == expected
+
+
+class TestJitUnit:
+    """``emit_cpp_native``: the same core behind a header-light prelude."""
+
+    @pytest.mark.parametrize("family,regex,target", SHIPPED_CASES)
+    def test_no_heavy_headers_and_no_functor(self, family, regex, target):
+        source = emit_cpp_native(
+            synthesize(regex, HashFamily(family)).plan, target
+        )
+        assert "#include <string>" not in source
+        assert "struct synthesized" not in source
+        assert 'extern "C" uint64_t sepe_native_hash(' in source
+        assert 'extern "C" void sepe_native_hash_many(' in source
+        if target == "x86":
+            assert "immintrin" not in source
+            assert "_mm_" not in source and "_pext_u64" not in source
+        else:
+            assert "#include <arm_neon.h>" in source
+
+    @pytest.mark.parametrize("family,regex,target", SHIPPED_CASES)
+    def test_core_shared_with_shipped_unit(self, family, regex, target):
+        """Outside the prelude and the ISA spellings, both units hash
+        with the same lines."""
+        plan = synthesize(regex, HashFamily(family)).plan
+
+        def core(source):
+            body = source[source.index(f"uint64_t {CORE_FUNCTION}("):]
+            return body[: body.index("\n}\n")]
+
+        shipped, jit = core(emit_cpp(plan, target)), core(
+            emit_cpp_native(plan, target)
+        )
+        spellings = [
+            ("_pext_u64", "sepe_pext"),
+            ("__m128i", "sepe_v2di"),
+            ("_mm_set_epi64x", "sepe_set_epi64x"),
+            ("_mm_aesenc_si128", "sepe_aesenc"),
+        ]
+        assert len(shipped.splitlines()) == len(jit.splitlines())
+        for ours, theirs in spellings:
+            assert shipped.count(ours) == jit.count(theirs)
+
+    def test_prelude_helpers_follow_plan_features(self):
+        word = emit_cpp_native(make_plan())
+        assert "__builtin_ia32" not in word
+        pext = emit_cpp_native(
+            make_plan(
+                family=HashFamily.PEXT,
+                loads=(LoadOp(0, mask=0x0F0F), LoadOp(8)),
+            )
+        )
+        assert "__builtin_ia32_pext_di" in pext
+        assert "__builtin_ia32_aesenc128" not in pext
+        aes = emit_cpp_native(
+            make_plan(family=HashFamily.AES, combine=CombineOp.AESENC)
+        )
+        assert "__builtin_ia32_aesenc128" in aes
+        assert "__builtin_ia32_pext_di" not in aes
+
+    def test_prelude_is_the_probe_prelude(self):
+        plan = make_plan(family=HashFamily.AES, combine=CombineOp.AESENC)
+        assert plan_isa_features(plan) == {"aes"}
+        assert x86_jit_prelude({"aes"}) in emit_cpp_native(plan)
+        assert "#include <" not in x86_jit_prelude({"aes", "pext"}).replace(
+            "#include <cstddef>\n#include <cstdint>\n#include <cstring>\n",
+            "",
+        )
+
+    def test_pext_still_rejected_on_aarch64(self):
+        plan = make_plan(
+            family=HashFamily.PEXT, loads=(LoadOp(0, mask=0x0F0F),)
+        )
+        with pytest.raises(SynthesisError):
+            emit_cpp_native(plan, "aarch64")

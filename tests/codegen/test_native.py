@@ -10,21 +10,25 @@ skip themselves (visibly) on hosts without one; the degradation tests
 run everywhere because they stub the toolchain away on purpose.
 """
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.codegen.cache import CompileCache
 from repro.codegen.interp import interpret
 from repro.codegen.ir import build_ir, optimize
 from repro.codegen import native as native_mod
-from repro.core.plan import HashFamily
+from repro.core.plan import HashFamily, SkipTable
 from repro.core.regex_expand import pattern_from_regex
 from repro.core.synthesis import synthesize
 from repro.core.validate import sample_conforming_keys
 from repro.errors import NativeUnavailableError
 from repro.keygen.distributions import Distribution
 from repro.keygen.generator import generate_keys
+from tests.codegen.test_random_plans import KEY_LENGTH, random_plan
 
 SSN = r"\d{3}-\d{2}-\d{4}"
 TAIL_XOR = r"\d{8,24}"
@@ -315,3 +319,50 @@ def test_dispatcher_prefer_native_mixed_batch_parity():
     assert fast.hash_many(keys) == expected
     assert fast.hash_many_array(keys).tolist() == expected
     assert plain.hash_many(keys) == expected
+
+
+# -- random plans -----------------------------------------------------------
+
+TAIL = 12
+
+
+@st.composite
+def routed_plan(draw):
+    """A random plan whose regex says which key lengths a route hands it.
+
+    Half the plans are the fixed-length ones of ``random_plan``; the
+    other half keep the same loads but take a variable tail of up to
+    ``TAIL`` bytes, folded from ``KEY_LENGTH`` on.
+    """
+    plan = draw(random_plan())
+    if draw(st.booleans()):
+        return dataclasses.replace(plan, pattern_regex=f".{{{KEY_LENGTH}}}")
+    return dataclasses.replace(
+        plan,
+        key_length=None,
+        skip_table=SkipTable(0, (KEY_LENGTH,)),
+        pattern_regex=f".{{{KEY_LENGTH}}}.{{0,{TAIL}}}",
+    )
+
+
+@requires_compiler
+@given(routed_plan(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_random_plan_parity(plan, seed):
+    """Native scalar and ``hash_many`` equal the interpreter on every key
+    length a route can hand the kernel ([min_length, max_length] of the
+    plan's pattern, as ``RouteTable`` resolves it), on keys drawn from
+    the format's alphabet and on arbitrary bytes."""
+    module, _ = native_mod.compile_plan_native(plan)
+    pattern = pattern_from_regex(plan.pattern_regex)
+    rng = random.Random(seed)
+    keys = []
+    for length in range(pattern.min_length, pattern.max_length + 1):
+        keys.append(bytes(rng.choices(b"0123456789abcdef", k=length)))
+        keys.append(rng.randbytes(length))
+    keys.append(bytes(pattern.max_length))
+    keys.append(b"\xff" * pattern.min_length)
+    func = optimize(build_ir(plan, name="f"))
+    expected = [interpret(func, key) for key in keys]
+    assert [module(key) for key in keys] == expected
+    assert module.hash_many(keys) == expected
