@@ -4,10 +4,11 @@
 "online hash service" item calls for.  It owns N :class:`Shard`s, an
 authoritative immutable :class:`RouteTable`, and (optionally) a
 background :class:`~repro.serve.reconciler.Reconciler`.  Threads are
-bound to shards on first use via a thread-local — round-robin, so up
-to N submitter threads each get a private, lock-free lane; thread
-N + 1 shares a lane, which is transparently *promoted* to the locked
-discipline before the second submitter touches it.
+bound to lanes on first use via a thread-local, for life: the first N
+submitter threads each own a private, lock-free lane; every later
+thread binds to one shared overflow lane, created on first use, whose
+methods run under its mutex.  A lane's mode never changes, so the
+lock-free lanes carry no promotion handshake.
 
 Traffic interfaces:
 
@@ -29,6 +30,7 @@ conforming keys) plan.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from typing import (
@@ -74,8 +76,9 @@ class HashService:
     """Sharded, thread-safe serving layer over synthesized hashes.
 
     Args:
-        shards: number of submission lanes.  Up to this many submitter
-            threads run lock-free; more share lanes under a mutex.
+        shards: number of lock-free submission lanes.  The first this
+            many submitter threads each own one for life; every later
+            thread shares one extra overflow lane under a mutex.
         family: default synthesis family for registrations.
         fallback: hash for keys no route matches (STL murmur port,
             SEPE's own fallback rule).
@@ -115,21 +118,23 @@ class HashService:
         self.registry = registry if registry is not None else get_registry()
         self._table = RouteTable(())
         self._fallback = fallback
+        self._new_lane = functools.partial(
+            Shard,
+            fallback=fallback,
+            flush_size=flush_size,
+            sample_every=sample_every,
+            sink=sink,
+            registry=self.registry,
+        )
+        # Copy-on-write: the overflow lane is appended by replacing the
+        # list, so readers iterate a stable snapshot without the lock.
         self._shards: List[Shard] = [
-            Shard(
-                index,
-                self._table,
-                fallback,
-                flush_size=flush_size,
-                sample_every=sample_every,
-                sink=sink,
-            )
-            for index in range(shards)
+            self._new_lane(index, self._table) for index in range(shards)
         ]
+        self._lanes = shards
         self._admin_lock = threading.Lock()
         self._tls = threading.local()
         self._assigned = 0
-        self._clients_per_shard = [0] * shards
         self._route_serial = 0
         self._started_monotonic = time.monotonic()
         self._reconciler = None
@@ -137,6 +142,7 @@ class HashService:
         self._swap_latency = self.registry.histogram(
             "serve.swap_ms", SWAP_MS_BUCKETS
         )
+        # Counts threads bound to the shared overflow lane.
         self._promotions = self.registry.counter("serve.shard_promotions")
         self._table_version = self.registry.gauge("serve.table_version")
 
@@ -215,7 +221,7 @@ class HashService:
     # -- shard assignment ----------------------------------------------
 
     def shard_for_caller(self) -> Shard:
-        """The calling thread's lane, bound round-robin on first use."""
+        """The calling thread's lane, bound on first use for life."""
         try:
             return self._tls.shard
         except AttributeError:
@@ -223,14 +229,16 @@ class HashService:
 
     def _bind_caller(self) -> Shard:
         with self._admin_lock:
-            index = self._assigned % len(self._shards)
+            index = self._assigned
             self._assigned += 1
-            self._clients_per_shard[index] += 1
-            shard = self._shards[index]
-            if self._clients_per_shard[index] == 2:
-                # Second submitter on this lane: end the single-writer
-                # era *before* this thread's first operation.
-                shard.make_shared()
+            if index < self._lanes:
+                shard = self._shards[index]
+            else:
+                if len(self._shards) == self._lanes:
+                    self._shards = self._shards + [
+                        self._new_lane(self._lanes, self._table, shared=True)
+                    ]
+                shard = self._shards[-1]
                 self._promotions.inc()
         self._tls.shard = shard
         return shard
@@ -257,8 +265,9 @@ class HashService:
                 submit(key)
 
         The binding stays valid across hot swaps (shards re-read their
-        table snapshot per key) and across lane promotion (the bound
-        method observes ``shared`` like any other call).
+        table snapshot per key).  On one of the first ``shards``
+        threads it is the lock-free lane's ``submit``; on any later
+        thread it is the overflow lane's locked ``submit``.
         """
         return self.shard_for_caller().submit
 

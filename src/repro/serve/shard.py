@@ -1,29 +1,30 @@
-"""One serving shard: a single-writer submission lane with batch flushes.
+"""One serving shard: a submission lane with batch flushes.
 
 The scaling mechanism of the serve layer is *not* "spread lock
 contention thinner" — on a contended CPython lock the barging
 implementation keeps throughput surprisingly flat across shard counts.
 What sharding actually buys is the right to **elide the lock**: a shard
-with exactly one registered submitter thread is a single-writer lane,
-so its pending buffers, counters and sample lists can be plain Python
-objects touched without synchronization, and every key costs one dict
-probe, one list append and one counter add until the buffer fills and
-one batched call — the native ``hash_many_array`` when the route has it
-— amortizes the per-key cost to tens of nanoseconds.
+with exactly one submitter thread is a single-writer lane, so its
+pending buffers, counters and sample lists can be plain Python objects
+touched without synchronization, and every key costs one dict probe,
+one list append and a length test until the buffer fills and one
+batched call — the native ``hash_many_array`` when the route has it —
+amortizes the per-key cost to tens of nanoseconds.
 
-The contract, precisely:
+The contract, precisely — a lane's mode is fixed for its lifetime:
 
-- **Exclusive shard** (``shared=False``): exactly one thread may call
-  the submission/hash methods.  The service enforces this by
-  assignment; the shard itself runs lock-free.
-- **Shared shard** (``shared=True``): any number of threads; every
-  operation takes the shard mutex.  Correct on any Python
-  implementation — no reliance on GIL atomicity for compound updates.
-- **Promotion** (exclusive → shared, when a second thread is assigned)
-  uses a busy-flag handshake: the owner brackets every unlocked
-  operation with ``busy``; :meth:`make_shared` flips ``shared`` and
-  spins until the in-flight operation (if any) drains.  After that,
-  every thread — the old owner included — sees ``shared`` and locks.
+- **Exclusive lane** (``shared=False``): exactly one thread may call
+  the submission/hash methods.  The service enforces this by binding
+  one thread per lane for life; the shard itself runs lock-free.
+- **Shared lane** (``shared=True``): any number of threads; the same
+  method bodies run under the shard mutex, installed once at
+  construction by one wrapper.  Correct on any Python implementation —
+  no reliance on GIL atomicity for compound updates.
+
+Drift sampling happens at flush, by slice: a flushed buffer yields
+``keys[mask::mask + 1]``, which are exactly the keys whose 1-based
+position ``p`` in the buffer satisfies ``p & mask == 0`` — the same
+set a per-key test at submit would pick, at no per-key cost.
 
 Route-table swaps need no handshake at all: shards read ``self.table``
 once per operation, and the service replaces the whole immutable
@@ -35,8 +36,8 @@ swap lands, never a torn mix of old offsets and new masks.
 
 from __future__ import annotations
 
+import functools
 import threading
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.routes import (
@@ -45,12 +46,16 @@ from repro.core.routes import (
     hash_columnar,
     hash_fallback,
 )
+from repro.obs.metrics import MetricsRegistry, get_registry
 
 SinkCallable = Callable[[Optional[RouteState], List[bytes], Sequence], None]
 """Receives every flushed batch: ``(route, keys, values)``; ``route`` is
 None for fallback traffic.  ``values`` is a NumPy uint64 array when the
 native array tier produced it — or, for fallback traffic, when the
-fallback's row kernel (``fallback.lanes``) did — else a list of ints."""
+fallback's row kernel (``fallback.lanes``) did — else a list of ints.
+A sink that raises loses that batch: the shard counts it
+(``serve.sink_errors``, ``serve.sink_dropped_keys``) and re-raises to
+the submitter."""
 
 DEFAULT_FLUSH_SIZE = 1024
 """Keys buffered per route before a batched flush; large enough to
@@ -59,19 +64,22 @@ amortize the Python→native boundary, small enough to bound latency."""
 _NEVER_MASK = (1 << 62) - 1
 """Sampling mask that fires only every ~4.6e18 keys: effectively off."""
 
+_LOCKED_METHODS = ("submit", "flush", "hash", "hash_many_array", "drain_samples")
+"""The entry points a shared lane runs under its mutex."""
+
 
 def sampling_mask(sample_every: int) -> int:
     """Round a sampling period up to a power of two, as an AND mask.
 
-    ``position & mask == 0`` then holds for one key in ``mask + 1`` — a
-    single AND on the hot path instead of a modulo.  The position is
-    always a *per-route* ordinal (pending-buffer length on the
-    streaming path, the route's cumulative count on the scalar path),
-    never the shard-global tick: a global counter aliases against
-    periodic traffic — a stream that strictly alternates two formats
-    with a power-of-two period would sample only one of them — while a
-    per-route ordinal samples every route at the configured rate
-    regardless of interleaving.  ``0`` disables sampling.
+    ``position & mask == 0`` then holds for one key in ``mask + 1``.
+    The position is always a *per-route* ordinal (position in the
+    flushed buffer on the streaming path, the route's cumulative count
+    on the scalar path), never a shard-global tick: a global counter
+    aliases against periodic traffic — a stream that strictly
+    alternates two formats with a power-of-two period would sample only
+    one of them — while a per-route ordinal samples every route at the
+    configured rate regardless of interleaving.  ``0`` disables
+    sampling.
     """
     if sample_every <= 0:
         return _NEVER_MASK
@@ -81,12 +89,21 @@ def sampling_mask(sample_every: int) -> int:
     return period - 1
 
 
+def _locked(lock: threading.Lock, method: Callable) -> Callable:
+    @functools.wraps(method)
+    def locked(*args):
+        with lock:
+            return method(*args)
+
+    return locked
+
+
 class Shard:
     """A submission lane over a shared route-table snapshot.
 
     Not constructed directly in normal use — the
-    :class:`~repro.serve.service.HashService` owns its shards, assigns
-    submitter threads, and handles promotion.
+    :class:`~repro.serve.service.HashService` owns its shards and binds
+    submitter threads to them.
     """
 
     def __init__(
@@ -98,6 +115,8 @@ class Shard:
         flush_size: int = DEFAULT_FLUSH_SIZE,
         sample_every: int = 64,
         sink: Optional[SinkCallable] = None,
+        shared: bool = False,
+        registry: Optional[MetricsRegistry] = None,
     ):
         self.index = index
         self.table = table
@@ -113,12 +132,16 @@ class Shard:
         self.flush_size = flush_size
         self.sample_mask = sampling_mask(sample_every)
         self.sink = sink
+        registry = registry if registry is not None else get_registry()
+        self._sink_errors = registry.counter("serve.sink_errors")
+        self._sink_dropped = registry.counter("serve.sink_dropped_keys")
         self.lock = threading.Lock()
-        self.shared = False
-        self.busy = False
+        self.shared = shared
+        if shared:
+            for name in _LOCKED_METHODS:
+                setattr(self, name, _locked(self.lock, getattr(self, name)))
         # Hot-path state: plain objects, guarded by the single-writer
         # contract (exclusive) or by ``self.lock`` (shared).
-        self.tick = 0
         self.hashed = 0
         self.fallback_count = 0
         self.sampled = 0
@@ -128,159 +151,82 @@ class Shard:
         self.samples: Dict[str, List[bytes]] = {}
         self.unrouted_samples: List[bytes] = []
 
-    # -- ownership ------------------------------------------------------
-
-    def make_shared(self) -> None:
-        """Promote to the locked discipline (second submitter arriving).
-
-        Returns only after any in-flight unlocked operation has
-        drained, so from the caller's perspective the shard is fully
-        locked when this method returns.
-        """
-        if self.shared:
-            return
-        self.shared = True
-        while self.busy:
-            time.sleep(0)
-
     # -- streaming submission ------------------------------------------
 
     def submit(self, key: bytes) -> None:
         """Enqueue one key; hashes land at the sink in batched flushes."""
-        if self.shared:
-            with self.lock:
-                self._submit(key)
-            return
-        self.busy = True
-        if self.shared:  # promotion raced in between check and flag
-            self.busy = False
-            with self.lock:
-                self._submit(key)
-            return
-        # Inlined mirror of _submit (keep in sync): the exclusive lane
-        # is the throughput path, and the extra call frame per key is
-        # measurable against a sub-microsecond budget.
-        try:
-            self.tick += 1
-            route = self.fast_map.get(len(key))
-            if route is None:
-                self._submit_slow(key)
-                return
-            route_id = route.route_id
-            entry = self.pending.get(route_id)
-            if entry is None:
-                entry = self.pending[route_id] = (route, [])
-            buffer = entry[1]
-            buffer.append(key)
-            if not len(buffer) & self.sample_mask:
-                samples = self.samples.get(route_id)
-                if samples is None:
-                    samples = self.samples[route_id] = []
-                samples.append(key)
-                self.sampled += 1
-            if len(buffer) >= self.flush_size:
-                self._flush_route(route_id, entry)
-        finally:
-            self.busy = False
-
-    def _submit(self, key: bytes) -> None:
-        self.tick += 1
         route = self.fast_map.get(len(key))
         if route is None:
-            self._submit_slow(key)
-            return
+            route = self.table.resolve_checked(key)
+            if route is None:
+                buffer = self.fallback_pending
+                buffer.append(key)
+                if len(buffer) >= self.flush_size:
+                    self._flush_fallback()
+                return
         route_id = route.route_id
         entry = self.pending.get(route_id)
         if entry is None:
             entry = self.pending[route_id] = (route, [])
         buffer = entry[1]
         buffer.append(key)
-        if not len(buffer) & self.sample_mask:
-            samples = self.samples.get(route_id)
-            if samples is None:
-                samples = self.samples[route_id] = []
-            samples.append(key)
-            self.sampled += 1
         if len(buffer) >= self.flush_size:
             self._flush_route(route_id, entry)
 
-    def _submit_slow(self, key: bytes) -> None:
-        """Contested-length and fallback submission (fast-map miss)."""
-        route = self.table.resolve_checked(key)
-        if route is None:
-            buffer = self.fallback_pending
-            buffer.append(key)
-            if not len(buffer) & self.sample_mask:
-                self.unrouted_samples.append(key)
-                self.sampled += 1
-            if len(buffer) >= self.flush_size:
-                self._flush_fallback()
-            return
-        route_id = route.route_id
-        entry = self.pending.get(route_id)
-        if entry is None:
-            entry = self.pending[route_id] = (route, [])
-        buffer = entry[1]
-        buffer.append(key)
-        if not len(buffer) & self.sample_mask:
-            samples = self.samples.get(route_id)
-            if samples is None:
-                samples = self.samples[route_id] = []
-            samples.append(key)
-            self.sampled += 1
-        if len(buffer) >= self.flush_size:
-            self._flush_route(route_id, entry)
+    def _sample(self, keys: List[bytes]) -> List[bytes]:
+        """The keys the per-route sampling ordinal picks from a buffer."""
+        mask = self.sample_mask
+        picked = keys[mask :: mask + 1]
+        self.sampled += len(picked)
+        return picked
 
     def _flush_route(
         self, route_id: str, entry: Tuple[RouteState, List[bytes]]
     ) -> None:
         del self.pending[route_id]
         route, keys = entry
+        picked = self._sample(keys)
+        if picked:
+            self.samples.setdefault(route_id, []).extend(picked)
         if route.batch_array is not None:
             values = route.batch_array(keys)
         else:
             values = route.batch(keys)
         self.hashed += len(keys)
         self._count_routed(route_id, len(keys))
-        sink = self.sink
-        if sink is not None:
-            sink(route, keys, values)
+        self._deliver(route, keys, values)
 
     def _flush_fallback(self) -> None:
         keys = self.fallback_pending
         self.fallback_pending = []
+        self.unrouted_samples.extend(self._sample(keys))
         values = hash_fallback(self.fallback, keys)
         count = len(keys)
         self.hashed += count
         self.fallback_count += count
+        self._deliver(None, keys, values)
+
+    def _deliver(
+        self, route: Optional[RouteState], keys: List[bytes], values
+    ) -> None:
         sink = self.sink
-        if sink is not None:
-            sink(None, keys, values)
+        if sink is None:
+            return
+        try:
+            sink(route, keys, values)
+        except BaseException:
+            self._sink_errors.inc()
+            self._sink_dropped.inc(len(keys))
+            raise
 
     def flush(self) -> None:
         """Flush every pending buffer through its batch tier.
 
-        Owner-thread calls follow the usual discipline.  Calling from a
-        *different* thread while an exclusive owner is actively
-        submitting is not supported (the service only force-flushes at
-        quiesce); on shared shards any thread may flush.
+        Calling from a thread other than an exclusive lane's owner while
+        that owner is actively submitting is not supported (the service
+        only force-flushes at quiesce); on shared lanes any thread may
+        flush.
         """
-        if self.shared:
-            with self.lock:
-                self._flush_all()
-            return
-        self.busy = True
-        if self.shared:
-            self.busy = False
-            with self.lock:
-                self._flush_all()
-            return
-        try:
-            self._flush_all()
-        finally:
-            self.busy = False
-
-    def _flush_all(self) -> None:
         for route_id, entry in list(self.pending.items()):
             self._flush_route(route_id, entry)
         if self.fallback_pending:
@@ -290,21 +236,6 @@ class Shard:
 
     def hash(self, key: bytes) -> int:
         """Hash one key now (scalar tier), bypassing the pending buffers."""
-        if self.shared:
-            with self.lock:
-                return self._hash(key)
-        self.busy = True
-        if self.shared:
-            self.busy = False
-            with self.lock:
-                return self._hash(key)
-        try:
-            return self._hash(key)
-        finally:
-            self.busy = False
-
-    def _hash(self, key: bytes) -> int:
-        self.tick += 1
         route = self.fast_map.get(len(key))
         if route is None:
             route = self.table.resolve_checked(key)
@@ -333,23 +264,7 @@ class Shard:
         columnar loop (:func:`~repro.core.routes.hash_columnar`): one
         batch call per length run a route owns, template resolution per
         key for contested lengths, the fallback for the rest."""
-        if self.shared:
-            with self.lock:
-                return self._hash_many_array(keys)
-        self.busy = True
-        if self.shared:
-            self.busy = False
-            with self.lock:
-                return self._hash_many_array(keys)
-        try:
-            return self._hash_many_array(keys)
-        finally:
-            self.busy = False
-
-    def _hash_many_array(self, keys: Sequence[bytes]):
-        count = len(keys)
-        self.tick += count
-        self.hashed += count
+        self.hashed += len(keys)
         return hash_columnar(self.table, keys, self.fallback, self._count_run)
 
     def _count_run(
@@ -372,23 +287,15 @@ class Shard:
     ) -> Tuple[Dict[str, List[bytes]], List[bytes]]:
         """Detach and return the sample lists accumulated so far.
 
-        Shared shards detach under the lock.  Exclusive shards detach
-        by bare reference swap from the reconciler thread: the owner
-        may concurrently append to a list the swap is about to drop, in
-        which case that *sample* (not the key — the key was hashed
-        normally) is lost.  Sampling is statistical by construction, so
+        Shared lanes detach under the lock.  Exclusive lanes detach by
+        bare reference swap from the reconciler thread: the owner may
+        concurrently extend a list the swap is about to drop, in which
+        case those *samples* (not the keys — the keys were hashed
+        normally) are lost.  Sampling is statistical by construction, so
         an occasionally dropped observation is an accepted cost of
         keeping the hot path lock-free; the monoid join is insensitive
         to duplicates and ordering either way.
         """
-        if self.shared:
-            with self.lock:
-                return self._detach_samples()
-        return self._detach_samples()
-
-    def _detach_samples(
-        self,
-    ) -> Tuple[Dict[str, List[bytes]], List[bytes]]:
         samples, self.samples = self.samples, {}
         unrouted, self.unrouted_samples = self.unrouted_samples, []
         return samples, unrouted
@@ -402,12 +309,13 @@ class Shard:
 
     def snapshot(self) -> Dict[str, object]:
         """Advisory counters snapshot (may lag in-flight operations)."""
+        pending = self.pending_count()
         return {
             "shard": self.index,
             "shared": self.shared,
-            "submitted": self.tick,
+            "submitted": self.hashed + pending,
             "hashed": self.hashed,
-            "pending": self.pending_count(),
+            "pending": pending,
             "fallback": self.fallback_count,
             "sampled": self.sampled,
             "routes": dict(self.route_counts),

@@ -132,7 +132,7 @@ class TestConcurrentDrainDiscipline:
 
         The writer publishes batches into a slot the drainer detaches by
         reference swap under the shared-shard lock (``drain_samples`` on
-        a promoted shard); everything written must appear in the final
+        a shared lane); everything written must appear in the final
         join exactly once, no matter how the drains interleave.
         """
         keys = generate_keys("SSN", 20_000, Distribution.UNIFORM, seed=9)

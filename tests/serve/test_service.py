@@ -1,10 +1,13 @@
-"""HashService: registration, traffic interfaces, sharding, promotion."""
+"""HashService: registration, traffic interfaces, lanes, sink faults."""
 
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
 from repro.core.plan import HashFamily
+from repro.core.routes import RouteState
 from repro.core.synthesis import synthesize
 from repro.hashes.murmur_stl import stl_hash_bytes
 from repro.keygen import Distribution, generate_keys
@@ -132,6 +135,40 @@ class TestStreaming:
             for key, value in zip(batch_keys, values)
         )
 
+    @pytest.mark.parametrize("routed", [True, False])
+    def test_raising_sink_counts_the_lost_batch(self, routed):
+        batches = []
+
+        def sink(route, keys, values):
+            batches.append(len(keys))
+            if len(batches) == 2:
+                raise RuntimeError("sink down")
+
+        svc = service(shards=1, flush_size=32, sink=sink)
+        svc.register(SSN)
+        if routed:
+            keys = generate_keys("SSN", 160, Distribution.UNIFORM, seed=9)
+        else:
+            keys = [b"off-format-key-%04d" % index for index in range(160)]
+        raised = 0
+        for key in keys[:128]:
+            try:
+                svc.submit(key)
+            except RuntimeError:
+                raised += 1
+        assert raised == 1  # re-raised to the submitter
+        assert svc.stats()["hashed"] == 128
+        assert sum(batches) - batches[1] == 96
+        registry = svc.registry
+        assert registry.counter("serve.sink_errors").value == 1
+        assert registry.counter("serve.sink_dropped_keys").value == 32
+        # Later traffic keeps flowing through the same lane.
+        for key in keys[128:]:
+            svc.submit(key)
+        svc.flush()
+        assert sum(batches) - batches[1] == 128
+        assert svc.stats()["pending"] == 0
+
     def test_sampling_feeds_shard_accumulators(self):
         svc = service(shards=1, sample_every=8, flush_size=64)
         svc.register(SSN)
@@ -162,57 +199,105 @@ class TestStreaming:
 
 
 class TestSharding:
-    def test_threads_bind_round_robin_and_promote(self):
-        svc = service(shards=2)
+    def test_first_threads_own_lanes_later_threads_share_one(self):
+        lock_held = []
+
+        def sink(route, keys, values):
+            lane = svc.shard_for_caller()
+            lock_held.append((lane.index, lane.lock.locked()))
+
+        svc = service(shards=2, flush_size=1, sink=sink)
         svc.register(SSN)
+        key = generate_keys("SSN", 1, Distribution.UNIFORM, seed=8)[0]
         bound = []
-        barrier = threading.Barrier(3)
+        barrier = threading.Barrier(5)
 
         def worker():
             barrier.wait()
             shard = svc.shard_for_caller()
-            bound.append(shard.index)
+            assert svc.shard_for_caller() is shard  # bound for life
+            bound.append(shard)
+            svc.submit(key)
 
-        threads = [threading.Thread(target=worker) for _ in range(3)]
+        threads = [threading.Thread(target=worker) for _ in range(5)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        assert sorted(bound) == [0, 0, 1]
-        # The doubly-assigned lane was promoted to the locked discipline.
-        shared_flags = sorted(shard.shared for shard in svc.shards)
-        assert shared_flags == [False, True]
-        assert svc.registry.counter("serve.shard_promotions").value == 1
+        assert sorted(shard.index for shard in bound) == [0, 1, 2, 2, 2]
+        lanes = svc.shards
+        assert [shard.shared for shard in lanes] == [False, False, True]
+        assert svc.registry.counter("serve.shard_promotions").value == 3
+        # Exclusive lanes never lock; the overflow lane always does.
+        assert sorted(lock_held) == [
+            (0, False), (1, False), (2, True), (2, True), (2, True)
+        ]
+        # The overflow lane takes part in table installs like the rest.
+        svc.register(MAC)
+        assert {shard.table.version for shard in lanes} == {2}
 
     def test_oversubscribed_service_loses_nothing(self):
-        # 6 submitter threads on 2 shards: every lane is shared, every
-        # submitted key must reach the sink exactly once.
+        # 6 submitter threads on 2 lanes: two own a lane, four share
+        # the locked overflow lane.  With the reconciler draining
+        # samples, a swap landing mid-traffic and a tiny switch
+        # interval, every submitted key must reach the sink exactly
+        # once.
         sink = CollectingSink()
         svc = service(shards=2, flush_size=64, sink=sink)
-        svc.register(SSN)
+        state = svc.register(SSN)
         per_thread = 2_000
+        streams = [
+            generate_keys("SSN", per_thread, Distribution.UNIFORM, seed=seed)
+            for seed in range(6)
+        ]
         barrier = threading.Barrier(6)
+        halfway = threading.Event()
+        swapped = threading.Event()
 
-        def worker(seed):
-            keys = generate_keys(
-                "SSN", per_thread, Distribution.UNIFORM, seed=seed
-            )
+        def worker(keys):
             submit = svc.submitter()
             barrier.wait()
-            for key in keys:
+            for position, key in enumerate(keys):
+                if position == per_thread // 2:
+                    # The swap lands while the slower threads still
+                    # submit; every thread's second half runs after it.
+                    halfway.set()
+                    swapped.wait()
                 submit(key)
 
         threads = [
-            threading.Thread(target=worker, args=(seed,))
-            for seed in range(6)
+            threading.Thread(target=worker, args=(keys,)) for keys in streams
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        svc.start(interval=0.001)
+        try:
+            for thread in threads:
+                thread.start()
+            halfway.wait()
+            try:
+                svc.swap_route(
+                    RouteState(
+                        state.route_id,
+                        state.synthesized,
+                        generation=state.generation + 1,
+                    )
+                )
+            finally:
+                swapped.set()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(switch_interval)
+            svc.stop()
         svc.flush()
         assert sink.delivered == 6 * per_thread
-        assert all(shard.shared for shard in svc.shards)
+        delivered = Counter(
+            key for _, batch_keys, _ in sink.batches for key in batch_keys
+        )
+        assert delivered == Counter(key for keys in streams for key in keys)
+        assert [shard.shared for shard in svc.shards] == [False, False, True]
+        assert 1 in {route.generation for route, _, _ in sink.batches}
 
     def test_swap_mid_traffic_changes_generation_not_results(self):
         sink = CollectingSink()
@@ -221,8 +306,6 @@ class TestSharding:
         keys = generate_keys("SSN", 64, Distribution.UNIFORM, seed=7)
         for key in keys[:32]:
             svc.submit(key)
-        from repro.core.routes import RouteState
-
         successor = RouteState(
             state.route_id,
             synthesize(SSN, HashFamily.PEXT),
