@@ -6,7 +6,8 @@ variant on the *same* keys:
 
 - **perfect** — the certified plan from
   :func:`repro.perfect.synthesize_perfect`, container lookups on the
-  ``perfect=True`` fast path (hash equality only; soundness is the
+  ``perfect=True`` fast path (one key comparison at the first hash
+  match, no chain walk; that the match is the only candidate is the
   exhaustive :class:`~repro.perfect.PerfectCertificate`).
 - **gperf** — the mini-gperf baseline trained on the same closed set.
 - **fnv** — FNV-1a, the classic general-purpose byte loop.

@@ -8,7 +8,7 @@ generated function does a handful of slice-and-int operations with no
 per-byte loop, while general-purpose baselines (the STL murmur port)
 iterate word by word with multiplies and shifts.
 
-Two deliberate lowerings replace per-call helpers with inline code:
+Three deliberate lowerings replace per-call helpers with inline code:
 
 - The GF(2)-linear part of a body — loads, ``pext`` with a compile-time
   mask, shifts, rotations, xor and bit-disjoint or — is *fused*, not
@@ -24,13 +24,24 @@ Two deliberate lowerings replace per-call helpers with inline code:
   operations a run and one call per loaded word.  The NumPy tier
   (:mod:`repro.codegen.batch`) lowers ``pext`` to the same gathers, two
   array ops per run.
+- When the scalar function returns such a register directly — a Pext
+  chain with nothing after it — it may be *tabulated* instead.  The
+  value is GF(2)-linear in the key bytes, so it is the xor of one
+  256-entry table per live key byte, each table derived exactly from
+  the gathers (simple tabulation in the sense of Thorup's "High Speed
+  Hashing for Integers and Strings", with plan-derived rather than
+  random tables).  The fast path is ``_t0[key[0]] | _t1[key[1]] | ...``:
+  no ``int.from_bytes``, no slicing, no big-int shift.  The tables are
+  keyword defaults built by the emitted source, so it stays
+  self-contained.  Which form is cheaper is counted, not tuned: see
+  :data:`_MAX_GATHERS`.
 - ``aes_absorb`` becomes inline T-table lookups (16 byte extractions,
   16 table reads, four column folds) against module-level tables bound
   into the function's namespace, skipping the Python call and state
   re-marshalling of :func:`repro.isa.aes.aesenc_fast` on every word pair.
 
 Differential tests (:mod:`tests.codegen.test_interp`,
-:mod:`tests.codegen.test_random_plans`) pin both against the reference
+:mod:`tests.codegen.test_random_plans`) pin all three against the reference
 interpreter, which uses the plain :func:`repro.isa.aes.aesenc` and
 :func:`repro.isa.bits.pext`, on keys of every length.
 """
@@ -60,7 +71,7 @@ LOAD_WINDOW_BYTES = 16
 """Widest key slice one fused load reads: loads whose byte ranges fit
 in a span this wide share one ``int.from_bytes`` call."""
 
-LOWERING_VERSION = 2
+LOWERING_VERSION = 3
 """Version of the emitted source for an unchanged plan.  The compile
 cache's on-disk tier puts it in file names, so a persisted lowering
 from an older emitter is re-emitted rather than loaded."""
@@ -70,7 +81,18 @@ _MAX_GATHERS = 32
 would exceed it runs as written on materialized operands instead: this
 bounds both the emitted expression (thousands of terms, as RQ6's
 2**14-byte keys would give, exceed the compiler's nesting limit) and
-the quadratic cost of merging a long combine chain."""
+the quadratic cost of merging a long combine chain.
+
+The scalar function returns a symbolic register as byte-table lookups
+when ``live_bytes < 2 * (gathers + windows)``.  Measured per operation
+joined into a 64-bit result (CPython 3.11, 2-vCPU Xeon VM, spread of
+three runs): a table lookup ``_t[key[p]]`` 50-66 ns, a gather
+``(_w >> d) & m`` 86-132 ns, a window load ``_ifb(key[a:b],
+'little')`` 144-238 ns.  So a lookup costs about half a gather, and a
+window is priced as one more gather.  SSN, IPV4 and MAC Pext and the
+certified-perfect MAC plan take tables; OffXor plans (2-3 gathers over
+11-17 live bytes) and the URL Pext plans (4 gathers over 20 live
+bytes) keep gathers."""
 
 _LINEAR_OPS = ("pext", "shl", "shr", "rotl", "xor", "or")
 """Opcodes that are GF(2)-linear in their register operands (``or``
@@ -158,6 +180,11 @@ def emit_body_lines(
     return _FusedBody(func, indent).lower(ret_template)
 
 
+def _shift(value: int, distance: int) -> int:
+    """``value >> distance``, or ``value << -distance`` when negative."""
+    return value >> distance if distance >= 0 else value << -distance
+
+
 def _gather_expression(
     name: str, distance: int, mask: int, possible: int
 ) -> str:
@@ -202,11 +229,19 @@ class _FusedBody:
     of a key zero-fills ``key[o:o+w]`` and ``key[a:b]`` alike, so
     ``(_w >> 8*(o-a)) & (2**(8*w) - 1) == ifb(key[o:o+w])`` for any
     key length, the empty key included.
+
+    With ``tabulate`` (the scalar function), a ``ret`` of a symbolic
+    register that is the whole body may instead be lowered to one table
+    lookup per live key byte (:meth:`_tabulated`); the tables are left
+    in :attr:`tables` as keyword-default parameters for the caller's
+    ``def`` line.  The batch loop body keeps the gather form.
     """
 
-    def __init__(self, func: IRFunction, indent: str):
+    def __init__(self, func: IRFunction, indent: str, tabulate: bool = False):
         self.func = func
         self.indent = indent
+        self.tabulate = tabulate
+        self.tables: List[str] = []  # "_t<k>=<expression>" parameters
         self.lines: List[str] = []
         self.windows: List[List[int]] = []  # [start, end) byte ranges
         self.load_window: Dict[Tuple[int, int], int] = {}
@@ -232,8 +267,7 @@ class _FusedBody:
     def _possible(self, window: int, distance: int) -> int:
         """Bits ``shift(_w<window>, distance)`` can have."""
         start, end = self.windows[window]
-        bits = (1 << (8 * (end - start))) - 1
-        return bits >> distance if distance >= 0 else bits << -distance
+        return _shift((1 << (8 * (end - start))) - 1, distance)
 
     def _merge(self, *parts: Iterable[Tuple[Tuple[int, int], int]]) -> Terms:
         """Xor ``parts`` together into canonical terms of a 64-bit value:
@@ -254,10 +288,7 @@ class _FusedBody:
         """Terms of ``(value >> by) & keep`` (``<<`` when ``by`` is
         negative): each gather moves ``by`` bits further."""
         return [
-            (
-                (window, distance + by),
-                (mask >> by if by >= 0 else mask << -by) & keep,
-            )
+            ((window, distance + by), _shift(mask, by) & keep)
             for (window, distance), mask in terms.items()
         ]
 
@@ -352,8 +383,80 @@ class _FusedBody:
         self.names[register] = register
         return register
 
+    def _byte_shares(self, terms: Terms) -> Dict[int, Dict[int, int]]:
+        """Each live key byte's share of ``terms``: ``{position: {by:
+        mask}}``, the byte's value ``b`` contributing the xor over its
+        entries of ``shift(b, by) & mask``.  Byte ``position`` of window
+        ``[start, end)`` sits ``8 * (position - start)`` bits up ``_w``,
+        so a gather at distance ``d`` moves it by ``d - 8 * (position -
+        start)``; windows may overlap, and shares of one byte merge."""
+        shares: Dict[int, Dict[int, int]] = {}
+        for (window, distance), mask in terms.items():
+            start, end = self.windows[window]
+            for position in range(start, end):
+                share = shares.setdefault(position, {})
+                by = distance - 8 * (position - start)
+                share[by] = share.get(by, 0) ^ mask
+        live: Dict[int, Dict[int, int]] = {}
+        for position, share in sorted(shares.items()):
+            trimmed = {
+                by: mask & _shift(0xFF, by)
+                for by, mask in sorted(share.items())
+                if mask & _shift(0xFF, by)
+            }
+            if trimmed:
+                live[position] = trimmed
+        return live
+
+    def _tabulated(self, terms: Terms, ret_template: str) -> bool:
+        """Emit ``ret`` of a symbolic register as byte-table lookups, if
+        that is the cheaper form (see :data:`_MAX_GATHERS`).
+
+        One 256-entry table per live key byte holds that byte's share of
+        the value for every byte value, built from the emitted source
+        itself (``_t<k>`` keyword defaults), so the fast path is one
+        subscript pair per live byte and no big-int arithmetic.  A key
+        too short for the last live byte raises ``IndexError`` and is
+        re-run zero-filled — the same zero-fill ``key[a:b]`` slicing
+        gives the gather form.
+        """
+        shares = self._byte_shares(terms)
+        windows = {window for window, _ in terms}
+        if not shares or len(shares) >= 2 * (len(terms) + len(windows)):
+            return False
+        lookups = []
+        names: Dict[str, str] = {}  # equal tables are built once
+        for position, share in shares.items():
+            entry = " ^ ".join(
+                _gather_expression("b", by, mask, _shift(0xFF, by))
+                for by, mask in share.items()
+            )
+            name = names.get(entry)
+            if name is None:
+                name = names[entry] = f"_t{len(self.tables)}"
+                self.tables.append(
+                    f"{name}=tuple([{entry} for b in range(256)])"
+                )
+            lookups.append(f"{name}[key[{position}]]")
+        bits = {at: self._bits(share) for at, share in shares.items()}
+        joiner = " ^ " if self._overlaps(bits) else " | "
+        ret = ret_template.format(joiner.join(lookups))
+        indent = self.indent
+        self.lines.extend(
+            [
+                f"{indent}try:",
+                f"{indent}    {ret}",
+                f"{indent}except IndexError:",
+                f"{indent}    key = bytes(key).ljust({max(shares) + 1}, "
+                "b'\\x00')",
+                f"{indent}{ret}",
+            ]
+        )
+        return True
+
     @staticmethod
-    def _overlaps(terms: Terms) -> bool:
+    def _overlaps(terms: Dict) -> bool:
+        """True when two of ``terms``' masks share a bit."""
         seen = 0
         for mask in terms.values():
             if seen & mask:
@@ -372,9 +475,16 @@ class _FusedBody:
                 self.symbolic[dest] = terms
                 continue
             if op == "ret":
+                body_emitted = True
+                if (
+                    self.tabulate
+                    and not lines
+                    and args[0] in self.symbolic
+                    and self._tabulated(self.symbolic[args[0]], ret_template)
+                ):
+                    continue
                 result = self._name(args[0], bind=False)
                 lines.append(f"{indent}{ret_template.format(result)}")
-                body_emitted = True
                 continue
             names = [
                 self._name(arg) if isinstance(arg, str) else arg
@@ -443,13 +553,20 @@ class _FusedBody:
 
 
 def _emit_python_lines(func: IRFunction) -> str:
-    lines: List[str] = []
-    lines.append(f"def {func.name}(key, _ifb=int.from_bytes, _aes=_aesenc):")
+    body = _FusedBody(func, "    ", tabulate=True)
+    body_lines = body.lower("return {0}")
+    parameters = ["key", "_ifb=int.from_bytes", "_aes=_aesenc", *body.tables]
+    if body.tables:
+        lines = [f"def {func.name}("]
+        lines.extend(f"    {parameter}," for parameter in parameters)
+        lines.append("):")
+    else:
+        lines = [f"def {func.name}({', '.join(parameters)}):"]
     doc = f"Synthesized {func.plan.family.value} hash"
     if func.plan.pattern_regex:
         doc += f" for format {func.plan.pattern_regex!r}"
     lines.append(f'    """{doc}."""')
-    lines.extend(emit_body_lines(func))
+    lines.extend(body_lines)
     return "\n".join(lines) + "\n"
 
 

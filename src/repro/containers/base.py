@@ -71,8 +71,8 @@ class ContainerTelemetry:
         self.chain_on_insert.observe(chain_length)
 
     def record_perfect_hit(self) -> None:
-        """One lookup resolved on the certified-perfect fast path —
-        hash equality alone, no key equality probe."""
+        """One lookup resolved on the certified-perfect fast path — the
+        first hash match, with no chain walk past it."""
         self.perfect_fast_path_hits.inc()
 
     def record_resize(
@@ -107,14 +107,16 @@ class HashTableBase:
             None, one is attached automatically iff
             :func:`repro.obs.container_telemetry_enabled` — otherwise
             the table runs the zero-overhead no-op path.
-        assume_perfect: opt into the no-collision fast path — lookups
-            match nodes on the cached hash alone, skipping the key
-            equality probe (and any collision-chain walk past the first
-            hash match).  Requires ``hash_function`` to carry a
-            *certified* :class:`~repro.perfect.PerfectCertificate`
-            (i.e. a :class:`~repro.perfect.PerfectHash`); sound only
-            while every key looked up or stored belongs to the
-            certified closed set.
+        assume_perfect: opt into the no-collision fast path — a lookup
+            stops at the first node whose cached hash matches and
+            compares that one node's key: equal is a hit, anything else
+            a miss, with no collision-chain walk past it.  Requires
+            ``hash_function`` to carry a *certified*
+            :class:`~repro.perfect.PerfectCertificate` (i.e. a
+            :class:`~repro.perfect.PerfectHash`).  Lookups of any key
+            are answered correctly; stored keys must belong to the
+            certified closed set, where the hash is injective, so the
+            first hash match is the only candidate.
     """
 
     __slots__ = (
@@ -250,11 +252,14 @@ class HashTableBase:
         buckets = self._buckets
         bucket = buckets[(hash_value >> self._discard_bits) % len(buckets)]
         if self._assume_perfect:
-            # Certified-perfect hash: within the closed set, equal hash
-            # implies equal key, so the equality probe (and any chain
-            # walk past the first hash match) is provably redundant.
+            # Certified-perfect hash: stored keys have distinct hashes,
+            # so the first hash match is the only node that can hold
+            # ``key``.  Its key is still compared: a key outside the
+            # certified set may share a member's hash.
             for node in bucket:
                 if node[0] == hash_value:
+                    if node[1] != key:
+                        return None
                     if self._telemetry is not None:
                         self._telemetry.record_perfect_hit()
                     return node

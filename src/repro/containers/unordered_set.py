@@ -22,9 +22,10 @@ class UnorderedSet(HashTableBase):
         self, hash_function, policy=None, telemetry=None, perfect=False
     ):
         """``perfect=True`` engages the certified no-collision fast path
-        (lookups skip the key equality probe); requires a
-        :class:`~repro.perfect.PerfectHash` and lookups confined to its
-        certified closed key set."""
+        (a lookup compares the key of the first hash match only, with no
+        chain walk); requires a :class:`~repro.perfect.PerfectHash` and
+        stored keys from its certified closed key set.  Lookups of keys
+        outside that set miss correctly."""
         super().__init__(
             hash_function,
             policy,

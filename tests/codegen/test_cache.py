@@ -14,7 +14,12 @@ from repro.codegen.cache import (
     get_compile_cache,
     plan_fingerprint,
 )
-from repro.codegen.python_backend import LOWERING_VERSION
+from repro.codegen.ir import build_ir, optimize
+from repro.codegen.python_backend import (
+    LOWERING_VERSION,
+    emit_body_lines,
+    emit_python,
+)
 from repro.core.plan import HashFamily, LoadOp
 from repro.core.synthesis import synthesize
 from repro.keygen.keyspec import KEY_TYPES
@@ -179,6 +184,32 @@ class TestDiskTier:
         )
         assert value == synthesize(SSN, HashFamily.PEXT)(key)
         current = tmp_path / f"{fingerprint}.{kind}.v{LOWERING_VERSION}.f.py"
+        assert current.read_text() == artifact.source
+
+
+    def test_gather_form_scalar_source_of_version_2_is_re_emitted(
+        self, tmp_path
+    ):
+        """Version 2 persisted the gather form of a Pext plan.  It
+        computes the same values as the byte-table form, so only the
+        file name tells them apart: the cache re-emits, it does not
+        exec the old source."""
+        plan = ssn_plan()
+        func = optimize(build_ir(plan, name="f"))
+        fingerprint = plan_fingerprint(plan)
+        (tmp_path / f"{fingerprint}.scalar.v2.f.py").write_text(
+            "def f(key, _ifb=int.from_bytes, _aes=_aesenc):\n"
+            + "\n".join(emit_body_lines(func))
+            + "\n"
+        )
+        cache = CompileCache(registry=MetricsRegistry(), source_dir=tmp_path)
+        artifact = cache.scalar(plan, name="f")
+        assert cache.stats()["disk_hits"] == 0
+        assert artifact.source == emit_python(func)
+        assert "except IndexError" in artifact.source
+        current = (
+            tmp_path / f"{fingerprint}.scalar.v{LOWERING_VERSION}.f.py"
+        )
         assert current.read_text() == artifact.source
 
 

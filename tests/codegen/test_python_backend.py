@@ -16,7 +16,9 @@ from repro.codegen.python_backend import (
     emit_python,
 )
 from repro.core.synthesis import synthesize
+from repro.keygen import Distribution, KeyGenerator, key_spec
 from repro.keygen.keyspec import KEY_TYPES
+from repro.perfect import rq_closed_set, synthesize_perfect
 from repro.core.plan import (
     CombineOp,
     HashFamily,
@@ -80,19 +82,112 @@ def _calls(source):
     ]
 
 
+def _fast_path(source):
+    """The ``try`` body of a tabulated function, or None for the gather
+    form."""
+    function = ast.parse(source).body[0]
+    tries = [node for node in function.body if isinstance(node, ast.Try)]
+    return tries[0].body if tries else None
+
+
+def _varying_positions(name):
+    """Key bytes that differ across conforming keys: the bytes a Pext
+    plan keeps bits of."""
+    keys = KeyGenerator(
+        key_spec(name), Distribution.UNIFORM, seed=3
+    ).distinct_pool(500)
+    return {
+        position
+        for position in range(len(keys[0]))
+        if len({key[position] for key in keys}) > 1
+    }
+
+
+@pytest.fixture(scope="module")
+def perfect_mac_plan():
+    return synthesize_perfect(rq_closed_set("MAC", 1000, seed=0)).plan
+
+
 class TestFusedLowering:
     @pytest.mark.parametrize("name", ["SSN", "IPV4"])
-    def test_pext_is_one_load_and_one_gather_per_distance(self, name):
+    def test_pext_is_one_lookup_per_live_byte(self, name):
+        """Table form: the fast path subscripts one table by each live
+        key byte, once, with no call (no ``_ifb``) and no shift."""
         plan = synthesize(KEY_TYPES[name].regex, HashFamily.PEXT).plan
         source = emit_python(optimize(build_ir(plan, name="f")))
-        assert _calls(source) == ["_ifb"]
+        fast = _fast_path(source)
+        assert fast is not None
+        nodes = [node for stmt in fast for node in ast.walk(stmt)]
+        assert not any(isinstance(node, ast.Call) for node in nodes)
+        assert not any(
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, (ast.LShift, ast.RShift))
+            for node in nodes
+        )
+        lookups = [
+            node
+            for node in nodes
+            if isinstance(node, ast.Subscript)
+            and node.value.id.startswith("_t")
+        ]
+        positions = [lookup.slice.slice.value for lookup in lookups]
+        assert sorted(positions) == sorted(_varying_positions(name))
+        assert all(
+            lookup.slice.value.id == "key" for lookup in lookups
+        )
+
+    @pytest.mark.parametrize(
+        "name, family",
+        [
+            ("SSN", HashFamily.OFFXOR),
+            ("IPV4", HashFamily.OFFXOR),
+            ("MAC", HashFamily.OFFXOR),
+            ("URL1", HashFamily.PEXT),
+        ],
+    )
+    def test_few_gathers_over_many_bytes_keep_the_gather_form(
+        self, name, family
+    ):
+        """Tables pay only when live bytes are fewer than twice the
+        gathers plus windows; these plans have 2-4 gathers over 11-20
+        live bytes."""
+        plan = synthesize(KEY_TYPES[name].regex, family).plan
+        source = emit_python(optimize(build_ir(plan, name="f")))
+        assert _fast_path(source) is None
+        assert "_t0" not in source
         gathers = [
             _gather_distance(node.left)
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
         ]
-        assert gathers
         assert len(gathers) == len(set(gathers))
+        assert set(_calls(source)) == {"_ifb"}
+
+    @pytest.mark.parametrize("name", ["SSN", "IPV4", "MAC", "perfect MAC"])
+    def test_tabulated_short_keys_match_interpreter(
+        self, name, perfect_mac_plan
+    ):
+        """A key shorter than the last live byte takes the zero-filled
+        rerun; every length from empty to three bytes past the plan's,
+        as bytes, bytearray and memoryview, matches the interpreter."""
+        plan = (
+            perfect_mac_plan
+            if name == "perfect MAC"
+            else synthesize(KEY_TYPES[name].regex, HashFamily.PEXT).plan
+        )
+        func = optimize(build_ir(plan, name="f"))
+        source = emit_python(func)
+        assert _fast_path(source) is not None
+        function = compile_source(source, "f")
+        spec = key_spec(name.split()[-1])
+        data = KeyGenerator(spec, Distribution.UNIFORM, seed=5).distinct_pool(
+            1
+        )[0] + b"\x81\xff\x07"
+        for length in range(plan.key_length + 4):
+            key = data[:length]
+            expected = interpret(func, key)
+            for view in (key, bytearray(key), memoryview(key)):
+                assert function(view) == expected, (length, type(view))
 
     def test_window_is_capped(self):
         plan = make_plan([LoadOp(offset) for offset in (0, 8, 16, 24)],

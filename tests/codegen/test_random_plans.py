@@ -8,13 +8,17 @@ today's.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from repro.codegen.batch import compile_plan_batch, emit_python_batch
 from repro.codegen.interp import interpret
 from repro.codegen.ir import build_ir, optimize
-from repro.codegen.python_backend import compile_plan, compile_source
+from repro.codegen.python_backend import (
+    compile_plan,
+    compile_source,
+    emit_python,
+)
 from repro.codegen.serialize import dumps, loads
 from repro.core.plan import (
     CombineOp,
@@ -127,6 +131,17 @@ class TestRandomPlans:
         expected = [interpret(func, key) for key in keys]
         assert [scalar(key) for key in keys] == expected
         assert loop(keys) == expected
+
+    @pytest.mark.parametrize("tabulated", [True, False])
+    def test_strategy_reaches_both_scalar_forms(self, tabulated):
+        """The strategy draws plans of both scalar lowerings — byte
+        tables and gathers — so the properties above cover each."""
+
+        def form(plan):
+            source = emit_python(optimize(build_ir(plan, name="f")))
+            return ("except IndexError" in source) == tabulated
+
+        find(random_plan(), form, settings=settings(max_examples=500))
 
     @given(random_plan())
     @settings(max_examples=40, deadline=None)

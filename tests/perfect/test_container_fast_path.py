@@ -1,17 +1,46 @@
 """Containers on the certified no-collision fast path."""
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.containers import UnorderedMap, UnorderedSet
 from repro.containers.base import ContainerTelemetry
 from repro.hashes import stl_hash_bytes
 from repro.obs.metrics import MetricsRegistry
-from repro.perfect import builtin_key_set, synthesize_perfect
+from repro.perfect import builtin_key_set, rq_closed_set, synthesize_perfect
+
+MAC_SET = rq_closed_set("MAC", 1000, seed=0)
+HEX = "0123456789abcdef"
 
 
 @pytest.fixture(scope="module")
 def perfect_http():
     return synthesize_perfect(builtin_key_set("http-methods"))
+
+
+@pytest.fixture(scope="module")
+def perfect_mac_map():
+    perfect = synthesize_perfect(MAC_SET)
+    table = UnorderedMap(perfect.container_function, perfect=True)
+    table.insert_many((key, index) for index, key in enumerate(MAC_SET))
+    return table
+
+
+@st.composite
+def mac_keys(draw):
+    """MAC-format keys: uniform ones, and members with one hex digit
+    changed, which often keep the member's perfect hash (the plan reads
+    only some of each key's bits)."""
+    if draw(st.booleans()):
+        digits = draw(st.lists(st.sampled_from(HEX), min_size=12, max_size=12))
+        return "-".join(
+            "".join(digits[i:i + 2]) for i in range(0, 12, 2)
+        ).encode()
+    key = bytearray(draw(st.sampled_from(MAC_SET)))
+    position = draw(st.sampled_from([i for i in range(17) if i % 3 != 2]))
+    key[position] = ord(draw(st.sampled_from(HEX)))
+    return bytes(key)
 
 
 class TestOptIn:
@@ -39,9 +68,9 @@ class TestLookups:
         assert len(table) == len(keys)
         for key in keys:
             assert key in table
-        # Outside the certified closed set the fast path is undefined
-        # (hash-only matching): that is exactly what the certificate's
-        # covers() refuses, so misuse is detectable before lookup.
+        # A key outside the certified closed set is not covered by the
+        # certificate; lookups of it still miss (TestNonMembers).
+        assert b"BREW\x00\x00\x00\x00" not in table
         assert not perfect_http.certificate.covers(
             list(keys) + [b"BREW\x00\x00\x00\x00"]
         )
@@ -62,6 +91,29 @@ class TestLookups:
         slow.insert_many(keys)
         for key in keys:
             assert fast.find(key) == slow.find(key)
+
+
+class TestNonMembers:
+    """A key outside the closed set may share a member's perfect hash;
+    the fast path must still answer it as absent."""
+
+    @given(key=mac_keys())
+    @example(key=b"78-93-ff-c6-e6-25")  # hashes like b"78-93-cf-c6-e6-25"
+    @settings(max_examples=200, deadline=None)
+    def test_non_member_lookups_miss(self, perfect_mac_map, key):
+        assume(key not in MAC_SET)
+        assert perfect_mac_map.find(key) is None
+        assert key not in perfect_mac_map
+        assert perfect_mac_map.count(key) == 0
+
+    def test_pinned_non_member_shares_a_member_hash(self, perfect_mac_map):
+        """The pinned example above really exercises the hole: it
+        collides with a member under the certified hash."""
+        function = perfect_mac_map._hash
+        assert function(b"78-93-ff-c6-e6-25") == function(b"78-93-cf-c6-e6-25")
+        assert perfect_mac_map.find(b"78-93-cf-c6-e6-25") == MAC_SET.index(
+            b"78-93-cf-c6-e6-25"
+        )
 
 
 class TestTelemetry:
