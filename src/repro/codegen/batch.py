@@ -24,8 +24,9 @@ Three lowerings, strongest applicable wins:
   as rows, runs the lane body and boxes the result with ``tolist``; it
   is exposed as the entry's ``lanes`` attribute for callers that
   already hold a row view.  A generated guard falls back to the loop
-  form for tiny batches and non-conforming key lengths, so semantics
-  never change.
+  form for tiny batches and for any key whose length is not exactly
+  the plan's (each key is checked: lengths that merely sum to
+  ``n * key_length`` are no row view), so semantics never change.
 - **List comprehension** (Naive/OffXor, every intermediate used once):
   the body collapses to one expression evaluated in a comprehension —
   CPython's specialized frame, no per-key ``append`` call.
@@ -282,13 +283,11 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
         "",
         f"def {name}(keys, _ifb=int.from_bytes, _aes=_aesenc):",
         "    n = len(keys)",
-        f"    if n < {VECTOR_MIN_KEYS}:",
+        f"    if n < {VECTOR_MIN_KEYS} or "
+        f"list(map(len, keys)).count({length}) != n:",
         f"        return _{name}_rows(keys)",
-        "    buf = b''.join(keys)",
-        f"    if len(buf) != n * {length}:",
-        f"        return _{name}_rows(keys)",
-        f"    return _{name}_lanes(_np.frombuffer(buf, dtype=_np.uint8)"
-        f".reshape(n, {length})).tolist()",
+        f"    return _{name}_lanes(_np.frombuffer(b''.join(keys), "
+        f"dtype=_np.uint8).reshape(n, {length})).tolist()",
         "",
         f"{name}.lanes = _{name}_lanes",
     ]

@@ -287,10 +287,11 @@ class NativeModule:
         self._scalar = scalar
         self._batch = batch
         self._batch_raw = batch_raw
-        # Per-batch-size marshaling cache (last size only; callers
-        # overwhelmingly re-batch at one size): the offsets and lens
-        # vectors for the fixed-length path.  Only arrays that are
-        # never written after construction live here — one NativeModule
+        # Per-batch-shape marshaling cache (last ``(count, length)``
+        # only; callers overwhelmingly re-batch at one shape): the
+        # offsets and lens vectors for the fixed-length path.  Only
+        # arrays that are never written after construction live here —
+        # one NativeModule
         # is shared by every shard/dispatcher hashing the same plan
         # (the compile cache hands out one instance per plan), so a
         # cached *output* buffer would be a cross-thread data race.
@@ -307,9 +308,10 @@ class NativeModule:
         The keys are packed into one contiguous buffer (the same
         ``b"".join`` strategy as the NumPy lane kernels) and the
         pointer/length arrays the C ABI wants are computed as NumPy
-        vector ops — so the per-key Python cost is the join plus the
-        final ``tolist``, not a ctypes conversion per key.  Without
-        NumPy a plain ctypes-array marshal keeps the tier functional.
+        vector ops — so the per-key Python cost is the join, one
+        length scan and the final ``tolist``, not a ctypes conversion
+        per key.  Without NumPy a plain ctypes-array marshal keeps the
+        tier functional.
         """
         count = len(keys)
         if count == 0:
@@ -325,7 +327,7 @@ class NativeModule:
                 return self._hash_many_ctypes(keys, count)
         return self._marshal_batch(keys, count).tolist()
 
-    def hash_many_array(self, keys: Sequence):
+    def hash_many_array(self, keys):
         """Like :meth:`hash_many` but returning a NumPy uint64 array.
 
         Skips the ``tolist`` materialization (the single largest cost
@@ -333,13 +335,33 @@ class NativeModule:
         key), so numeric consumers that mod/partition/compare hashes as
         arrays get the raw native throughput.
 
+        ``keys`` is either a sequence of keys or a ``uint8[k, w]`` row
+        view, one ``w``-byte key per row — the convention of
+        :meth:`repro.core.synthesis.SynthesizedHash.hash_many`.  Rows
+        already sit in one block, so they are hashed in place: no join
+        and no per-key length scan.
+
         Raises:
             NativeUnavailableError: when NumPy is not importable.
+            ValueError: for an array that is not a ``uint8`` matrix, or
+                rows narrower than a fixed-length plan's keys.
         """
         if not _HAVE_NUMPY:
             raise NativeUnavailableError(
                 "hash_many_array requires NumPy for the output array"
             )
+        if isinstance(keys, _numpy.ndarray):
+            if (
+                keys.ndim != 2
+                or keys.dtype != _numpy.uint8
+                or keys.shape[1] < (self.key_length or 0)
+            ):
+                raise ValueError(
+                    f"rows must be uint8[k, >={self.key_length or 0}]; "
+                    f"got {keys.dtype}{keys.shape}"
+                )
+            rows = _numpy.ascontiguousarray(keys)
+            return self._hash_fixed(rows.ctypes.data, *rows.shape)
         count = len(keys)
         if count == 0:
             return _numpy.empty(0, dtype=_numpy.uint64)
@@ -355,14 +377,23 @@ class NativeModule:
                 for key in keys
             ]
             buf = b"".join(keys)
+        length = self.key_length
+        if length is not None and list(map(len, keys)).count(length) != count:
+            # A fixed-length kernel reads bytes [0, key_length) of every
+            # key whatever its length.  Cut or zero-pad each key of a
+            # ragged batch to exactly the bytes the scalar function
+            # reads; lengths that merely sum to ``count * length`` do
+            # not make a batch fixed-length.
+            buf = b"".join(
+                [bytes(key[:length]).ljust(length, b"\0") for key in keys]
+            )
+        # ``buf`` must stay alive through the call; the local
+        # guarantees it.
         base = ctypes.cast(
             ctypes.c_char_p(buf), ctypes.c_void_p
         ).value
-        length = self.key_length
-        if length is not None and len(buf) == count * length:
-            # ``buf`` must stay alive through the call; the local
-            # guarantees it.
-            return self._hash_fixed(base, count)
+        if length is not None:
+            return self._hash_fixed(base, count, length)
         lens = _numpy.fromiter(
             map(len, keys), dtype=_numpy.uintp, count=count
         )
@@ -376,49 +407,23 @@ class NativeModule:
         )
         return out
 
-    def hash_rows(self, rows):
-        """Hash a ``uint8[k, key_length]`` row view into ``uint64[k]``.
-
-        The columnar entry: the rows already sit in one block, so the
-        call is the fixed-length pointer arithmetic of
-        :meth:`hash_many_array` without the join.
-
-        Raises:
-            ValueError: unless ``rows`` is a ``uint8`` matrix as wide as
-                the module's key length (other rows are not its keys).
-        """
-        if (
-            rows.ndim != 2
-            or rows.dtype != _numpy.uint8
-            or rows.shape[1] != self.key_length
-        ):
-            raise ValueError(
-                f"rows must be uint8[k, {self.key_length}]; "
-                f"got {rows.dtype}{rows.shape}"
-            )
-        count = rows.shape[0]
-        if count == 0:
-            return _numpy.empty(0, dtype=_numpy.uint64)
-        rows = _numpy.ascontiguousarray(rows)
-        return self._hash_fixed(rows.ctypes.data, count)
-
-    def _hash_fixed(self, base: int, count: int):
-        """Call the batch entry on ``count`` keys packed from ``base``.
+    def _hash_fixed(self, base: int, count: int, length: int):
+        """Call the batch entry on ``count`` keys of ``length`` bytes
+        packed from ``base``.
 
         Pointer arithmetic replaces per-key length computation
         entirely, and the offsets / lens vectors are reused across
-        equal-sized batches (the steady-state shape of dispatcher
+        equal-shaped batches (the steady-state shape of dispatcher
         traffic).  The pointers vector is allocated fresh per call:
         concurrent batches from different threads share this module,
         and a shared output buffer would let one batch hash another's
         keys.  The caller keeps the block at ``base`` alive.
         """
-        length = self.key_length
         cached = self._offsets_cache
-        if cached is None or cached[0] != count:
+        if cached is None or cached[0] != (count, length):
             offsets = length * _numpy.arange(count, dtype=_numpy.uintp)
             lens = _numpy.full(count, length, dtype=_numpy.uintp)
-            self._offsets_cache = (count, offsets, lens)
+            self._offsets_cache = ((count, length), offsets, lens)
         else:
             _, offsets, lens = cached
         pointers = offsets + _numpy.uintp(base)

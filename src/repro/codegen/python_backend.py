@@ -71,7 +71,7 @@ LOAD_WINDOW_BYTES = 16
 """Widest key slice one fused load reads: loads whose byte ranges fit
 in a span this wide share one ``int.from_bytes`` call."""
 
-LOWERING_VERSION = 3
+LOWERING_VERSION = 4
 """Version of the emitted source for an unchanged plan.  The compile
 cache's on-disk tier puts it in file names, so a persisted lowering
 from an older emitter is re-emitted rather than loaded."""

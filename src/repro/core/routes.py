@@ -104,6 +104,8 @@ class RouteState:
         batch_array: native ``hash_many_array`` returning a NumPy
             uint64 array, or None when the native tier degraded.
         native: True when the native module backs the callables.
+        key_length: the plan's fixed key length, or None for a
+            variable-length plan.
         batch_tier: name of the tier serving ``batch`` (``"native"`` or
             ``"numpy"``); :meth:`hash_run` uses the same tier.
         cost_ordered: True when the static cost model picked the batch
@@ -120,6 +122,7 @@ class RouteState:
         "batch",
         "batch_array",
         "native",
+        "key_length",
         "batch_tier",
         "cost_ordered",
     )
@@ -161,6 +164,7 @@ class RouteState:
         self.scalar = scalar
         self.batch_array = batch_array
         self.native = native
+        self.key_length = synthesized.plan.key_length
 
     @property
     def pattern(self) -> KeyPattern:
@@ -176,7 +180,8 @@ class RouteState:
 
         ``rows`` is the run's ``uint8[k, L]`` row view when the caller
         holds one.  The native tier hashes the rows in place (or the
-        keys as one packed buffer); otherwise a run of at least
+        keys as one packed buffer) through ``hash_many_array``;
+        otherwise a run of at least
         :data:`~repro.codegen.batch.VECTOR_MIN_KEYS` rows goes to the
         NumPy lane body when the plan has one, and anything else to
         the format's ``hash_many`` as a key list.  ``hash_many`` is
@@ -185,10 +190,10 @@ class RouteState:
         or a list of ints, aligned with ``keys``.
         """
         if self.batch_tier == "native":
-            module = self.scalar  # the native module, when it serves
-            if rows is not None and self.pattern.is_fixed_length:
-                return module.hash_rows(rows)
-            return module.hash_many_array(keys)
+            # ``scalar`` is the native module when it serves.
+            return self.scalar.hash_many_array(
+                keys if rows is None else rows
+            )
         synthesized = self.synthesized
         if (
             rows is not None

@@ -194,6 +194,24 @@ def _off_length_keys(keys: Sequence[bytes]) -> List[bytes]:
     return probes
 
 
+def _ragged_batch(keys: Sequence[bytes], length: int) -> List[bytes]:
+    """The off-length probes of ``keys``, with the extended ones cut
+    (never back to ``length``) or the empty one padded so that the
+    lengths sum to ``len(batch) * length``: a ragged batch that a
+    length-sum check would take for one of fixed-length keys."""
+    batch = _off_length_keys(keys)
+    excess = sum(map(len, batch)) - len(batch) * length
+    if excess < 0:
+        batch[-1] = b"\xa5" * -excess
+        excess = 0
+    for index, probe in enumerate(batch):
+        cut = min(excess, len(probe) - length - 1)
+        if cut > 0:
+            batch[index] = probe[:-cut]
+            excess -= cut
+    return batch
+
+
 @_oracle("python-vs-interp", GROUP_DIFFERENTIAL)
 def check_python_vs_interp(ctx: CaseContext) -> Optional[str]:
     """Compiled Python backend agrees with the IR interpreter, all
@@ -236,6 +254,11 @@ def check_batch_vs_scalar(ctx: CaseContext) -> Optional[str]:
         small = keys[:_SMALL_BATCH]
         if synthesized.hash_many(small) != scalar[: len(small)]:
             return f"{family.value}: small-batch loop path diverges"
+        length = synthesized.plan.key_length
+        if length is not None:
+            ragged = _ragged_batch(keys, length)
+            if synthesized.hash_many(ragged) != list(map(synthesized, ragged)):
+                return f"{family.value}: ragged batch diverges from scalar"
     return None
 
 
@@ -401,18 +424,24 @@ def check_cpp_native_vs_interp(ctx: CaseContext) -> Optional[str]:
                     f"{family.value}: native scalar {got:#x} != "
                     f"interpreted {want:#x} for key {key!r}"
                 )
-        batched = module.hash_many(keys)
-        if batched != expected:
-            index = next(
-                i
-                for i, (a, b) in enumerate(zip(batched, expected))
-                if a != b
-            )
-            return (
-                f"{family.value}: native hash_many[{index}] = "
-                f"{batched[index]:#x} != interpreted "
-                f"{expected[index]:#x} for key {keys[index]!r}"
-            )
+        batches = [(keys, expected)]
+        length = synthesized.plan.key_length
+        if length is not None:
+            ragged = _ragged_batch(keys, length)
+            batches.append((ragged, [interpret(func, key) for key in ragged]))
+        for batch, wanted in batches:
+            batched = module.hash_many(batch)
+            if batched != wanted:
+                index = next(
+                    i
+                    for i, (a, b) in enumerate(zip(batched, wanted))
+                    if a != b
+                )
+                return (
+                    f"{family.value}: native hash_many[{index}] = "
+                    f"{batched[index]:#x} != interpreted "
+                    f"{wanted[index]:#x} for key {batch[index]!r}"
+                )
     return None
 
 

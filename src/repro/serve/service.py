@@ -193,15 +193,16 @@ class HashService:
     def _install_table(self, table: RouteTable) -> None:
         """Point every shard at a new snapshot (admin lock held).
 
-        Two reference stores per shard (``table`` then its lifted
-        ``fast_map``); a reader interleaving between them sees two
-        complete snapshots at most one swap apart, which the stale-plan
-        contract already permits.
+        Three reference stores per shard (``table``, its lifted
+        ``fast_map``, then an empty lane cache); a reader interleaving
+        between them sees two complete snapshots at most one swap
+        apart, which the stale-plan contract already permits.
         """
         self._table = table
         for shard in self._shards:
             shard.table = table
             shard.fast_map = table.fast
+            shard.lanes = {}
         self._table_version.set(table.version)
 
     def swap_route(self, new_state: RouteState) -> None:

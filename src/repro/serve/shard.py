@@ -26,12 +26,29 @@ Drift sampling happens at flush, by slice: a flushed buffer yields
 position ``p`` in the buffer satisfies ``p & mask == 0`` — the same
 set a per-key test at submit would pick, at no per-key cost.
 
-Route-table swaps need no handshake at all: shards read ``self.table``
-once per operation, and the service replaces the whole immutable
-:class:`~repro.core.routes.RouteTable` by reference.  Keys already
-sitting in a pending buffer keep the :class:`RouteState` they resolved
-under and are flushed through it — the stale plan serves until the
-swap lands, never a torn mix of old offsets and new masks.
+The one dict probe is the **lane cache**, ``lanes``: key length →
+the pending buffer of the route that length resolves to.  A miss takes
+the resolve path (``fast_map``, then the templates, then the fallback)
+and caches the buffer only for a length ``fast_map`` owns, so
+contested and unowned lengths never skip their template walk.  An entry
+is right exactly while its buffer is pending and the length's owner is
+unchanged, so two events clear the whole cache: a route flush (its
+buffer is detached) and a table install (``HashService`` stores
+``table``, ``fast_map``, then ``lanes = {}``).  The miss path reads
+``fast_map`` before it resolves and checks it again after it caches: if
+an install landed in between, the reset may have preceded the store, so
+the miss path clears the cache itself.  A key submitted after an
+install returns therefore resolves against the new table.
+
+Route-table swaps need no handshake at all: the service replaces the
+whole immutable :class:`~repro.core.routes.RouteTable` by reference.
+Keys already sitting in a pending buffer keep the :class:`RouteState`
+they resolved under and are flushed through it — the stale plan serves
+until the swap lands, never a torn mix of old offsets and new masks.
+A swap that changes a route's key length first flushes the route's
+buffer, so a fixed-length route's buffer only holds keys of its length
+and its flush hands the batch tier one ``uint8[n, L]`` row view of the
+joined buffer instead of a key list.
 """
 
 from __future__ import annotations
@@ -45,6 +62,7 @@ from repro.core.routes import (
     RouteTable,
     hash_columnar,
     hash_fallback,
+    row_view,
 )
 from repro.obs.metrics import MetricsRegistry, get_registry
 
@@ -146,6 +164,9 @@ class Shard:
         self.fallback_count = 0
         self.sampled = 0
         self.pending: Dict[str, Tuple[RouteState, List[bytes]]] = {}
+        # The lane cache: key length -> that length's pending buffer,
+        # for lengths ``fast_map`` owns (see the module docstring).
+        self.lanes: Dict[int, List[bytes]] = {}
         self.fallback_pending: List[bytes] = []
         self.route_counts: Dict[str, int] = {}
         self.samples: Dict[str, List[bytes]] = {}
@@ -155,23 +176,56 @@ class Shard:
 
     def submit(self, key: bytes) -> None:
         """Enqueue one key; hashes land at the sink in batched flushes."""
-        route = self.fast_map.get(len(key))
-        if route is None:
+        buffer = self.lanes.get(len(key))
+        if buffer is None:
+            buffer = self._lane(key)
+        buffer.append(key)
+        if len(buffer) >= self.flush_size:
+            self._flush_buffer(buffer)
+
+    def _lane(self, key: bytes) -> List[bytes]:
+        """The pending buffer for ``key`` on a lane-cache miss.
+
+        Resolves through ``fast_map``, then the templates, then the
+        fallback.  The route's buffer is cached under the key's length
+        only when ``fast_map`` owns that length; contested and unowned
+        lengths resolve again on every key.
+        """
+        fast_map = self.fast_map
+        route = fast_map.get(len(key))
+        owned = route is not None
+        if not owned:
             route = self.table.resolve_checked(key)
             if route is None:
-                buffer = self.fallback_pending
-                buffer.append(key)
-                if len(buffer) >= self.flush_size:
-                    self._flush_fallback()
-                return
+                return self.fallback_pending
         route_id = route.route_id
         entry = self.pending.get(route_id)
+        if entry is not None and entry[0].key_length != route.key_length:
+            # A swap changed the route's key length: the buffered keys
+            # flush through the plan they resolved under first, so a
+            # fixed-length buffer only ever holds keys of its length.
+            self._flush_route(route_id, entry)
+            entry = None
         if entry is None:
             entry = self.pending[route_id] = (route, [])
         buffer = entry[1]
-        buffer.append(key)
-        if len(buffer) >= self.flush_size:
-            self._flush_route(route_id, entry)
+        if owned:
+            self.lanes[len(key)] = buffer
+            if self.fast_map is not fast_map:
+                # A table install landed since ``fast_map`` was read; its
+                # reset may predate the store just made.
+                self.lanes = {}
+        return buffer
+
+    def _flush_buffer(self, buffer: List[bytes]) -> None:
+        """Flush the full pending buffer ``buffer``."""
+        if buffer is self.fallback_pending:
+            self._flush_fallback()
+            return
+        for route_id, entry in self.pending.items():
+            if entry[1] is buffer:
+                self._flush_route(route_id, entry)
+                return
 
     def _sample(self, keys: List[bytes]) -> List[bytes]:
         """The keys the per-route sampling ordinal picks from a buffer."""
@@ -184,14 +238,19 @@ class Shard:
         self, route_id: str, entry: Tuple[RouteState, List[bytes]]
     ) -> None:
         del self.pending[route_id]
+        self.lanes = {}
         route, keys = entry
         picked = self._sample(keys)
         if picked:
             self.samples.setdefault(route_id, []).extend(picked)
-        if route.batch_array is not None:
+        if route.batch_array is None:
+            values = route.batch(keys)
+        elif route.key_length is None:
             values = route.batch_array(keys)
         else:
-            values = route.batch(keys)
+            values = route.batch_array(
+                row_view(b"".join(keys), 0, len(keys), route.key_length)
+            )
         self.hashed += len(keys)
         self._count_routed(route_id, len(keys))
         self._deliver(route, keys, values)

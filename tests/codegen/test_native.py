@@ -285,16 +285,25 @@ def test_hash_rows_matches_hash_many(family):
     rows = numpy.frombuffer(b"".join(keys), dtype=numpy.uint8).reshape(
         len(keys), 11
     )
-    out = module.hash_rows(rows)
+    out = module.hash_many_array(rows)
     assert out.dtype == numpy.uint64
     assert out.tolist() == module.hash_many(keys)
     # A strided view (every other row) is packed before the call.
-    assert module.hash_rows(rows[::2]).tolist() == module.hash_many(keys[::2])
-    assert module.hash_rows(rows[:0]).shape == (0,)
+    assert module.hash_many_array(rows[::2]).tolist() == module.hash_many(
+        keys[::2]
+    )
+    assert module.hash_many_array(rows[:0]).shape == (0,)
+    # Wider rows hash as the longer keys they hold.
+    wide = numpy.concatenate([rows, rows[:, :5]], axis=1)
+    assert module.hash_many_array(wide).tolist() == [
+        synthesized(key + key[:5]) for key in keys
+    ]
     with pytest.raises(ValueError):
-        module.hash_rows(rows[:, :10])
+        module.hash_many_array(rows[:, :10])
     with pytest.raises(ValueError):
-        module.hash_rows(rows.astype(numpy.int64))
+        module.hash_many_array(rows.astype(numpy.int64))
+    with pytest.raises(ValueError):
+        module.hash_many_array(rows[0])
 
 
 @requires_compiler
