@@ -1,7 +1,7 @@
-"""Inference engine headline: reference join vs bitwise-parallel engines.
+"""Inference headline: reference join vs the ``infer_pattern`` entry point.
 
 The reference ``keybuilder`` join costs four Python-level lattice joins
-per byte per key; the fast engine of :mod:`repro.core.fast_infer` folds
+per byte per key; the fold of :mod:`repro.core.fast_infer` combines
 whole keys with big-int or NumPy XOR/OR and expands the constant-bit
 mask back to quads.  This bench times both on the same corpora, checks
 byte-for-byte parity, and produces ``BENCH_infer.json`` — the committed
@@ -35,9 +35,9 @@ def test_infer_fast_vs_reference(benchmark):
         iterations=1,
     )
     emit_report("infer", render_comparison(report))
-    # Every engine must agree with the reference join byte for byte...
+    # Every row must agree with the reference join byte for byte...
     assert report["all_parity"]
-    # ...and the whole point of the engine: whole-key folding must win
+    # ...and the whole point of the fold: whole-key folding must win
     # decisively even at this reduced scale (the committed 100k-key
     # artifact shows >=20x).
     assert best_speedup(report) >= 5.0
@@ -51,13 +51,9 @@ def main(argv=None) -> int:
     parser.add_argument("--keys", type=int, default=100_000)
     parser.add_argument("--key-len", type=int, default=16)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args(argv)
     report = compare_infer(
-        num_keys=args.keys,
-        key_len=args.key_len,
-        repeats=args.repeats,
-        jobs=args.jobs,
+        num_keys=args.keys, key_len=args.key_len, repeats=args.repeats
     )
     print(render_comparison(report))
     write_report(report, args.out)

@@ -27,7 +27,6 @@ from repro.core import (
     SynthesizedHash,
     ValidationReport,
     infer_pattern,
-    infer_pattern_parallel,
     pattern_from_regex,
     render_regex,
     synthesize,
@@ -70,7 +69,6 @@ __all__ = [
     "ValidationReport",
     "VerificationError",
     "infer_pattern",
-    "infer_pattern_parallel",
     "pattern_from_regex",
     "render_regex",
     "synthesize",

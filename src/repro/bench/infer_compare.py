@@ -1,13 +1,15 @@
 """Reference-vs-fast inference comparison: the ``BENCH_infer.json`` source.
 
-Quantifies the headline claim of the bitwise-parallel inference engine:
-the reference ``keybuilder`` join performs four Python-level lattice
-joins per byte per key, while the fast engine folds whole keys with two
-machine operations (``diff |= key ^ key0``) — big-int words or NumPy
-column reductions.  Every row times one engine on the same corpus
-against the reference :func:`repro.core.quads.join_keys` and records
-both the speedup and a byte-for-byte parity verdict, so the committed
-artifact is simultaneously a perf trajectory and a correctness witness.
+Quantifies the headline claim of bitwise-parallel inference: the
+reference ``keybuilder`` join performs four Python-level lattice joins
+per byte per key, while :class:`repro.core.fast_infer.PatternAccumulator`
+folds whole keys with two machine operations (``diff |= key ^ key0``).
+Rows time what callers run: the :func:`repro.core.inference.infer_pattern`
+entry point, and the chunked ``update`` stream behind
+``infer_pattern_from_file``.  Each is timed on the same corpus as the
+reference :func:`repro.core.quads.join_keys` and records both the
+speedup and a byte-for-byte parity verdict, so the committed artifact is
+simultaneously a perf trajectory and a correctness witness.
 
 Used by ``benchmarks/bench_infer.py`` (the CI smoke-bench that uploads
 ``BENCH_infer.json``).
@@ -19,14 +21,10 @@ import json
 import platform
 import random
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
-from repro.core.fast_infer import (
-    PatternAccumulator,
-    join_keys_bigint,
-    join_keys_numpy,
-    numpy_available,
-)
+from repro.core.fast_infer import PatternAccumulator, numpy_available
+from repro.core.inference import infer_pattern
 from repro.core.quads import Quad, join_keys
 from repro.obs.trace import span
 
@@ -46,7 +44,7 @@ def make_corpus(
 
     Keys carry a constant ``id-`` prefix and a constant ``:`` separator
     with hex payload bytes, so the join produces a mix of concrete and ⊤
-    quads — the shape the engine must handle, not a degenerate all-⊤
+    quads — the shape the fold must handle, not a degenerate all-⊤
     corpus.  ``variable=True`` trims up to 4 trailing bytes per key to
     exercise the ⊤-padded variable-length path.
     """
@@ -85,28 +83,20 @@ def _accumulator_join(keys: Sequence[bytes]) -> List[Quad]:
     return accumulator.joined_quads()
 
 
-def _parallel_join(keys: Sequence[bytes], jobs: int) -> List[Quad]:
-    """Sharded row: the multi-core driver, reduced back to quads."""
-    from repro.core.fast_infer import infer_pattern_parallel
-
-    return list(infer_pattern_parallel(keys, jobs=jobs).quads)
-
-
 def compare_infer(
     num_keys: int = 100_000,
     key_len: int = 16,
     repeats: int = 3,
     seed: int = 0,
-    jobs: Optional[int] = 2,
 ) -> Dict[str, Any]:
-    """Time every inference engine against the reference join.
+    """Time the inference entry points against the reference join.
 
     Two corpora are measured: the headline fixed-length corpus
     (``num_keys`` × ``key_len`` bytes) and a variable-length variant
     that exercises ⊤-padding and prefix truncation.  Returns a
     JSON-ready report; each row carries absolute seconds, ns/key, the
     speedup over the reference join on the same corpus, and whether the
-    engine's output matched the reference byte for byte.
+    row's output matched the reference byte for byte.
     """
     from repro.bench.ledger import fingerprint
 
@@ -121,7 +111,6 @@ def compare_infer(
             "key_len": key_len,
             "repeats": repeats,
             "seed": seed,
-            "jobs": jobs,
         },
         "corpora": [],
     }
@@ -143,15 +132,9 @@ def compare_infer(
                      len(keys), parity=True)
             ]
             engines: List[Any] = [
-                ("bigint", lambda: join_keys_bigint(keys)),
+                ("infer_pattern", lambda: list(infer_pattern(keys).quads)),
                 ("accumulator", lambda: _accumulator_join(keys)),
             ]
-            if numpy_available() and name == "fixed":
-                engines.append(("numpy", lambda: join_keys_numpy(keys)))
-            if jobs and jobs > 1:
-                engines.append(
-                    ("parallel", lambda: _parallel_join(keys, jobs))
-                )
             for engine_name, run in engines:
                 seconds = _time_engine(run, repeats)
                 rows.append(
@@ -213,7 +196,7 @@ def best_speedup(report: Dict[str, Any]) -> float:
 def render_comparison(report: Dict[str, Any]) -> str:
     """Human-readable table of the comparison report."""
     lines = [
-        f"inference engines, {report['params']['num_keys']} keys x "
+        f"inference, {report['params']['num_keys']} keys x "
         f"{report['params']['key_len']}B "
         f"(best of {report['params']['repeats']}):"
     ]
@@ -221,7 +204,7 @@ def render_comparison(report: Dict[str, Any]) -> str:
         lines.append(f"  corpus {corpus['name']} ({corpus['keys']} keys):")
         for row in corpus["rows"]:
             lines.append(
-                f"    {row['engine']:12s} {row['seconds'] * 1000:9.2f} ms  "
+                f"    {row['engine']:13s} {row['seconds'] * 1000:9.2f} ms  "
                 f"{row['ns_per_key']:9.1f} ns/key  "
                 f"{row['speedup_vs_reference']:7.1f}x  "
                 f"parity={'ok' if row['parity'] else 'FAIL'}"

@@ -11,7 +11,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.fast_infer import ENGINES, infer_pattern_parallel
 from repro.core.inference import infer_pattern, infer_pattern_from_file
 from repro.core.regex_render import render_regex
 from repro.errors import SepeError
@@ -32,43 +31,19 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the quad pattern (constant-bit template per byte)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard the join over N worker processes (0 = all cores)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="auto",
-        help="inference engine (default: auto; 'reference' is the "
-        "per-quad parity oracle)",
-    )
     return parser
 
 
 def run(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    jobs = args.jobs if args.jobs > 0 else None  # None = all cores
-    parallel = jobs is None or jobs > 1
     try:
-        if args.file and not parallel and args.engine == "auto":
+        if args.file:
             # Stream the file through the accumulator: bounded memory.
             pattern = infer_pattern_from_file(args.file)
         else:
-            if args.file:
-                with open(args.file, "r", encoding="utf-8") as handle:
-                    lines = handle.read().splitlines()
-            else:
-                lines = sys.stdin.read().splitlines()
-            keys = [line for line in lines if line]
-            if parallel:
-                pattern = infer_pattern_parallel(keys, jobs=jobs)
-            else:
-                pattern = infer_pattern(keys, engine=args.engine)
+            lines = sys.stdin.read().splitlines()
+            pattern = infer_pattern([line for line in lines if line])
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

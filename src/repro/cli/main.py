@@ -1046,19 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
     infer = subparsers.add_parser("infer", help="infer a regex from keys")
     infer.add_argument("file", nargs="?")
     infer.add_argument("--show-pattern", action="store_true")
-    infer.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard the join over N worker processes (0 = all cores)",
-    )
-    infer.add_argument(
-        "--engine",
-        default="auto",
-        choices=["auto", "bigint", "numpy", "reference"],
-        help="inference engine (default: auto)",
-    )
 
     synth = subparsers.add_parser("synth", help="synthesize from a regex")
     synth.add_argument("regex")
@@ -1443,7 +1430,6 @@ def run(argv: Optional[List[str]] = None) -> int:
         return keybuilder.run(
             ([args.file] if args.file else [])
             + (["--show-pattern"] if args.show_pattern else [])
-            + ["--jobs", str(args.jobs), "--engine", args.engine]
         )
     if args.command == "synth":
         argv_out = [args.regex, "--emit", args.emit, "--target", args.target]

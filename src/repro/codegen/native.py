@@ -300,6 +300,12 @@ class NativeModule:
     def __call__(self, key) -> int:
         if isinstance(key, str):
             key = key.encode("utf-8")
+        length = self.key_length
+        if length is not None and len(key) < length:
+            # A fixed-length kernel reads bytes [0, key_length) whatever
+            # the key's length: zero-fill a short key, as the scalar
+            # function and the batch entries do.
+            key = bytes(key).ljust(length, b"\0")
         return self._scalar(key, len(key))
 
     def hash_many(self, keys: Sequence) -> List[int]:

@@ -21,11 +21,7 @@ This package implements the paper's primary contribution:
   producing the **Naive**, **OffXor**, **Aes** and **Pext** families.
 """
 
-from repro.core.fast_infer import (
-    PatternAccumulator,
-    infer_pattern_parallel,
-    join_keys_fast,
-)
+from repro.core.fast_infer import PatternAccumulator, join_keys_fast
 from repro.core.inference import coverage_report, infer_pattern
 from repro.core.pattern import TOP, KeyPattern
 from repro.core.quads import join, join_many, key_to_quads
@@ -56,7 +52,6 @@ __all__ = [
     "explain",
     "explain_format",
     "infer_pattern",
-    "infer_pattern_parallel",
     "join_keys_fast",
     "invert_hash",
     "invertible",

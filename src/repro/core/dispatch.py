@@ -33,12 +33,7 @@ from typing import (
     Union,
 )
 
-from repro.core.fast_infer import ENGINE_AUTO
-from repro.core.inference import (
-    KeyLike,
-    infer_pattern,
-    infer_pattern_parallel,
-)
+from repro.core.inference import KeyLike, infer_pattern
 from repro.core.pattern import KeyPattern
 from repro.core.plan import HashFamily
 from repro.core.routes import RouteState, RouteTable, hash_columnar
@@ -193,26 +188,19 @@ class FormatDispatcher:
         self,
         keys: Iterable[KeyLike],
         family: HashFamily = HashFamily.PEXT,
-        engine: str = ENGINE_AUTO,
-        jobs: Optional[int] = None,
     ) -> SynthesizedHash:
         """Register a format learned from example keys (Figure 5a, inline).
 
-        The format is inferred through the bitwise-parallel engine of
-        :mod:`repro.core.fast_infer` — pass ``jobs > 1`` to shard the
-        join across processes for very large corpora — then registered
-        like any other source.  This is the production registration
-        path: hand the dispatcher a key sample, get routed hashing.
+        The format is inferred by :func:`repro.core.inference.infer_pattern`,
+        then registered like any other source.  This is the production
+        registration path: hand the dispatcher a key sample, get routed
+        hashing.
 
         Raises:
             EmptyKeySetError: when ``keys`` is empty.
             SynthesisError: propagated from synthesis.
         """
-        if jobs is not None and jobs > 1:
-            pattern = infer_pattern_parallel(keys, jobs=jobs)
-        else:
-            pattern = infer_pattern(keys, engine=engine)
-        return self.register(pattern, family=family)
+        return self.register(infer_pattern(keys), family=family)
 
     @property
     def format_count(self) -> int:

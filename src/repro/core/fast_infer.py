@@ -13,33 +13,28 @@ The whole position-wise join therefore collapses to
 after which ``~diff`` marks the constant bits and the first key supplies
 their values.  Variable-length corpora need no special lattice handling:
 a byte position is joined with ⊤ by every key too short to reach it, so
-only positions below the *shortest* key can stay concrete — the engine
-folds prefixes of ``min_length`` bytes and pads the tail with ⊤.
+only positions below the *shortest* key can stay concrete — the fold
+keeps prefixes of ``min_length`` bytes and pads the tail with ⊤.
 
-Three interchangeable executions of that idea live here, all pinned
-byte-for-byte against the reference join by ``tests/core/test_fast_infer.py``:
-
-- a pure-Python big-int path (``int.from_bytes`` + XOR/OR folding, any
-  corpus shape, with an early exit once every bit is known to vary);
-- a NumPy path that stacks equal-length keys into a ``uint8`` matrix and
-  reduces columns with array OR/AND (``or ^ and`` is exactly the
-  difference mask, without materializing a per-key XOR matrix);
-- a mergeable :class:`PatternAccumulator` — the join is a commutative
-  monoid, so chunk-level ``(base, diff, min, max)`` states combine in
-  any order, enabling streaming inference over corpora that do not fit
-  in memory and the :func:`infer_pattern_parallel` sharded driver.
+One fold computes it: :class:`PatternAccumulator`.  The join is a
+commutative monoid, so chunk-level ``(base, diff, min, max)`` states
+combine in any order — successive :meth:`~PatternAccumulator.update`
+chunks stream a corpus that does not fit in memory, and
+:meth:`~PatternAccumulator.merge` joins states built elsewhere.  Each
+``update`` scans the chunk's key lengths once: a chunk of equal-length
+byte keys reduces its ``uint8[n, L]`` matrix column by column in NumPy
+(``or ^ and`` is exactly the difference mask), and any other chunk takes
+a big-int XOR/OR fold.  ``tests/core/test_fast_infer.py`` pins both
+byte-for-byte against the reference join.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from repro.core.pattern import KeyPattern
-from repro.core.quads import _BYTE_QUADS, QUADS_PER_BYTE, Quad, join_keys
+from repro.core.quads import _BYTE_QUADS, QUADS_PER_BYTE, Quad
 from repro.errors import EmptyKeySetError
-from repro.obs.metrics import get_registry
-from repro.obs.trace import span
 
 try:  # NumPy is optional everywhere in this codebase; gate, never require.
     import numpy as _np
@@ -48,24 +43,11 @@ except ImportError:  # pragma: no cover - exercised on numpy-less installs
 
 KeyLike = Union[str, bytes]
 
-ENGINE_AUTO = "auto"
-ENGINE_BIGINT = "bigint"
-ENGINE_NUMPY = "numpy"
-ENGINE_REFERENCE = "reference"
-
-ENGINES = (ENGINE_AUTO, ENGINE_BIGINT, ENGINE_NUMPY, ENGINE_REFERENCE)
-
 _NUMPY_MIN_KEYS = 64
-"""Below this corpus size the matrix copy costs more than it saves."""
-
-_BULK_CHUNK = 1 << 16
-"""Keys per NumPy reduction chunk; bounds the joined-buffer footprint."""
+"""Below this chunk size the matrix copy costs more than it saves."""
 
 _SATURATION_STRIDE = 1 << 12
 """How often the big-int fold checks whether every bit already varies."""
-
-_PARALLEL_MIN_KEYS = 4096
-"""Below this, process spawn overhead dwarfs the join itself."""
 
 
 def as_key_bytes(key: KeyLike) -> bytes:
@@ -125,7 +107,7 @@ class PatternAccumulator:
     The join of Section 3.1 is a commutative, associative, idempotent
     fold, so partial joins computed over any partition of a corpus —
     successive :meth:`update` chunks, or :meth:`merge`-d states from
-    other processes — finish to the same :class:`KeyPattern` as one
+    other shards — finish to the same :class:`KeyPattern` as one
     monolithic join.  State is four scalars and one short prefix:
 
     - ``base``: the ``min_length``-byte prefix of the first key seen;
@@ -166,7 +148,7 @@ class PatternAccumulator:
     # -- state transport -----------------------------------------------------
 
     def state(self) -> AccumulatorState:
-        """Snapshot as a plain picklable tuple (for worker transport)."""
+        """Snapshot as a plain tuple (see :meth:`from_state`)."""
         return (
             self._count,
             self._min_len,
@@ -202,25 +184,24 @@ class PatternAccumulator:
         self._diff >>= drop
         self._min_len = new_min
 
-    def update(
-        self, keys: Iterable[KeyLike], engine: str = ENGINE_AUTO
-    ) -> "PatternAccumulator":
+    def update(self, keys: Iterable[KeyLike]) -> "PatternAccumulator":
         """Fold a chunk of keys into the state; returns ``self``.
 
-        Equal-length chunks of at least ``_NUMPY_MIN_KEYS`` bytes keys
-        take the NumPy column-reduce path when available (and when
-        ``engine`` allows it); everything else takes the big-int fold.
+        A list or tuple of at least ``_NUMPY_MIN_KEYS`` byte keys that
+        all share one length takes the NumPy column reduction; every
+        other chunk takes the big-int fold.  ``str`` keys are encoded
+        as UTF-8.
+
+        Raises:
+            TypeError: for a key that is neither ``str`` nor bytes.
         """
-        if engine not in (ENGINE_AUTO, ENGINE_BIGINT, ENGINE_NUMPY):
-            raise ValueError(f"unknown accumulator engine: {engine!r}")
-        if engine != ENGINE_BIGINT and isinstance(keys, (list, tuple)):
-            if self._update_bulk(keys, force=engine == ENGINE_NUMPY):
-                return self
-            if engine == ENGINE_NUMPY:
-                raise ValueError(
-                    "numpy engine requires NumPy and a list of "
-                    "equal-length byte keys"
-                )
+        if (
+            _np is not None
+            and isinstance(keys, (list, tuple))
+            and len(keys) >= _NUMPY_MIN_KEYS
+            and self._update_columns(keys)
+        ):
+            return self
         base_int = self._base_int
         min_len = self._min_len
         max_len = self._max_len
@@ -265,55 +246,51 @@ class PatternAccumulator:
         self._diff = diff
         return self
 
-    def _update_bulk(self, keys: Sequence[KeyLike], force: bool = False) -> bool:
-        """NumPy column-reduce fast path; False when it does not apply.
+    def _update_columns(self, keys: Sequence[KeyLike]) -> bool:
+        """NumPy column reduction; False when the chunk does not qualify.
 
-        Requires NumPy, a reasonably large chunk (unless ``force``-d by
-        an explicit engine choice), and equal-length ``bytes`` keys
-        (mixed lengths fall back to the big-int loop).  Reduces each
-        chunk to per-column OR and AND; ``or ^ and`` is the set of bits
-        that vary within the chunk, which merges into the running state
-        exactly like a sub-accumulator would.
+        One ``bytes(map(len, keys))`` scan and a ``count`` decide, as in
+        :func:`repro.core.routes.length_runs` (a first and a last key of
+        different lengths decide without it): *every* key must be ``L``
+        bytes long for one ``0 < L < 256`` (lengths that merely sum to
+        ``n * L`` do not make rows), and every key must join as bytes
+        (a ``str`` key does not).  Per column, ``or ^ and`` is the set of
+        bits that vary within the chunk, which merges into the running
+        state exactly like a sub-accumulator would.
         """
-        if _np is None or (len(keys) < _NUMPY_MIN_KEYS and not force):
-            return False
-        first = keys[0]
-        if not isinstance(first, bytes):
-            return False
-        length = len(first)
-        if length == 0:
-            return False
-        for key in keys:
-            if type(key) is not bytes or len(key) != length:
+        count = len(keys)
+        try:
+            length = len(keys[0])
+            if length != len(keys[-1]):  # ragged: no need to scan
                 return False
-        col_or = None
-        col_and = None
-        for start in range(0, len(keys), _BULK_CHUNK):
-            chunk = keys[start : start + _BULK_CHUNK]
-            matrix = _np.frombuffer(b"".join(chunk), dtype=_np.uint8)
-            matrix = matrix.reshape(len(chunk), length)
-            chunk_or = _np.bitwise_or.reduce(matrix, axis=0)
-            chunk_and = _np.bitwise_and.reduce(matrix, axis=0)
-            if col_or is None:
-                col_or, col_and = chunk_or, chunk_and
-            else:
-                col_or |= chunk_or
-                col_and &= chunk_and
-        partial = PatternAccumulator()
-        partial._count = len(keys)
-        partial._min_len = partial._max_len = length
-        partial._base = first
-        partial._base_int = int.from_bytes(first, "big")
-        partial._diff = int.from_bytes((col_or ^ col_and).tobytes(), "big")
-        self.merge(partial)
+            lengths = bytes(map(len, keys))
+        except (TypeError, ValueError):  # a non-key, or 256+ bytes long
+            return False
+        if not length or lengths.count(length) != count:
+            return False
+        try:
+            joined = b"".join(keys)
+        except TypeError:  # a str key
+            return False
+        if len(joined) != count * length:  # a buffer of wider items
+            return False
+        matrix = _np.frombuffer(joined, dtype=_np.uint8).reshape(count, length)
+        varying = _np.bitwise_or.reduce(matrix, axis=0)
+        varying ^= _np.bitwise_and.reduce(matrix, axis=0)
+        diff = int.from_bytes(varying.tobytes(), "big")
+        self.merge(
+            PatternAccumulator.from_state(
+                (count, length, length, joined[:length], diff)
+            )
+        )
         return True
 
     def merge(self, other: "PatternAccumulator") -> "PatternAccumulator":
         """Fold another accumulator's state into this one; returns ``self``.
 
         ``a.update(X).merge(b.update(Y))`` finishes identically to
-        ``a.update(X + Y)`` — the monoid law the parallel driver and the
-        parity tests rely on.
+        ``a.update(X + Y)`` — the monoid law that chunked streaming, the
+        drift monitor and the parity tests rely on.
         """
         if other._count == 0:
             return self
@@ -362,145 +339,6 @@ class PatternAccumulator:
         )
 
 
-# -- one-shot joins ----------------------------------------------------------
-
-
-def join_keys_bigint(keys: Sequence[bytes]) -> List[Quad]:
-    """The reference join, computed by big-int XOR/OR folding."""
-    return PatternAccumulator().update(keys, engine=ENGINE_BIGINT
-                                       ).joined_quads()
-
-
-def join_keys_numpy(keys: Sequence[bytes]) -> List[Quad]:
-    """The reference join via NumPy column reduction.
-
-    Raises:
-        ValueError: when NumPy is unavailable or the corpus is not a
-            list of equal-length byte keys of workable size.
-    """
-    acc = PatternAccumulator()
-    if keys:
-        acc.update(list(keys), engine=ENGINE_NUMPY)
-    return acc.joined_quads()
-
-
-def choose_engine(keys: Sequence[bytes]) -> str:
-    """Pick the fastest applicable engine for an in-memory corpus."""
-    if (
-        _np is not None
-        and len(keys) >= _NUMPY_MIN_KEYS
-        and keys[0]
-        and all(
-            type(key) is bytes and len(key) == len(keys[0]) for key in keys
-        )
-    ):
-        return ENGINE_NUMPY
-    return ENGINE_BIGINT
-
-
-def join_keys_fast(
-    keys: Sequence[bytes], engine: str = ENGINE_AUTO
-) -> List[Quad]:
-    """Drop-in, bit-exact replacement for :func:`join_keys`.
-
-    ``engine`` selects the execution: ``"auto"`` (default) picks NumPy
-    for large equal-length corpora and big-int otherwise,
-    ``"reference"`` runs the original per-quad join (the parity
-    oracle), and ``"bigint"`` / ``"numpy"`` force a path.
-    """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown inference engine {engine!r}; expected one of {ENGINES}"
-        )
-    if not keys:
-        return []
-    chosen = engine if engine != ENGINE_AUTO else choose_engine(keys)
-    get_registry().counter(f"inference.engine.{chosen}").inc()
-    with span("inference.fast_join", keys=len(keys), engine=chosen):
-        if chosen == ENGINE_REFERENCE:
-            return join_keys(keys)
-        if chosen == ENGINE_NUMPY:
-            return join_keys_numpy(keys)
-        return join_keys_bigint(keys)
-
-
-def infer_pattern_fast(
-    keys: Sequence[bytes], engine: str = ENGINE_AUTO
-) -> KeyPattern:
-    """Infer a :class:`KeyPattern` from byte keys via the fast join.
-
-    Raises:
-        EmptyKeySetError: when ``keys`` is empty.
-    """
-    if not keys:
-        raise EmptyKeySetError("cannot infer a pattern from zero examples")
-    joined = join_keys_fast(keys, engine=engine)
-    lengths = [len(key) for key in keys]
-    return KeyPattern(
-        quads=tuple(joined),
-        min_length=min(lengths),
-        max_length=max(lengths),
-    )
-
-
-# -- the sharded parallel driver ---------------------------------------------
-
-
-def _worker_state(chunk: List[bytes]) -> AccumulatorState:
-    """Pool worker: fold one shard and ship back the monoid state."""
-    return PatternAccumulator().update(chunk).state()
-
-
-def infer_pattern_parallel(
-    keys: Iterable[KeyLike],
-    jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-) -> KeyPattern:
-    """Sharded multi-core inference: join chunk-level partial masks.
-
-    The corpus is split into ``jobs`` shards, each folded to a
-    ``(base, diff, min, max)`` state in its own process, and the
-    states merge in the parent — the commutative-monoid property makes
-    the result independent of sharding.  Small corpora (or ``jobs=1``)
-    skip process spawn entirely; pool failures fall back to the serial
-    engine rather than erroring.
-
-    Raises:
-        EmptyKeySetError: when ``keys`` is empty.
-    """
-    key_bytes = [
-        key if isinstance(key, bytes) else as_key_bytes(key) for key in keys
-    ]
-    if not key_bytes:
-        raise EmptyKeySetError("cannot infer a pattern from zero examples")
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs = max(1, min(jobs, len(key_bytes)))
-    if jobs == 1 or len(key_bytes) < _PARALLEL_MIN_KEYS:
-        return infer_pattern_fast(key_bytes)
-    if chunk_size is None:
-        chunk_size = -(-len(key_bytes) // jobs)  # ceil division
-    chunks = [
-        key_bytes[start : start + chunk_size]
-        for start in range(0, len(key_bytes), chunk_size)
-    ]
-    get_registry().counter("inference.engine.parallel").inc()
-    with span(
-        "inference.parallel",
-        keys=len(key_bytes),
-        jobs=jobs,
-        chunks=len(chunks),
-    ):
-        try:
-            import multiprocessing
-
-            with multiprocessing.Pool(min(jobs, len(chunks))) as pool:
-                states = pool.map(_worker_state, chunks)
-        except (ImportError, OSError, PermissionError):
-            # Sandboxes without fork/semaphores: serial, same answer.
-            get_registry().counter("inference.parallel.fallback").inc()
-            return infer_pattern_fast(key_bytes)
-    accumulator = PatternAccumulator()
-    for state in states:
-        accumulator.merge(PatternAccumulator.from_state(state))
-    return accumulator.finish()
+def join_keys_fast(keys: Sequence[KeyLike]) -> List[Quad]:
+    """Drop-in, bit-exact replacement for :func:`repro.core.quads.join_keys`."""
+    return PatternAccumulator().update(keys).joined_quads()

@@ -6,13 +6,12 @@ Definition 3.2.  Keys shorter than the longest example contribute ⊤ at the
 positions they lack, which also makes the inferred pattern variable-length
 whenever the examples disagree on length.
 
-The join itself runs on the bitwise-parallel engine of
-:mod:`repro.core.fast_infer` — constant-bit masks folded with whole-key
-XOR/OR (big-int or NumPy column reduction) instead of one Python-level
-lattice join per bit pair — which is what makes inferring a format from a
-million-key corpus practical.  The reference per-quad join survives as
-the parity oracle (``engine="reference"``), pinned equal by the test
-suite on every corpus shape.
+The join itself is one fold, :class:`~repro.core.fast_infer.PatternAccumulator`:
+constant-bit masks folded with whole-key XOR/OR instead of one
+Python-level lattice join per bit pair, which is what makes inferring a
+format from a million-key corpus practical.  The reference per-quad join
+(:func:`repro.core.quads.join_keys`) survives as the parity oracle,
+pinned equal by the test suite on every corpus shape.
 
 The paper stresses (Example 3.6) that examples must *exercise* every bit
 that can vary: two well-chosen keys suffice for most formats, while a
@@ -23,24 +22,17 @@ produces an incorrect hash — only one with more collisions (footnote 2).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Sequence
 
 from repro.core.fast_infer import (
-    ENGINE_AUTO,
+    KeyLike,
     PatternAccumulator,
     as_key_bytes,
-    infer_pattern_fast,
-    infer_pattern_parallel,
     numpy_available,
 )
 from repro.core.pattern import KeyPattern
 from repro.errors import EmptyKeySetError
 from repro.obs.trace import span
-
-KeyLike = Union[str, bytes]
-
-_as_bytes = as_key_bytes
-"""Backwards-compatible alias; the coercion lives with the engine now."""
 
 _STREAM_CHUNK_KEYS = 1 << 16
 """Keys folded per accumulator update when streaming from a file."""
@@ -49,20 +41,19 @@ _COVERAGE_NUMPY_MIN_KEYS = 256
 """Below this, per-column ``np.unique`` costs more than the set loop."""
 
 
-def infer_pattern(
-    keys: Iterable[KeyLike], engine: str = ENGINE_AUTO
-) -> KeyPattern:
+def infer_pattern(keys: Iterable[KeyLike]) -> KeyPattern:
     """Infer the :class:`KeyPattern` recognizing every example key.
 
     This is the join ``c_i = s_1[i] ∨ s_2[i] ∨ ... ∨ s_m[i]`` of
-    Section 3.1, computed by the bitwise-parallel engine (``engine``
-    picks a path: ``auto`` / ``bigint`` / ``numpy`` / ``reference``).
-    The result is fixed-length when all examples share a length;
-    otherwise ``min_length`` is the shortest example and ``max_length``
-    the longest.
+    Section 3.1, folded by one
+    :class:`~repro.core.fast_infer.PatternAccumulator`.  The result is
+    fixed-length when all examples share a length; otherwise
+    ``min_length`` is the shortest example and ``max_length`` the
+    longest.
 
     Raises:
         EmptyKeySetError: when ``keys`` is empty.
+        TypeError: for a key that is neither ``str`` nor bytes.
 
     >>> pattern = infer_pattern(["JFK", "LAX", "GRU"])
     >>> pattern.is_fixed_length
@@ -70,16 +61,13 @@ def infer_pattern(
     >>> pattern.num_bytes
     3
     """
-    key_bytes: List[bytes] = [as_key_bytes(key) for key in keys]
-    if not key_bytes:
-        raise EmptyKeySetError("cannot infer a pattern from zero examples")
-    with span("inference.join", keys=len(key_bytes)):
-        return infer_pattern_fast(key_bytes, engine=engine)
+    if not isinstance(keys, (list, tuple)):
+        keys = list(keys)
+    with span("inference.join", keys=len(keys)):
+        return PatternAccumulator().update(keys).finish()
 
 
-def infer_pattern_from_file(
-    path: str, jobs: Optional[int] = None
-) -> KeyPattern:
+def infer_pattern_from_file(path: str) -> KeyPattern:
     """Infer a pattern from a newline-separated file of example keys.
 
     Blank lines are ignored; trailing newlines are stripped (they are not
@@ -88,19 +76,11 @@ def infer_pattern_from_file(
 
     The file is *streamed*: keys fold into a
     :class:`~repro.core.fast_infer.PatternAccumulator` chunk by chunk,
-    so corpora larger than memory infer in bounded space.  Pass
-    ``jobs > 1`` to shard the join across processes instead (the file
-    is then materialized once to split it).
+    so corpora larger than memory infer in bounded space.
 
     Raises:
         EmptyKeySetError: when the file holds no non-blank line.
     """
-    if jobs is not None and jobs > 1:
-        with open(path, "r", encoding="utf-8") as handle:
-            keys = [line.rstrip("\n") for line in handle]
-        return infer_pattern_parallel(
-            [key for key in keys if key], jobs=jobs
-        )
     accumulator = PatternAccumulator()
     with span("inference.stream", path=path):
         chunk: List[bytes] = []

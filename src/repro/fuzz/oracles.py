@@ -37,11 +37,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.codegen.interp import interpret
 from repro.codegen.ir import IRFunction, build_ir, optimize
 from repro.codegen.serialize import compile_serialized, dumps, loads
-from repro.core.fast_infer import PatternAccumulator, numpy_available
+from repro.core.fast_infer import _NUMPY_MIN_KEYS, PatternAccumulator
 from repro.core.inference import infer_pattern
 from repro.core.pattern import KeyPattern
 from repro.core.plan import HashFamily
-from repro.core.quads import leq
+from repro.core.quads import join_keys, leq
 from repro.core.regex_expand import pattern_from_regex
 from repro.core.regex_render import render_regex
 from repro.core.synthesis import SynthesizedHash, build_plan, synthesize
@@ -264,21 +264,37 @@ def check_batch_vs_scalar(ctx: CaseContext) -> Optional[str]:
 
 @_oracle("infer-engines", GROUP_DIFFERENTIAL)
 def check_infer_engines(ctx: CaseContext) -> Optional[str]:
-    """All inference engines produce the reference join's pattern."""
+    """``infer_pattern``, a two-chunk ``update`` and the ``merge`` of two
+    halves each infer the reference join's pattern.
+
+    ``infer_pattern`` runs on the keys repeated up to the NumPy chunk
+    size (the join is idempotent, so the answer is unchanged): an
+    equal-length case then takes the column reduction, while the chunk
+    and merge checks take the big-int fold."""
     if not ctx.keys:
         return None
     keys = list(ctx.keys)
-    reference = infer_pattern(keys, engine="reference")
-    engines = ["bigint"]
-    if numpy_available() and len({len(key) for key in keys}) == 1:
-        # The numpy engine only accepts equal-length key batches (by
-        # contract); ragged batches exercise the bigint engine alone.
-        engines.append("numpy")
-    for engine in engines:
-        result = infer_pattern(keys, engine=engine)
+    lengths = [len(key) for key in keys]
+    reference = KeyPattern(
+        quads=tuple(join_keys(keys)),
+        min_length=min(lengths),
+        max_length=max(lengths),
+    )
+    half = len(keys) // 2
+    repeated = keys * -(-_NUMPY_MIN_KEYS // len(keys))
+    chunked = PatternAccumulator().update(keys[:half]).update(keys[half:])
+    merged = PatternAccumulator().update(keys[:half]).merge(
+        PatternAccumulator().update(keys[half:])
+    )
+    checks = [
+        ("infer_pattern", infer_pattern(repeated)),
+        ("two-chunk update", chunked.finish()),
+        ("merge of halves", merged.finish()),
+    ]
+    for name, result in checks:
         if result != reference:
             return (
-                f"engine {engine} inferred {render_regex(result)!r}, "
+                f"{name} inferred {render_regex(result)!r}, "
                 f"reference says {render_regex(reference)!r}"
             )
     return None
@@ -417,7 +433,14 @@ def check_cpp_native_vs_interp(ctx: CaseContext) -> Optional[str]:
             continue
         func = ctx.ir(family)
         expected = [interpret(func, key) for key in keys]
-        for key, want in zip(keys, expected):
+        probes = list(zip(keys, expected))
+        length = synthesized.plan.key_length
+        if length is not None:
+            # A fixed-length kernel reads ``length`` bytes: an empty and
+            # a truncated key must zero-fill, not read past their end.
+            for key in [b"", *(key[: length - 1] for key in keys[:1])]:
+                probes.append((key, interpret(func, key)))
+        for key, want in probes:
             got = module(key)
             if got != want:
                 return (
@@ -425,7 +448,6 @@ def check_cpp_native_vs_interp(ctx: CaseContext) -> Optional[str]:
                     f"interpreted {want:#x} for key {key!r}"
                 )
         batches = [(keys, expected)]
-        length = synthesized.plan.key_length
         if length is not None:
             ragged = _ragged_batch(keys, length)
             batches.append((ragged, [interpret(func, key) for key in ragged]))

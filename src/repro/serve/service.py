@@ -43,8 +43,7 @@ from typing import (
     Union,
 )
 
-from repro.core.fast_infer import as_key_bytes, infer_pattern_fast
-from repro.core.inference import KeyLike
+from repro.core.inference import KeyLike, infer_pattern
 from repro.core.plan import HashFamily
 from repro.core.routes import RouteState, RouteTable, build_route_state
 from repro.core.synthesis import FormatSource, SynthesizedHash
@@ -185,10 +184,7 @@ class HashService:
         label: Optional[str] = None,
     ) -> RouteState:
         """Register a format inferred from example keys (Figure 5a)."""
-        key_bytes = [as_key_bytes(key) for key in keys]
-        return self.register(
-            infer_pattern_fast(key_bytes), family=family, label=label
-        )
+        return self.register(infer_pattern(keys), family=family, label=label)
 
     def _install_table(self, table: RouteTable) -> None:
         """Point every shard at a new snapshot (admin lock held).

@@ -51,3 +51,12 @@ class TestKeybuilder:
         assert run([str(path)]) == 0
         regex = capsys.readouterr().out.strip()
         assert keysynth_run([regex, "--family", "pext"]) == 0
+
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--engine", "auto"]])
+    def test_removed_inference_knobs_rejected(self, tmp_path, capsys, flag):
+        path = tmp_path / "keys.txt"
+        path.write_text("000-00-0000\n555-55-5555\n")
+        with pytest.raises(SystemExit) as error:
+            run([str(path), *flag])
+        assert error.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -12,6 +12,14 @@ class TestInfer:
         assert run(["infer", str(path)]) == 0
         assert capsys.readouterr().out.strip() != ""
 
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--engine", "auto"]])
+    def test_removed_inference_knobs_rejected(self, tmp_path, flag):
+        path = tmp_path / "keys.txt"
+        path.write_text("ab\ncd\n")
+        with pytest.raises(SystemExit) as error:
+            run(["infer", str(path), *flag])
+        assert error.value.code == 2
+
 
 class TestSynth:
     def test_synth_subcommand(self, capsys):

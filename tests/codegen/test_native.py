@@ -28,6 +28,7 @@ from repro.core.validate import sample_conforming_keys
 from repro.errors import NativeUnavailableError
 from repro.keygen.distributions import Distribution
 from repro.keygen.generator import generate_keys
+from repro.keygen.keyspec import key_spec
 from tests.codegen.test_random_plans import KEY_LENGTH, random_plan
 
 SSN = r"\d{3}-\d{2}-\d{4}"
@@ -66,6 +67,22 @@ def test_scalar_parity_fixed_length(family):
     keys = generate_keys("SSN", 256, Distribution.UNIFORM, seed=7)
     expected = _interp_reference(synthesized, keys)
     assert [module(key) for key in keys] == expected
+
+
+@requires_compiler
+@pytest.mark.parametrize("family", list(HashFamily))
+@pytest.mark.parametrize("name", ["SSN", "MAC"])
+def test_scalar_entry_zero_fills_short_keys(family, name):
+    """A fixed-length kernel reads ``key_length`` bytes: every prefix of
+    a conforming key, ``b""`` included, hashes as the scalar function
+    hashes it, never from bytes past the key's end."""
+    synthesized = synthesize(key_spec(name).regex, family)
+    module = synthesized.native_module
+    assert module is not None and module.key_length is not None
+    (key,) = generate_keys(name, 1, Distribution.UNIFORM, seed=5)
+    for cut in range(len(key) + 1):
+        prefix = key[:cut]
+        assert module(prefix) == synthesized.function(prefix), prefix
 
 
 @requires_compiler

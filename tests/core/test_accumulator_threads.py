@@ -12,7 +12,8 @@ import threading
 
 import pytest
 
-from repro.core.fast_infer import PatternAccumulator, infer_pattern_fast
+from repro.core.fast_infer import PatternAccumulator
+from repro.core.inference import infer_pattern
 from repro.keygen import Distribution, generate_keys
 
 
@@ -86,7 +87,7 @@ class TestShardedJoinEqualsSingleThread:
         joined = run_sharded(keys, 4, True)
         single = PatternAccumulator.from_state(ground_truth)
         assert joined.finish().quads == single.finish().quads
-        assert joined.finish() == infer_pattern_fast(keys)
+        assert joined.finish() == infer_pattern(keys)
 
 
 class TestMergeAlgebra:

@@ -1,8 +1,10 @@
-"""Parity and property tests for the bitwise-parallel inference engine.
+"""Parity and property tests for the bitwise-parallel inference fold.
 
-The contract under test: every fast path — big-int folding, NumPy column
-reduction, chunked/merged accumulators, and the sharded parallel driver
-— produces *byte-for-byte* the same join as the reference per-quad
+The contract under test: every way into :class:`PatternAccumulator` —
+the :func:`infer_pattern` entry point, chunked :meth:`update` calls
+(chunks below ``_NUMPY_MIN_KEYS`` take the big-int fold, equal-length
+chunks at or above it the NumPy column reduction), and merged states —
+produces *byte-for-byte* the same join as the reference per-quad
 implementation (:func:`repro.core.quads.join_keys`), on every corpus
 shape we can think of plus randomized fuzz corpora.
 """
@@ -14,15 +16,10 @@ import random
 import pytest
 
 from repro.core.fast_infer import (
-    ENGINE_BIGINT,
-    ENGINE_NUMPY,
+    _NUMPY_MIN_KEYS,
     PatternAccumulator,
     as_key_bytes,
-    choose_engine,
-    infer_pattern_parallel,
-    join_keys_bigint,
     join_keys_fast,
-    join_keys_numpy,
     numpy_available,
 )
 from repro.core.inference import (
@@ -31,6 +28,7 @@ from repro.core.inference import (
     infer_pattern,
     infer_pattern_from_file,
 )
+from repro.core.pattern import KeyPattern
 from repro.core.quads import join_keys, quads_const_mask
 from repro.errors import EmptyKeySetError
 
@@ -50,6 +48,41 @@ def random_corpus(rng, n, min_len, max_len, alphabet=None):
     return keys
 
 
+def reference_pattern(keys):
+    """The pattern the reference per-quad join infers."""
+    key_bytes = [as_key_bytes(key) for key in keys]
+    lengths = [len(key) for key in key_bytes]
+    return KeyPattern(
+        quads=tuple(join_keys(key_bytes)),
+        min_length=min(lengths),
+        max_length=max(lengths),
+    )
+
+
+def chunked(keys, size=7):
+    """Fold ``keys`` in chunks of ``size``: below ``_NUMPY_MIN_KEYS``,
+    every chunk takes the big-int fold."""
+    accumulator = PatternAccumulator()
+    for start in range(0, len(keys), size):
+        accumulator.update(keys[start : start + size])
+    return accumulator
+
+
+def at_numpy_size(keys):
+    """``keys`` repeated to at least ``_NUMPY_MIN_KEYS``: the join is
+    idempotent, so the pattern is unchanged, but an equal-length corpus
+    now qualifies for the column reduction."""
+    return list(keys) * -(-_NUMPY_MIN_KEYS // len(keys))
+
+
+def assert_parity(keys):
+    """Every way into the fold infers the reference pattern."""
+    expected = reference_pattern(keys)
+    assert infer_pattern(keys) == expected
+    assert chunked(keys).finish() == expected
+    assert infer_pattern(at_numpy_size(keys)) == expected
+
+
 ADVERSARIAL_CORPORA = [
     [b"JFK", b"LAX", b"GRU"],
     [b"JFK", b"JFKL"],                      # prefix relationship
@@ -66,14 +99,26 @@ ADVERSARIAL_CORPORA = [
     [bytes([i]) for i in range(256)],        # every byte value, length 1
 ]
 
+RAGGED_ROW_CORPORA = [
+    # one byte short, one long
+    [b"123-45-6789"] + [b"123-45-678", b"123-45-67890"] * 40
+    + [b"987-65-4321"],
+    [b"abcd"] + [b"", b"abcdefgh"] * 40 + [b"wxyz"],  # empty, double
+    [b"abcd", b"abc", b"abcde"] * 30 + [b"abcd"],     # 4 + 3 + 5 = 3 * 4
+]
+"""Corpora whose lengths sum to ``n * L`` without every key being ``L``
+bytes long, and whose first and last keys are ``L`` bytes long, so only
+a scan of every length tells: they must infer variable length."""
+
 
 class TestJoinParity:
     @pytest.mark.parametrize("keys", ADVERSARIAL_CORPORA)
     def test_bigint_matches_reference_adversarial(self, keys):
-        assert join_keys_bigint(keys) == join_keys(keys)
+        assert chunked(keys).joined_quads() == join_keys(keys)
 
     @pytest.mark.parametrize("keys", ADVERSARIAL_CORPORA)
     def test_auto_engine_matches_reference_adversarial(self, keys):
+        assert infer_pattern(keys) == reference_pattern(keys)
         assert join_keys_fast(keys) == join_keys(keys)
 
     @needs_numpy
@@ -83,57 +128,81 @@ class TestJoinParity:
          if len({len(key) for key in corpus}) == 1 and corpus[0]],
     )
     def test_numpy_matches_reference_adversarial(self, keys):
-        assert join_keys_numpy(keys) == join_keys(keys)
+        repeated = at_numpy_size(keys)
+        assert PatternAccumulator()._update_columns(repeated)
+        assert infer_pattern(repeated) == reference_pattern(keys)
 
     def test_empty_corpus_joins_empty(self):
         assert join_keys_fast([]) == []
-        assert join_keys_bigint([]) == []
+        assert PatternAccumulator().update([]).joined_quads() == []
 
     def test_fuzz_mixed_length_corpora(self):
         rng = random.Random(1234)
         for round_index in range(30):
             keys = random_corpus(rng, rng.randint(1, 80), 0, 12)
-            reference = join_keys(keys)
-            assert join_keys_bigint(keys) == reference, round_index
-            assert join_keys_fast(keys) == reference, round_index
+            expected = reference_pattern(keys)
+            assert infer_pattern(keys) == expected, round_index
+            assert chunked(keys).finish() == expected, round_index
 
     def test_fuzz_structured_corpora(self):
         # Low-entropy alphabets freeze many quads: the interesting case.
         rng = random.Random(99)
         for alphabet in (b"01", b"0123456789", b"abcdef", b"\x00\xff"):
             for _ in range(10):
-                keys = random_corpus(rng, 50, 6, 6, alphabet=alphabet)
-                reference = join_keys(keys)
-                assert join_keys_bigint(keys) == reference
-                if numpy_available():
-                    assert join_keys_numpy(keys) == reference
+                assert_parity(random_corpus(rng, 50, 6, 6, alphabet=alphabet))
 
-    @needs_numpy
     def test_fuzz_numpy_equal_length(self):
         rng = random.Random(7)
         for length in (1, 2, 7, 8, 9, 16, 33):
-            keys = random_corpus(rng, 100, length, length)
-            assert join_keys_numpy(keys) == join_keys(keys)
+            assert_parity(random_corpus(rng, 100, length, length))
 
     @needs_numpy
     def test_numpy_engine_rejects_mixed_lengths(self):
-        with pytest.raises(ValueError):
-            join_keys_numpy([b"ab", b"abc"])
+        assert not PatternAccumulator()._update_columns([b"ab", b"abc"] * 50)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            join_keys_fast([b"ab"], engine="quantum")
+    @pytest.mark.parametrize("keys", RAGGED_ROW_CORPORA)
+    def test_lengths_summing_to_rows_infer_variable_length(self, keys):
+        assert not PatternAccumulator()._update_columns(keys)
+        pattern = infer_pattern(keys)
+        assert not pattern.is_fixed_length
+        assert pattern == reference_pattern(keys)
+        assert chunked(keys).finish() == pattern
 
-    def test_choose_engine_prefers_numpy_for_large_uniform(self):
-        keys = [b"abcd"] * 100
-        expected = ENGINE_NUMPY if numpy_available() else ENGINE_BIGINT
-        assert choose_engine(keys) == expected
-        assert choose_engine([b"ab", b"abc"] * 50) == ENGINE_BIGINT
-        assert choose_engine([b"abcd"] * 3) == ENGINE_BIGINT
+    def test_keys_of_256_bytes_or_more(self):
+        rng = random.Random(8)
+        for min_len, max_len in ((256, 256), (300, 300), (250, 260)):
+            keys = random_corpus(rng, 80, min_len, max_len, alphabet=b"ab")
+            assert_parity(keys)
+        assert_parity([b"x" * 255, b"x" * 256] * 40)
 
-    def test_reference_engine_is_selectable(self):
-        keys = [b"JFK", b"LAX"]
-        assert join_keys_fast(keys, engine="reference") == join_keys(keys)
+    def test_bytearray_keys(self):
+        rng = random.Random(9)
+        for min_len, max_len in ((10, 10), (4, 9)):
+            keys = random_corpus(rng, 100, min_len, max_len, b"0123")
+            assert_parity([bytearray(key) for key in keys])
+
+    def test_mixed_str_and_bytes_keys(self):
+        rng = random.Random(10)
+        for min_len, max_len in ((10, 10), (4, 9)):
+            keys = random_corpus(rng, 100, min_len, max_len, b"0123-")
+            mixed = [
+                key.decode() if index % 2 else key
+                for index, key in enumerate(keys)
+            ]
+            assert_parity(mixed)
+        # Non-ASCII text is joined over its UTF-8 bytes.
+        assert_parity(["é" * 5, b"\xc3\xa9" * 5, "ab" * 5] * 30)
+
+    def test_non_key_types_raise_at_any_size(self):
+        for keys in ([123], [b"ab"] * 100 + [3], [3.5] * 100):
+            with pytest.raises(TypeError):
+                infer_pattern(keys)
+
+    def test_any_iterable_of_keys(self):
+        keys = [b"abc", b"abd", b"ab"]
+        expected = reference_pattern(keys)
+        assert infer_pattern(iter(keys)) == expected
+        assert PatternAccumulator().update(iter(keys)).finish() == expected
 
 
 class TestPatternAccumulator:
@@ -227,9 +296,7 @@ class TestPatternAccumulator:
         rng = random.Random(11)
         keys = random_corpus(rng, 300, 8, 8)
         bulk = PatternAccumulator().update(keys)            # bulk path
-        scalar = PatternAccumulator().update(
-            keys, engine=ENGINE_BIGINT
-        )
+        scalar = chunked(keys)                              # big-int fold
         assert bulk.joined_quads() == scalar.joined_quads()
         assert bulk.count == scalar.count == len(keys)
 
@@ -241,39 +308,50 @@ class TestPatternAccumulator:
         keys.append(b"\x00" * 6)
         keys.append(b"\xff" * 6)
         keys.append(b"tail-is-longer")
-        assert join_keys_bigint(keys) == join_keys(keys)
+        assert join_keys_fast(keys) == join_keys(keys)
 
 
 class TestParallelInference:
+    """Shards folded apart and merged, as ``serve.reconciler`` joins
+    per-shard states, equal one :func:`infer_pattern` call."""
+
+    @staticmethod
+    def sharded(keys, shards):
+        size = max(1, -(-len(keys) // shards))
+        states = [
+            PatternAccumulator().update(keys[start : start + size]).state()
+            for start in range(0, len(keys), size)
+        ]
+        accumulator = PatternAccumulator()
+        for state in states:
+            accumulator.merge(PatternAccumulator.from_state(state))
+        return accumulator
+
     def test_parallel_matches_serial(self):
         rng = random.Random(21)
         keys = random_corpus(rng, 6000, 10, 10, alphabet=b"0123456789ab")
-        assert infer_pattern_parallel(keys, jobs=2) == infer_pattern(keys)
+        assert self.sharded(keys, 2).finish() == infer_pattern(keys)
 
     def test_parallel_mixed_lengths(self):
         rng = random.Random(22)
         keys = random_corpus(rng, 5000, 4, 9, alphabet=b"xyz0")
-        assert infer_pattern_parallel(keys, jobs=3) == infer_pattern(keys)
-
-    def test_small_corpus_skips_process_pool(self):
-        keys = [b"JFK", b"LAX", b"GRU"]
-        assert infer_pattern_parallel(keys, jobs=8) == infer_pattern(keys)
-
-    def test_jobs_one_is_serial(self):
-        keys = [b"abc", b"abd"]
-        assert infer_pattern_parallel(keys, jobs=1) == infer_pattern(keys)
+        assert self.sharded(keys, 3).finish() == infer_pattern(keys)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyKeySetError):
-            infer_pattern_parallel([], jobs=2)
+            self.sharded([], 2).finish()
 
 
 class TestRewiredInference:
     def test_infer_pattern_engines_agree(self):
         keys = ["000-00", "555-55", "123-45"]
-        reference = infer_pattern(keys, engine="reference")
-        assert infer_pattern(keys) == reference
-        assert infer_pattern(keys, engine="bigint") == reference
+        expected = reference_pattern(keys)
+        assert infer_pattern(keys) == expected
+        assert chunked(keys, 2).finish() == expected
+        halves = PatternAccumulator().update(keys[:1]).merge(
+            PatternAccumulator().update(keys[1:])
+        )
+        assert halves.finish() == expected
 
     def test_infer_pattern_from_file_streams(self, tmp_path):
         rng = random.Random(31)
@@ -284,14 +362,6 @@ class TestRewiredInference:
         path = tmp_path / "keys.txt"
         path.write_text("\n".join(keys) + "\n\n", encoding="utf-8")
         assert infer_pattern_from_file(str(path)) == infer_pattern(keys)
-
-    def test_infer_pattern_from_file_parallel(self, tmp_path):
-        keys = [f"key-{i:06d}" for i in range(4096)]
-        path = tmp_path / "keys.txt"
-        path.write_text("\n".join(keys), encoding="utf-8")
-        assert infer_pattern_from_file(str(path), jobs=2) == infer_pattern(
-            keys
-        )
 
     def test_infer_pattern_from_file_empty_raises(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -335,17 +405,6 @@ class TestDispatcherRegisterExamples:
         stats = dispatcher.stats()
         assert stats["total_routes"] == 1
         assert stats["fallback_routes"] == 0
-
-    def test_register_examples_parallel_path(self):
-        from repro.core.dispatch import FormatDispatcher
-
-        keys = [f"{i:08d}" for i in range(5000)]
-        serial = FormatDispatcher()
-        serial.register_examples(keys)
-        parallel = FormatDispatcher()
-        parallel.register_examples(keys, jobs=2)
-        probe = b"31415926"
-        assert serial(probe) == parallel(probe)
 
     def test_register_examples_empty_raises(self):
         from repro.core.dispatch import FormatDispatcher

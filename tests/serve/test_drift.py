@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.fast_infer import PatternAccumulator, infer_pattern_fast
+from repro.core.fast_infer import PatternAccumulator
+from repro.core.inference import infer_pattern
 from repro.core.pattern import KeyPattern
 from repro.keygen import Distribution, generate_keys
 from repro.serve.drift import (
@@ -29,7 +30,7 @@ def hexified(keys):
 
 @pytest.fixture(scope="module")
 def ssn_pattern():
-    return infer_pattern_fast(ssn_keys())
+    return infer_pattern(ssn_keys())
 
 
 class TestEmbedding:
