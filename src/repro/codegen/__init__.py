@@ -18,8 +18,9 @@ A :class:`repro.core.plan.SynthesisPlan` is lowered to a small linear IR
 
 Two amortization layers sit alongside the backends:
 
-- :mod:`repro.codegen.batch` — emits a batched ``hash_many(keys)``
-  variant of the same lowering, removing per-key call overhead.
+- :mod:`repro.codegen.batch` — emits a batched ``hash_many(keys)``:
+  a NumPy lane body that removes per-key call overhead, or the scalar
+  function mapped over the keys.
 - :mod:`repro.codegen.cache` — a content-addressed compile cache so
   repeated synthesis of the same plan skips IR, emission, and ``exec``
   (and, for the native kind, persists and reloads the compiled ``.so``).

@@ -7,7 +7,10 @@ paper's key sizes (8–32 formatted bytes) that fixed cost dominates
 H-Time, the same per-invocation regime Thorup's "High Speed Hashing"
 describes and the reason HighwayHash amortizes across SIMD lanes.
 
-Three lowerings, strongest applicable wins:
+The batch source embeds the scalar function
+(:func:`repro.codegen.python_backend.emit_python`) as ``_<name>_one``,
+so the one scalar lowering — byte tables or fused gathers — serves both
+entries and the source stays self-contained.  On top of it:
 
 - **Vectorized** (fixed-length plans, NumPy importable): a *lane body*
   ``_<name>_lanes(rows)`` takes a ``uint8[k, key_length]`` row view
@@ -23,125 +26,44 @@ Three lowerings, strongest applicable wins:
   operations.  The list entry joins the keys into one buffer, views it
   as rows, runs the lane body and boxes the result with ``tolist``; it
   is exposed as the entry's ``lanes`` attribute for callers that
-  already hold a row view.  A generated guard falls back to the loop
-  form for tiny batches and for any key whose length is not exactly
+  already hold a row view.  A generated guard maps the scalar function
+  instead for tiny batches and for any key whose length is not exactly
   the plan's (each key is checked: lengths that merely sum to
   ``n * key_length`` are no row view), so semantics never change.
-- **List comprehension** (Naive/OffXor, every intermediate used once):
-  the body collapses to one expression evaluated in a comprehension —
-  CPython's specialized frame, no per-key ``append`` call.
-- **Generated loop** (everything else, and the fallback body): the same
-  unrolled scalar body inside ``for key in keys``, with ``ret`` lowered
-  to a bound ``append``.
-
-NumPy is optional: when it cannot be imported the emitter silently
-produces the loop/comprehension forms only (the repro itself stays
-zero-dependency for correctness, vectorization is a perf tier).
+- **Mapped** (everything else: variable-length plans, opcodes the lane
+  lowering refuses, NumPy-less hosts): the list entry is
+  ``list(map(_<name>_one, keys))``.
 
 Differential tests (:mod:`tests.codegen.test_batch`) pin
 ``hash_many(keys) == [interpret(func, k) for k in keys]`` for all four
-families, on both the vector and loop paths.
+families, on both paths.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.codegen.ir import AES_ROUND_KEY, IRFunction, build_ir, optimize
 from repro.codegen.python_backend import (
-    MASK64,
+    _emit_python_lines,
     _pext_expression,
     compile_source,
-    emit_body_lines,
 )
-from repro.core.plan import HashFamily, SynthesisPlan
+from repro.core.plan import SynthesisPlan
 from repro.obs.trace import span
 
-try:  # Vectorization tier; the loop forms cover absence.
+try:  # Vectorization tier; the mapped scalar function covers absence.
     import numpy as _numpy  # noqa: F401
 
     HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised via emit flag instead
+except ImportError:  # pragma: no cover - tests patch HAVE_NUMPY instead
     HAVE_NUMPY = False
 
 BatchHashCallable = Callable[[Sequence[bytes]], List[int]]
 
-_COMPREHENSION_FAMILIES = (HashFamily.NAIVE, HashFamily.OFFXOR)
-
 VECTOR_MIN_KEYS = 16
-"""Below this batch size the generated guard takes the loop fallback:
+"""Below this batch size the generated guard maps the scalar function:
 array setup costs more than it amortizes."""
-
-
-def _expression_body(func: IRFunction) -> Optional[str]:
-    """Render the whole body as one expression, or None if impossible.
-
-    Substitution is only safe when every intermediate register is
-    consumed exactly once (else the inlined expression would recompute
-    work the statement form shares) and every opcode has a
-    single-reference expression rendering.  That covers the Naive/OffXor
-    load/xor chains; ``pext`` (multi-run masks reference the source once
-    per run), ``rotl``/``aes_fold`` (two references), ``tail_xor`` and
-    ``aes_absorb`` (statements) all bail out.
-    """
-    uses: Dict[str, int] = {}
-    for instr in func.instrs:
-        for arg in instr.args:
-            if isinstance(arg, str):
-                uses[arg] = uses.get(arg, 0) + 1
-    exprs: Dict[str, str] = {}
-    for instr in func.instrs:
-        op, dest, args = instr.opcode, instr.dest, instr.args
-        if op == "const":
-            expr = hex(args[0])
-        elif op == "load64":
-            offset, width = args
-            expr = f"_ifb(key[{offset}:{offset + width}], 'little')"
-        elif op == "shl":
-            expr = f"(({exprs[args[0]]} << {args[1]}) & {hex(MASK64)})"
-        elif op == "shr":
-            expr = f"({exprs[args[0]]} >> {args[1]})"
-        elif op == "mul64":
-            expr = f"(({exprs[args[0]]} * {hex(args[1])}) & {hex(MASK64)})"
-        elif op == "xor":
-            expr = f"({exprs[args[0]]} ^ {exprs[args[1]]})"
-        elif op == "or":
-            expr = f"({exprs[args[0]]} | {exprs[args[1]]})"
-        elif op == "add":
-            expr = f"(({exprs[args[0]]} + {exprs[args[1]]}) & {hex(MASK64)})"
-        elif op == "ret":
-            return exprs[args[0]]
-        else:
-            return None
-        if uses.get(dest, 0) > 1:
-            return None
-        exprs[dest] = expr
-    return None
-
-
-def _loop_form_lines(func: IRFunction, name: str) -> List[str]:
-    """The per-key forms: comprehension when safe, else generated loop."""
-    lines = [f"def {name}(keys, _ifb=int.from_bytes, _aes=_aesenc):"]
-    expression = (
-        _expression_body(func)
-        if func.plan.family in _COMPREHENSION_FAMILIES
-        else None
-    )
-    if expression is not None:
-        lines.append(f"    return [{expression} for key in keys]")
-        return lines
-    lines.extend(
-        [
-            "    out = []",
-            "    _append = out.append",
-            "    for key in keys:",
-        ]
-    )
-    lines.extend(
-        emit_body_lines(func, indent="        ", ret_template="_append({0})")
-    )
-    lines.append("    return out")
-    return lines
 
 
 def _emit_vector_aes_absorb(
@@ -192,7 +114,9 @@ def _emit_vector_arith(
         lines.append(f"    {dest} = {args[0]} + {args[1]}")
 
 
-def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
+def _emit_vector_lines(
+    func: IRFunction, name: str, doc: str
+) -> Optional[List[str]]:
     """Vectorized lane body plus its list entry, or None when inapplicable.
 
     The lane body ``_<name>_lanes`` maps a ``uint8[k, key_length]`` row
@@ -200,7 +124,7 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
     ``frombuffer`` → lanes → ``tolist``) and carries it as ``.lanes``.
     Only fixed-length plans qualify (variable-length needs the per-key
     tail loop); any opcode outside the vectorizable set, or a return of
-    a compile-time scalar, bails to the loop form.
+    a compile-time scalar, leaves the plan to the mapped scalar function.
     """
     plan = func.plan
     if not plan.is_fixed_length:
@@ -238,8 +162,8 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
             # uint64 lane arrays wrap implicitly, so the emitted ops
             # carry no `& MASK64`.  A per-plan Python-int operand would
             # break that invariant (ints don't wrap), and 128-bit column
-            # planes can't flow through plain arithmetic — degrade both
-            # to the loop form.
+            # planes can't flow through plain arithmetic — leave both
+            # to the mapped scalar function.
             register_args = [arg for arg in args if isinstance(arg, str)]
             if any(arg in scalars or arg in wide for arg in register_args):
                 return None
@@ -281,11 +205,12 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
     ]
     entry = [
         "",
-        f"def {name}(keys, _ifb=int.from_bytes, _aes=_aesenc):",
+        f"def {name}(keys):",
+        f'    """{doc} (vectorized)."""',
         "    n = len(keys)",
         f"    if n < {VECTOR_MIN_KEYS} or "
         f"list(map(len, keys)).count({length}) != n:",
-        f"        return _{name}_rows(keys)",
+        f"        return list(map(_{name}_one, keys))",
         f"    return _{name}_lanes(_np.frombuffer(b''.join(keys), "
         f"dtype=_np.uint8).reshape(n, {length})).tolist()",
         "",
@@ -294,67 +219,45 @@ def _emit_vector_lines(func: IRFunction, name: str) -> Optional[List[str]]:
     return prologue + lanes + lines + entry
 
 
-def emit_python_batch(func: IRFunction, vectorize: bool = True) -> str:
+def emit_python_batch(func: IRFunction) -> str:
     """Render an IR function as batched Python source.
 
     The emitted function takes a sequence of ``bytes`` keys and returns
-    a list of 64-bit ints, in order.  Its name is ``func.name`` — build
-    the IR under a distinct name when scalar and batch forms coexist in
-    one namespace.
-
-    Args:
-        vectorize: allow the NumPy lane-array lowering (the default;
-            automatically skipped when NumPy is unavailable or the plan
-            does not qualify).  Pass False to force the loop form, e.g.
-            for differential tests of both tiers.
+    a list of 64-bit ints, in order.  Its name is ``func.name``; the
+    scalar function it embeds is ``_<name>_one`` — build the IR under a
+    distinct name when scalar and batch forms coexist in one namespace.
     """
     with span(
         "codegen.python.emit_batch",
         function=func.name,
         instrs=len(func.instrs),
     ):
-        return _emit_batch_lines(func, vectorize)
+        return _emit_batch_lines(func)
 
 
-def _emit_batch_lines(func: IRFunction, vectorize: bool) -> str:
+def _emit_batch_lines(func: IRFunction) -> str:
+    name = func.name
     doc = f"Batched {func.plan.family.value} hash"
     if func.plan.pattern_regex:
         doc += f" for format {func.plan.pattern_regex!r}"
+    lines = [_emit_python_lines(func, f"_{name}_one")]
     vector_lines = (
-        _emit_vector_lines(func, func.name)
-        if vectorize and HAVE_NUMPY
-        else None
+        _emit_vector_lines(func, name, doc) if HAVE_NUMPY else None
     )
     if vector_lines is None:
-        lines = _loop_form_lines(func, func.name)
-        lines.insert(1, f'    """{doc}."""')
-        return "\n".join(lines) + "\n"
-    # Vector tier: the loop form rides along as `_<name>_rows`, the
-    # generated guard's fallback for tiny or non-conforming batches.
-    lines = _loop_form_lines(func, f"_{func.name}_rows")
-    lines.append("")
-    lines.extend(
-        _splice_doc(vector_lines, func.name, f"{doc} (vectorized)")
-    )
+        lines += [
+            f"def {name}(keys):",
+            f'    """{doc}."""',
+            f"    return list(map(_{name}_one, keys))",
+        ]
+    else:
+        lines += vector_lines
     return "\n".join(lines) + "\n"
 
 
-def _splice_doc(lines: List[str], name: str, doc: str) -> List[str]:
-    """Insert the docstring right after the vector function's header."""
-    header = f"def {name}(keys, _ifb=int.from_bytes, _aes=_aesenc):"
-    out: List[str] = []
-    for line in lines:
-        out.append(line)
-        if line == header:
-            out.append(f'    """{doc}."""')
-    return out
-
-
 def compile_plan_batch(
-    plan: SynthesisPlan,
-    name: str = "sepe_hash_many",
-    vectorize: bool = True,
+    plan: SynthesisPlan, name: str = "sepe_hash_many"
 ) -> BatchHashCallable:
     """Lower a plan to a callable ``hash_many(keys) -> list[int]``."""
     func = optimize(build_ir(plan, name=name))
-    return compile_source(emit_python_batch(func, vectorize), name)
+    return compile_source(emit_python_batch(func), name)

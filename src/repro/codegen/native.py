@@ -298,8 +298,10 @@ class NativeModule:
         self._offsets_cache: Optional[tuple] = None
 
     def __call__(self, key) -> int:
-        if isinstance(key, str):
-            key = key.encode("utf-8")
+        if not isinstance(key, bytes):
+            # ctypes takes only bytes for a char pointer: encode a str,
+            # copy any other buffer (bytearray, memoryview).
+            key = key.encode("utf-8") if isinstance(key, str) else bytes(key)
         length = self.key_length
         if length is not None and len(key) < length:
             # A fixed-length kernel reads bytes [0, key_length) whatever

@@ -7,6 +7,8 @@ Specialization matters in Python for the same reason it does in C++: the
 generated function does a handful of slice-and-int operations with no
 per-byte loop, while general-purpose baselines (the STL murmur port)
 iterate word by word with multiplies and shifts.
+The batch backend (:mod:`repro.codegen.batch`) embeds this same
+function and maps it over every batch its NumPy lane body does not take.
 
 Three deliberate lowerings replace per-call helpers with inline code:
 
@@ -71,7 +73,7 @@ LOAD_WINDOW_BYTES = 16
 """Widest key slice one fused load reads: loads whose byte ranges fit
 in a span this wide share one ``int.from_bytes`` call."""
 
-LOWERING_VERSION = 4
+LOWERING_VERSION = 5
 """Version of the emitted source for an unchanged plan.  The compile
 cache's on-disk tier puts it in file names, so a persisted lowering
 from an older emitter is re-emitted rather than loaded."""
@@ -116,16 +118,14 @@ def _pext_expression(src: str, mask: int) -> str:
     return " | ".join(terms) or "0"
 
 
-def _emit_aes_absorb(
-    dest: str, state: str, lo: str, hi: str, indent: str = "    "
-) -> List[str]:
+def _emit_aes_absorb(dest: str, state: str, lo: str, hi: str) -> List[str]:
     """Inline one AES round: extract bytes, gather through the T-tables.
 
     The emitted code mirrors :func:`repro.isa.aes.aesenc_fast` with the
     byte list and the helper call flattened away; ``_T0.._T3`` are bound
     at compile time.
     """
-    lines = [f"{indent}_x = {state} ^ ({lo} | ({hi} << 64))"]
+    lines = [f"    _x = {state} ^ ({lo} | ({hi} << 64))"]
     column_terms: List[str] = []
     for col in range(4):
         terms = []
@@ -140,7 +140,7 @@ def _emit_aes_absorb(
         else:
             column_terms.append(f"(({column}) << {32 * col})")
     lines.append(
-        f"{indent}{dest} = ({' | '.join(column_terms)}) ^ "
+        f"    {dest} = ({' | '.join(column_terms)}) ^ "
         f"{hex(AES_ROUND_KEY)}"
     )
     return lines
@@ -157,27 +157,7 @@ def emit_python(func: IRFunction) -> str:
     with span(
         "codegen.python.emit", function=func.name, instrs=len(func.instrs)
     ):
-        return _emit_python_lines(func)
-
-
-def emit_body_lines(
-    func: IRFunction,
-    indent: str = "    ",
-    ret_template: str = "return {0}",
-) -> List[str]:
-    """Render the instruction sequence of ``func`` as statement lines.
-
-    Shared by the scalar emitter and the batch emitter
-    (:mod:`repro.codegen.batch`): the batch backend emits the same body
-    at loop depth, with ``ret`` lowered to an ``append`` instead of a
-    ``return`` (``ret_template`` receives the result register).  The
-    lowering is the fused bit-gather form described in
-    :class:`_FusedBody`.
-
-    Raises:
-        ValueError: on an unknown opcode or a body without ``ret``.
-    """
-    return _FusedBody(func, indent).lower(ret_template)
+        return _emit_python_lines(func, func.name)
 
 
 def _shift(value: int, distance: int) -> int:
@@ -230,17 +210,14 @@ class _FusedBody:
     ``(_w >> 8*(o-a)) & (2**(8*w) - 1) == ifb(key[o:o+w])`` for any
     key length, the empty key included.
 
-    With ``tabulate`` (the scalar function), a ``ret`` of a symbolic
-    register that is the whole body may instead be lowered to one table
-    lookup per live key byte (:meth:`_tabulated`); the tables are left
-    in :attr:`tables` as keyword-default parameters for the caller's
-    ``def`` line.  The batch loop body keeps the gather form.
+    A ``ret`` of a symbolic register that is the whole body may instead
+    be lowered to one table lookup per live key byte (:meth:`_tabulated`);
+    the tables are left in :attr:`tables` as keyword-default parameters
+    for the ``def`` line.
     """
 
-    def __init__(self, func: IRFunction, indent: str, tabulate: bool = False):
+    def __init__(self, func: IRFunction):
         self.func = func
-        self.indent = indent
-        self.tabulate = tabulate
         self.tables: List[str] = []  # "_t<k>=<expression>" parameters
         self.lines: List[str] = []
         self.windows: List[List[int]] = []  # [start, end) byte ranges
@@ -347,8 +324,7 @@ class _FusedBody:
                 self.loaded.add(window)
                 start, end = self.windows[window]
                 self.lines.append(
-                    f"{self.indent}_w{window} = "
-                    f"_ifb(key[{start}:{end}], 'little')"
+                    f"    _w{window} = _ifb(key[{start}:{end}], 'little')"
                 )
             rendered.append(
                 _gather_expression(
@@ -379,7 +355,7 @@ class _FusedBody:
         if expression.isidentifier():
             self.names[register] = expression
             return expression
-        self.lines.append(f"{self.indent}{register} = {expression}")
+        self.lines.append(f"    {register} = {expression}")
         self.names[register] = register
         return register
 
@@ -408,7 +384,7 @@ class _FusedBody:
                 live[position] = trimmed
         return live
 
-    def _tabulated(self, terms: Terms, ret_template: str) -> bool:
+    def _tabulated(self, terms: Terms) -> bool:
         """Emit ``ret`` of a symbolic register as byte-table lookups, if
         that is the cheaper form (see :data:`_MAX_GATHERS`).
 
@@ -440,16 +416,14 @@ class _FusedBody:
             lookups.append(f"{name}[key[{position}]]")
         bits = {at: self._bits(share) for at, share in shares.items()}
         joiner = " ^ " if self._overlaps(bits) else " | "
-        ret = ret_template.format(joiner.join(lookups))
-        indent = self.indent
+        ret = f"return {joiner.join(lookups)}"
         self.lines.extend(
             [
-                f"{indent}try:",
-                f"{indent}    {ret}",
-                f"{indent}except IndexError:",
-                f"{indent}    key = bytes(key).ljust({max(shares) + 1}, "
-                "b'\\x00')",
-                f"{indent}{ret}",
+                "    try:",
+                f"        {ret}",
+                "    except IndexError:",
+                f"        key = bytes(key).ljust({max(shares) + 1}, b'\\x00')",
+                f"    {ret}",
             ]
         )
         return True
@@ -464,8 +438,13 @@ class _FusedBody:
             seen |= mask
         return False
 
-    def lower(self, ret_template: str) -> List[str]:
-        indent = self.indent
+    def lower(self) -> List[str]:
+        """The body's statement lines, at function depth.
+
+        Raises:
+            ValueError: on an unknown opcode or a body without ``ret``.
+        """
+        indent = "    "
         lines = self.lines
         body_emitted = False
         for instr in self.func.instrs:
@@ -477,14 +456,13 @@ class _FusedBody:
             if op == "ret":
                 body_emitted = True
                 if (
-                    self.tabulate
-                    and not lines
+                    not lines
                     and args[0] in self.symbolic
-                    and self._tabulated(self.symbolic[args[0]], ret_template)
+                    and self._tabulated(self.symbolic[args[0]])
                 ):
                     continue
                 result = self._name(args[0], bind=False)
-                lines.append(f"{indent}{ret_template.format(result)}")
+                lines.append(f"{indent}return {result}")
                 continue
             names = [
                 self._name(arg) if isinstance(arg, str) else arg
@@ -524,7 +502,7 @@ class _FusedBody:
                     f"{hex(MASK64)}"
                 )
             elif op == "aes_absorb":
-                lines.extend(_emit_aes_absorb(dest, *names, indent))
+                lines.extend(_emit_aes_absorb(dest, *names))
             elif op == "aes_fold":
                 lines.append(
                     f"{indent}{dest} = ({names[0]} ^ ({names[0]} >> 64)) & "
@@ -552,16 +530,18 @@ class _FusedBody:
         return lines
 
 
-def _emit_python_lines(func: IRFunction) -> str:
-    body = _FusedBody(func, "    ", tabulate=True)
-    body_lines = body.lower("return {0}")
+def _emit_python_lines(func: IRFunction, name: str) -> str:
+    """The scalar function's source, defined as ``name``; the batch
+    backend embeds it under its own name."""
+    body = _FusedBody(func)
+    body_lines = body.lower()
     parameters = ["key", "_ifb=int.from_bytes", "_aes=_aesenc", *body.tables]
     if body.tables:
-        lines = [f"def {func.name}("]
+        lines = [f"def {name}("]
         lines.extend(f"    {parameter}," for parameter in parameters)
         lines.append("):")
     else:
-        lines = [f"def {func.name}({', '.join(parameters)}):"]
+        lines = [f"def {name}({', '.join(parameters)}):"]
     doc = f"Synthesized {func.plan.family.value} hash"
     if func.plan.pattern_regex:
         doc += f" for format {func.plan.pattern_regex!r}"

@@ -16,10 +16,9 @@ atomic reference swap, so readers either see the whole old table or the
 whole new one, and the hashing hot path never takes a lock.
 
 Each :class:`RouteState` pre-resolves the fastest callable of every
-kind at build time — scalar (native → interp), list batch (ordered by
-the static cost model's predicted ns/key, falling back to the fixed
-native → NumPy preference when the model abstains) and array batch
-(native only) — through the process
+kind at build time — scalar and list batch (native when the plan has a
+native module, else the Python tiers: the scalar function and the
+NumPy batch entry) and array batch (native only) — through the process
 :class:`repro.codegen.cache.CompileCache`, so a hot-swap pays JIT cost
 in the thread that builds it and traffic only ever calls
 already-compiled functions.
@@ -49,46 +48,9 @@ _FAST_LENGTH_SPAN = 64
 """Widest bounded variable-length range eagerly expanded into the
 length → route map; wider ranges resolve through the match walk."""
 
-_FIXED_BATCH_ORDER = ("native", "numpy")
-"""Fallback batch-tier preference when the cost model abstains."""
-
 RunCallback = Callable[[Optional["RouteState"], int, int], None]
 """Per-run accounting hook of :func:`hash_columnar`: ``(route, keys,
 elapsed_ns)``, ``route`` None for keys the fallback hashed."""
-
-
-def _pick_batch_tier(
-    synthesized: SynthesizedHash,
-    candidates: Dict[str, Callable],
-) -> Tuple[Callable, str, bool]:
-    """Choose the batch callable by predicted cost, or fixed order.
-
-    Returns ``(callable, tier_name, cost_ordered)``.  A sole candidate
-    is returned unpriced (``cost_ordered`` False).  Otherwise the static
-    cost model (:mod:`repro.verify.cost`) prices every candidate tier;
-    when it prices all of them, the cheapest wins.  When it abstains on
-    any candidate — unknown opcode, non-vectorizable plan — the fixed
-    native → NumPy preference decides, so an unpriceable plan routes
-    exactly as it did before the model existed.
-    """
-    if len(candidates) == 1:
-        ((tier, batch),) = candidates.items()
-        return batch, tier, False
-    from repro.obs.metrics import get_registry
-    from repro.verify.cost import predict_plan_costs
-
-    registry = get_registry()
-    prediction = predict_plan_costs(synthesized.plan)
-    if all(prediction.cost(tier) is not None for tier in candidates):
-        for tier in prediction.order():
-            if tier in candidates:
-                registry.counter("serve.routes.cost_ordered").inc()
-                return candidates[tier], tier, True
-    registry.counter("serve.routes.fixed_order").inc()
-    for tier in _FIXED_BATCH_ORDER:
-        if tier in candidates:
-            return candidates[tier], tier, False
-    raise ValueError("no batch candidates")  # pragma: no cover
 
 
 class RouteState:
@@ -106,11 +68,9 @@ class RouteState:
         native: True when the native module backs the callables.
         key_length: the plan's fixed key length, or None for a
             variable-length plan.
-        batch_tier: name of the tier serving ``batch`` (``"native"`` or
-            ``"numpy"``); :meth:`hash_run` uses the same tier.
-        cost_ordered: True when the static cost model picked the batch
-            tier; False when there was one candidate or the model
-            abstained and the fixed preference order decided.
+        batch_tier: name of the tier serving ``batch``: ``"native"``
+            when a native module exists, else ``"numpy"``; :meth:`hash_run`
+            uses the same tier.
     """
 
     __slots__ = (
@@ -124,7 +84,6 @@ class RouteState:
         "native",
         "key_length",
         "batch_tier",
-        "cost_ordered",
     )
 
     def __init__(
@@ -139,31 +98,23 @@ class RouteState:
         self.synthesized = synthesized
         self.generation = generation
         self.label = label or synthesized.plan.pattern_regex or route_id
-        scalar = synthesized.function
-        batch_array = None
-        native = False
         module = synthesized.native_module if prefer_native else None
-        # Candidate batch callables by cost-model tier name.  The list
-        # batch kernel is the "numpy" tier whether or not it actually
-        # vectorized — when the model abstains on it (tail_xor), the
-        # fixed order decides, which is exactly the loop-fallback case.
-        candidates = {"numpy": synthesized.batch_function}
-        if module is not None:
-            scalar = module
-            candidates["native"] = module.hash_many
+        self.native = module is not None
+        self.batch_array = None
+        if module is None:
+            self.scalar = synthesized.function
+            self.batch = synthesized.batch_function
+            self.batch_tier = "numpy"
+        else:
+            self.scalar = module
+            self.batch = module.hash_many
+            self.batch_tier = "native"
             try:
                 from repro.codegen.native import _HAVE_NUMPY
             except ImportError:  # pragma: no cover - defensive
                 _HAVE_NUMPY = False
             if _HAVE_NUMPY:
-                batch_array = module.hash_many_array
-            native = True
-        self.batch, self.batch_tier, self.cost_ordered = _pick_batch_tier(
-            synthesized, candidates
-        )
-        self.scalar = scalar
-        self.batch_array = batch_array
-        self.native = native
+                self.batch_array = module.hash_many_array
         self.key_length = synthesized.plan.key_length
 
     @property

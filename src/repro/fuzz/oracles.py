@@ -58,8 +58,8 @@ GROUP_DIFFERENTIAL = "differential"
 GROUP_METAMORPHIC = "metamorphic"
 
 _SMALL_BATCH = 3
-"""Batch size forced through the generated loop fallback (below the
-vectorized guard's minimum) so both batch lowerings are exercised."""
+"""Batch size below the vectorized guard's minimum, so the list entry
+maps the scalar function and both batch paths are exercised."""
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,8 @@ def check_python_vs_interp(ctx: CaseContext) -> Optional[str]:
 
 @_oracle("batch-vs-scalar", GROUP_DIFFERENTIAL)
 def check_batch_vs_scalar(ctx: CaseContext) -> Optional[str]:
-    """hash_many agrees with the scalar callable, vector and loop paths."""
+    """hash_many agrees with the scalar callable: lane body and mapped
+    scalar function."""
     if not ctx.synthesizable:
         return None
     keys = list(ctx.keys)
@@ -253,7 +254,7 @@ def check_batch_vs_scalar(ctx: CaseContext) -> Optional[str]:
             )
         small = keys[:_SMALL_BATCH]
         if synthesized.hash_many(small) != scalar[: len(small)]:
-            return f"{family.value}: small-batch loop path diverges"
+            return f"{family.value}: small-batch mapped path diverges"
         length = synthesized.plan.key_length
         if length is not None:
             ragged = _ragged_batch(keys, length)
@@ -262,40 +263,59 @@ def check_batch_vs_scalar(ctx: CaseContext) -> Optional[str]:
     return None
 
 
-@_oracle("infer-engines", GROUP_DIFFERENTIAL)
-def check_infer_engines(ctx: CaseContext) -> Optional[str]:
-    """``infer_pattern``, a two-chunk ``update`` and the ``merge`` of two
-    halves each infer the reference join's pattern.
-
-    ``infer_pattern`` runs on the keys repeated up to the NumPy chunk
-    size (the join is idempotent, so the answer is unchanged): an
-    equal-length case then takes the column reduction, while the chunk
-    and merge checks take the big-int fold."""
-    if not ctx.keys:
-        return None
-    keys = list(ctx.keys)
+def _joined_pattern(keys: Sequence[bytes]) -> KeyPattern:
+    """The reference join's pattern of ``keys``."""
     lengths = [len(key) for key in keys]
-    reference = KeyPattern(
+    return KeyPattern(
         quads=tuple(join_keys(keys)),
         min_length=min(lengths),
         max_length=max(lengths),
     )
+
+
+def _repeated(keys: Sequence[bytes]) -> List[bytes]:
+    """``keys`` repeated up to the NumPy chunk size; the join is
+    idempotent, so the inferred pattern is unchanged."""
+    return list(keys) * -(-_NUMPY_MIN_KEYS // len(keys))
+
+
+@_oracle("infer-engines", GROUP_DIFFERENTIAL)
+def check_infer_engines(ctx: CaseContext) -> Optional[str]:
+    """``infer_pattern``, a two-chunk ``update`` and the ``merge`` of two
+    halves each infer the reference join's pattern, and so does
+    ``infer_pattern`` on a ragged batch.
+
+    ``infer_pattern`` runs on the keys repeated up to the NumPy chunk
+    size: an equal-length case then takes the column reduction, while
+    the chunk and merge checks take the big-int fold.  The ragged batch
+    (:func:`_ragged_batch` at the first key's length) is repeated the
+    same way; its lengths sum to ``n * L``, so a column reduction that
+    trusted the sum would read misaligned rows."""
+    if not ctx.keys:
+        return None
+    keys = list(ctx.keys)
+    reference = _joined_pattern(keys)
     half = len(keys) // 2
-    repeated = keys * -(-_NUMPY_MIN_KEYS // len(keys))
     chunked = PatternAccumulator().update(keys[:half]).update(keys[half:])
     merged = PatternAccumulator().update(keys[:half]).merge(
         PatternAccumulator().update(keys[half:])
     )
+    ragged = _ragged_batch(keys, len(keys[0]))
     checks = [
-        ("infer_pattern", infer_pattern(repeated)),
-        ("two-chunk update", chunked.finish()),
-        ("merge of halves", merged.finish()),
+        ("infer_pattern", infer_pattern(_repeated(keys)), reference),
+        ("two-chunk update", chunked.finish(), reference),
+        ("merge of halves", merged.finish(), reference),
+        (
+            "infer_pattern on a ragged batch",
+            infer_pattern(_repeated(ragged)),
+            _joined_pattern(ragged),
+        ),
     ]
-    for name, result in checks:
-        if result != reference:
+    for name, result, expected in checks:
+        if result != expected:
             return (
                 f"{name} inferred {render_regex(result)!r}, "
-                f"reference says {render_regex(reference)!r}"
+                f"reference says {render_regex(expected)!r}"
             )
     return None
 

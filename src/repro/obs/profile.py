@@ -16,7 +16,7 @@ counts to individual IR opcodes:
   over NumPy ``uint64`` lane arrays one opcode at a time — the same
   lowering rules as :mod:`repro.codegen.batch`'s vector tier, with a
   timestamp per array op — and falls back to interpreter attribution
-  when the plan does not vectorize.  Results are parity-checked against
+  when the plan has no lane body.  Results are parity-checked against
   the interpreter, so a profile is also a correctness witness.
 - **Stage self-times** (:func:`self_time_tree`) turn captured span
   records into a tree where each node carries *self* wall/CPU time
@@ -349,11 +349,11 @@ def profile_batch(synthesized, keys: Sequence[bytes]) -> ProfileReport:
 
     Vectorizable plans are re-executed over NumPy lane arrays with one
     timestamp per array op (mode ``"vector"``), and the profiled values
-    are parity-checked against the real ``hash_many`` kernel.  Plans the
-    batch backend would lower to its loop form — and environments
-    without NumPy — fall back to interpreter attribution (mode
-    ``"interp"``), which is what the generated loop executes per key
-    anyway.
+    are parity-checked against the real ``hash_many`` kernel.  Plans
+    without a lane body — for which the batch entry maps the scalar
+    function over the keys — and environments without NumPy fall back
+    to interpreter attribution (mode ``"interp"``), per key like the
+    mapped scalar function.
     """
     func = _ir_function(synthesized)
     from repro.codegen.batch import HAVE_NUMPY

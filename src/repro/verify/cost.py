@@ -4,10 +4,11 @@ The third domain of the multi-domain analyzer (alongside the range and
 entropy domains of :mod:`repro.verify.dataflow`): given the opcode
 profile of a plan's optimized IR, predict ns/key for each execution
 backend *without running a single key*.  Predictions feed the
-``sepe analyze`` cost ladder, the ``cost-anomaly`` lint, and the
-router's batch-tier selection (:mod:`repro.core.routes`), which
-orders callables by predicted cost and falls back to the fixed
-native → NumPy → interp preference whenever the model abstains.
+``sepe analyze`` cost ladder and the ``cost-anomaly`` lint.  Routing
+does not consult them: the model prices NumPy above native for every
+opcode histogram (its ``__base__`` and cheapest opcode both exceed
+native's base and per-instruction cost), so a route takes native
+whenever a module exists (:mod:`repro.core.routes`).
 
 Tables were calibrated once on the benchmark container by
 ``benchmarks/calibrate_cost_model.py`` from the PR 6 profiler's
@@ -26,10 +27,10 @@ marshaling window) plus direct tier timings:
   per-instruction slope) of the compiled ``hash_many`` tier.
 
 A prediction **abstains** (``None``) rather than guess: the NumPy tier
-abstains on any non-vectorizable opcode (``tail_xor`` lowers the whole
-batch to loop form) and every tier abstains on opcodes missing from
-its table, so a future family's new opcode degrades to the fixed tier
-order instead of a fabricated number.  Absolute values drift with
+abstains on any non-vectorizable opcode (with ``tail_xor`` the batch
+entry maps the scalar function instead of running a lane body) and
+every tier abstains on opcodes missing from its table, so a future
+family's new opcode gets no fabricated number.  Absolute values drift with
 hardware; the model's contract is *ranking*, which the EXPERIMENTS.md
 sweep checks against measured ``BENCH_batch.json`` rows.
 """
@@ -42,12 +43,13 @@ from typing import Dict, Mapping, Optional, Tuple
 from repro.codegen.ir import IRFunction, build_ir, optimize
 from repro.core.plan import SynthesisPlan
 
-#: Tier names in the serving layer's fixed preference order (fastest
-#: expected first); also the fallback order when the model abstains.
+#: Tier names, fastest expected first; :meth:`CostPrediction.order`
+#: breaks ties in this order.
 TIERS: Tuple[str, ...] = ("native", "numpy", "python", "interp")
 
-#: Opcodes the NumPy batch backend cannot express as array ops; their
-#: presence drops the whole kernel to loop form, so the model abstains.
+#: Opcodes the NumPy batch backend cannot express as array ops; with
+#: one present the batch entry maps the scalar function over its keys
+#: instead of running a lane body, so the model abstains.
 NON_VECTORIZABLE = frozenset({"tail_xor"})
 
 #: Calibrated ns tables.  ``__base__`` is a per-key constant (call or

@@ -1,19 +1,20 @@
 """Differential tests for the batch backend.
 
-The reference interpreter is the oracle: for every family and every
-lowering tier (vectorized, generated loop, list comprehension) the
-batched result must equal ``[interpret(func, k) for k in keys]``
+The reference interpreter is the oracle: for every family and both
+batch paths (the vectorized lane body and the mapped scalar function)
+the batched result must equal ``[interpret(func, k) for k in keys]``
 bit for bit.
 """
 
+import ast
 import random
 
 import pytest
 
+from repro.codegen import batch as batch_mod
 from repro.codegen.batch import (
     HAVE_NUMPY,
     VECTOR_MIN_KEYS,
-    _expression_body,
     compile_plan_batch,
     emit_python_batch,
 )
@@ -57,17 +58,20 @@ class TestBatchParityFixedLength:
         assert batch(keys) == reference(plan, keys)
 
     @pytest.mark.parametrize("family", list(HashFamily))
-    def test_loop_form_matches_interpreter(self, family):
-        """The non-vectorized tier, forced, against the same oracle."""
+    def test_loop_form_matches_interpreter(self, family, monkeypatch):
+        """The entry a NumPy-less host emits — the scalar function
+        mapped over the keys — against the same oracle."""
+        monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
         plan = synthesize(KEY_TYPES["SSN"].regex, family).plan
         keys = fixed_keys("SSN")
-        batch = compile_plan_batch(plan, name="hash_many", vectorize=False)
+        batch = compile_plan_batch(plan, name="hash_many")
+        assert not hasattr(batch, "lanes")
         assert batch(keys) == reference(plan, keys)
 
     @pytest.mark.parametrize("family", list(HashFamily))
     def test_small_batch_guard_path(self, family):
-        """Below VECTOR_MIN_KEYS the generated guard takes the loop
-        fallback inside the vectorized function; results must agree."""
+        """Below VECTOR_MIN_KEYS the generated guard maps the scalar
+        function inside the vectorized entry; results must agree."""
         plan = synthesize(KEY_TYPES["MAC"].regex, family).plan
         keys = fixed_keys("MAC", count=VECTOR_MIN_KEYS - 1)
         batch = compile_plan_batch(plan, name="hash_many")
@@ -109,22 +113,22 @@ class TestVectorTier:
         func = optimize(build_ir(plan, name="hash_many"))
         source = emit_python_batch(func)
         assert "_np.frombuffer" in source
-        # The loop form rides along as the guard's fallback.
-        assert "def _hash_many_rows(" in source
+        # The scalar function rides along as the guard's fallback.
+        assert "def _hash_many_one(" in source
 
     @pytest.mark.parametrize("key_type", FIXED_FORMATS)
     @pytest.mark.parametrize("family", list(HashFamily))
     def test_vector_equals_loop_form(self, key_type, family):
-        plan = synthesize(KEY_TYPES[key_type].regex, family).plan
+        """The lane body against the mapped scalar function."""
+        synthesized = synthesize(KEY_TYPES[key_type].regex, family)
         keys = fixed_keys(key_type, count=VECTOR_MIN_KEYS * 4)
-        vector = compile_plan_batch(plan, name="hash_many")
-        loop = compile_plan_batch(plan, name="hash_many", vectorize=False)
-        assert vector(keys) == loop(keys)
+        vector = compile_plan_batch(synthesized.plan, name="hash_many")
+        assert vector(keys) == list(map(synthesized.function, keys))
 
     def test_non_conforming_lengths_fall_back(self):
         """Keys of the wrong length can't reshape into the lane matrix;
-        the generated guard must route them through the loop form rather
-        than raise or mis-hash."""
+        the generated guard must map the scalar function over them
+        rather than raise or mis-hash."""
         plan = synthesize(KEY_TYPES["SSN"].regex, HashFamily.NAIVE).plan
         keys = fixed_keys("SSN", count=VECTOR_MIN_KEYS * 2)
         keys[3] = keys[3] + b"X"  # 12 bytes among 11-byte keys
@@ -193,25 +197,31 @@ class TestLaneBody:
     def test_list_entry_exposes_its_lane_body(self):
         plan = synthesize(KEY_TYPES["SSN"].regex, HashFamily.PEXT).plan
         batch = compile_plan_batch(plan, name="hash_many")
-        loop = compile_plan_batch(plan, name="hash_many", vectorize=False)
         assert callable(batch.lanes)
-        assert not hasattr(loop, "lanes")
+        variable = synthesize(VARIABLE_REGEX, HashFamily.PEXT).plan
+        assert not hasattr(compile_plan_batch(variable), "lanes")
 
 
-class TestComprehensionForm:
-    def test_naive_collapses_to_expression(self):
-        plan = synthesize(KEY_TYPES["SSN"].regex, HashFamily.NAIVE).plan
-        func = optimize(build_ir(plan, name="hash_many"))
-        assert _expression_body(func) is not None
-        assert "for key in keys]" in emit_python_batch(func, vectorize=False)
-
-    def test_pext_does_not_collapse(self):
-        """Multi-run pext masks reference a register several times, so
-        substitution would duplicate work; the loop form must win."""
-        plan = synthesize(KEY_TYPES["SSN"].regex, HashFamily.PEXT).plan
-        func = optimize(build_ir(plan, name="hash_many"))
-        source = emit_python_batch(func, vectorize=False)
-        assert "_append(" in source
+class TestBatchSource:
+    @pytest.mark.parametrize("regex", [KEY_TYPES["SSN"].regex, VARIABLE_REGEX])
+    @pytest.mark.parametrize("family", list(HashFamily))
+    def test_only_the_scalar_function_reads_key_bytes(self, family, regex):
+        """One scalar lowering: the batch source embeds the scalar
+        function, and no other ``def`` in it indexes or slices a key."""
+        plan = synthesize(regex, family).plan
+        source = emit_python_batch(optimize(build_ir(plan, name="hash_many")))
+        readers = [
+            node.name
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)
+            and any(
+                isinstance(sub, ast.Subscript)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "key"
+                for sub in ast.walk(node)
+            )
+        ]
+        assert readers == ["_hash_many_one"]
 
 
 class TestOrderingAndTypes:

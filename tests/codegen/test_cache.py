@@ -17,7 +17,7 @@ from repro.codegen.cache import (
 from repro.codegen.ir import build_ir, optimize
 from repro.codegen.python_backend import (
     LOWERING_VERSION,
-    emit_body_lines,
+    compile_source,
     emit_python,
 )
 from repro.core.plan import HashFamily, LoadOp
@@ -31,6 +31,17 @@ MAC = KEY_TYPES["MAC"].regex
 
 def ssn_plan(family=HashFamily.PEXT):
     return synthesize(SSN, family).plan
+
+
+SSN_PEXT_GATHER_FORM = (
+    "def f(key, _ifb=int.from_bytes, _aes=_aesenc):\n"
+    "    _w0 = _ifb(key[0:11], 'little')\n"
+    "    return (_w0 & 0xf) | ((_w0 >> 4) & 0xf0) | ((_w0 >> 8) & 0xf00)"
+    " | ((_w0 >> 12) & 0xf0000000000000) | ((_w0 >> 16) & 0xf00000000000000)"
+    " | ((_w0 >> 20) & 0xf00000000000f000) | ((_w0 >> 24) & 0xf0000)"
+    " | ((_w0 >> 36) & 0xf00000)\n"
+)
+"""The gather form of the SSN Pext plan, as lowering version 2 wrote it."""
 
 
 class TestFingerprint:
@@ -198,13 +209,13 @@ class TestDiskTier:
         func = optimize(build_ir(plan, name="f"))
         fingerprint = plan_fingerprint(plan)
         (tmp_path / f"{fingerprint}.scalar.v2.f.py").write_text(
-            "def f(key, _ifb=int.from_bytes, _aes=_aesenc):\n"
-            + "\n".join(emit_body_lines(func))
-            + "\n"
+            SSN_PEXT_GATHER_FORM
         )
+        stale = compile_source(SSN_PEXT_GATHER_FORM, "f")
         cache = CompileCache(registry=MetricsRegistry(), source_dir=tmp_path)
         artifact = cache.scalar(plan, name="f")
         assert cache.stats()["disk_hits"] == 0
+        assert artifact.function(b"123-45-6789") == stale(b"123-45-6789")
         assert artifact.source == emit_python(func)
         assert "except IndexError" in artifact.source
         current = (

@@ -137,6 +137,19 @@ def test_str_keys_accepted():
     assert module.hash_many(["123-45-6789"]) == [module(b"123-45-6789")]
 
 
+@requires_compiler
+@pytest.mark.parametrize("family", list(HashFamily))
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_buffer_keys_accepted(family, wrap):
+    """A ``bytearray`` or ``memoryview`` key — full-length, short or
+    long — hashes as the same bytes do through the scalar function."""
+    synthesized = synthesize(SSN, family)
+    module = synthesized.native_module
+    assert module is not None
+    for key in (b"123-45-6789", b"123-45", b"123-45-6789-0123"):
+        assert module(wrap(key)) == synthesized.function(key), key
+
+
 # -- disk cache round-trip --------------------------------------------------
 
 

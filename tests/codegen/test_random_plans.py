@@ -11,14 +11,10 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from repro.codegen.batch import compile_plan_batch, emit_python_batch
+from repro.codegen.batch import compile_plan_batch
 from repro.codegen.interp import interpret
 from repro.codegen.ir import build_ir, optimize
-from repro.codegen.python_backend import (
-    compile_plan,
-    compile_source,
-    emit_python,
-)
+from repro.codegen.python_backend import compile_plan, emit_python
 from repro.codegen.serialize import dumps, loads
 from repro.core.plan import (
     CombineOp,
@@ -122,7 +118,7 @@ class TestRandomPlans:
         plan's length, 8 bytes longer, and a drawn length."""
         func = optimize(build_ir(plan, name="f"))
         scalar = compile_plan(plan, name="f")
-        loop = compile_source(emit_python_batch(func, vectorize=False), "f")
+        batch = compile_plan_batch(plan, name="f")
         keys = [
             data[:n]
             for n in (0, 1, 7, KEY_LENGTH - 1, KEY_LENGTH, KEY_LENGTH + 8,
@@ -130,7 +126,7 @@ class TestRandomPlans:
         ]
         expected = [interpret(func, key) for key in keys]
         assert [scalar(key) for key in keys] == expected
-        assert loop(keys) == expected
+        assert batch(keys) == expected
 
     @pytest.mark.parametrize("tabulated", [True, False])
     def test_strategy_reaches_both_scalar_forms(self, tabulated):

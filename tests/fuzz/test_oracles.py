@@ -160,6 +160,50 @@ class TestOraclesCatchBugs:
         assert message is not None
         assert check_batch_vs_scalar(CaseContext(case)) is None
 
+    def test_sum_trusting_column_reduction_caught_by_infer_oracle(
+        self, monkeypatch
+    ):
+        """A column reduction that takes a chunk for rows when its key
+        lengths only sum to ``n * L`` reads misaligned rows; the
+        ragged-batch probe of ``infer-engines`` reports it."""
+        np = pytest.importorskip("numpy")
+        from repro.core.fast_infer import PatternAccumulator
+        from repro.fuzz.oracles import check_infer_engines
+
+        def columns_by_sum(self, keys):
+            length = len(keys[0])
+            try:
+                joined = b"".join(keys)
+            except TypeError:
+                return False
+            if not length or len(joined) != len(keys) * length:
+                return False
+            matrix = np.frombuffer(joined, dtype=np.uint8).reshape(
+                len(keys), length
+            )
+            varying = np.bitwise_or.reduce(matrix, axis=0)
+            varying ^= np.bitwise_and.reduce(matrix, axis=0)
+            self.merge(
+                PatternAccumulator.from_state(
+                    (
+                        len(keys),
+                        length,
+                        length,
+                        joined[:length],
+                        int.from_bytes(varying.tobytes(), "big"),
+                    )
+                )
+            )
+            return True
+
+        ctx = CaseContext(_case(SSN_SPEC))
+        assert check_infer_engines(ctx) is None
+        monkeypatch.setattr(
+            PatternAccumulator, "_update_columns", columns_by_sum
+        )
+        message = check_infer_engines(ctx)
+        assert message is not None and "ragged batch" in message
+
     def test_unknown_fault_kind_rejected(self):
         from repro.fuzz.faults import injected_fault
 
