@@ -589,17 +589,15 @@ def _run_analyze(args: argparse.Namespace) -> int:
     and known bits, the entropy-flow report (funnels), the predicted
     per-tier cost ladder, and which analysis-driven rewrites fired.
     Exit code 1 means at least one error-severity analysis finding
-    (the CI ``analyze-gate`` signal); 2 is an input error.
+    (the CI ``static-analysis`` signal); 2 is an input error.
     """
     import json
 
-    from repro.codegen.ir import build_ir, optimize_with_stats
+    from repro.codegen.ir import optimize_with_stats
     from repro.core.plan import HashFamily
     from repro.core.regex_expand import pattern_from_regex
     from repro.core.synthesis import build_plan
     from repro.errors import SepeError
-    from repro.verify.cost import predict_ir_costs
-    from repro.verify.dataflow import analyze_dataflow, entropy_report
     from repro.verify.lints import LintContext, run_lints
 
     targets = _lint_targets(args)
@@ -636,11 +634,6 @@ def _run_analyze(args: argparse.Namespace) -> int:
                 print(f"error: {label}/{family.value}: {error}",
                       file=sys.stderr)
                 return 2
-            func = build_ir(plan)
-            optimized, rewrites = optimize_with_stats(func)
-            analysis = analyze_dataflow(func, pattern)
-            entropy = entropy_report(func, pattern, result=analysis)
-            costs = predict_ir_costs(optimized)
             ctx = LintContext(plan, pattern)
             findings = run_lints(
                 plan,
@@ -651,7 +644,10 @@ def _run_analyze(args: argparse.Namespace) -> int:
             errors += sum(
                 1 for f in findings if f.severity.value == "error"
             )
-            ret = analysis.ret
+            _, rewrites = optimize_with_stats(ctx.ir)
+            entropy = ctx.entropy
+            costs = ctx.costs
+            ret = ctx.dataflow.ret
             document = {
                 "target": label,
                 "pattern": regex,

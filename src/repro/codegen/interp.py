@@ -7,14 +7,16 @@ pins the backend's lowering (pext run-decomposition, shift masking,
 tail loops) against an independent, dead-simple evaluator.
 
 It is deliberately slow and obvious — one dict of registers, one
-if-chain per opcode — because its value is as an oracle, not an engine.
+if-chain (:func:`_steps`) giving each opcode's concrete meaning —
+because its value is as an oracle, not an engine.
 
-A second entry point, :func:`interpret_profiled`, runs the same
-semantics under per-instruction timing for the performance observatory
-(:mod:`repro.obs.profile`): every instruction's wall/CPU cost is
-attributed to its opcode via chained timestamps, so opcode self-times
-sum to the loop's elapsed time by construction.  The two evaluators are
-parity-pinned against each other in ``tests/obs/test_profile.py``.
+Both evaluators step through :func:`_steps`: :func:`interpret` (and
+:func:`interpret_registers`) run it plainly, and
+:func:`interpret_profiled_many` runs it under per-instruction timing
+for the performance observatory (:mod:`repro.obs.profile`): every
+instruction's wall/CPU cost is attributed to its opcode via chained
+timestamps, so opcode self-times sum to the loop's elapsed time by
+construction.
 """
 
 from __future__ import annotations
@@ -26,6 +28,72 @@ from repro.codegen.ir import AES_ROUND_KEY, IRFunction
 from repro.isa.aes import aesenc
 from repro.isa.bits import MASK64, pext, rotl64
 from repro.obs.trace import span
+
+
+def _steps(func: IRFunction, key: bytes, registers: Dict[str, int]):
+    """Run ``func`` on ``key``, yielding ``(opcode, value)`` per instruction.
+
+    This is the one definition of every opcode's concrete meaning.  Each
+    assigned value is stored in ``registers`` before it is yielded; the
+    last pair is the ``ret`` and its result.
+
+    Raises:
+        ValueError: on an unknown opcode or a function without ``ret``.
+    """
+
+    def get(name) -> int:
+        if isinstance(name, int):
+            return name
+        return registers[name]
+
+    for instr in func.instrs:
+        op, args = instr.opcode, instr.args
+        if op == "const":
+            value = args[0]
+        elif op == "load64":
+            offset, width = args
+            value = int.from_bytes(key[offset : offset + width], "little")
+        elif op == "pext":
+            value = pext(get(args[0]), args[1])
+        elif op == "shl":
+            value = (get(args[0]) << args[1]) & MASK64
+        elif op == "shr":
+            value = get(args[0]) >> args[1]
+        elif op == "mul64":
+            value = (get(args[0]) * args[1]) & MASK64
+        elif op == "rotl":
+            value = rotl64(get(args[0]), args[1])
+        elif op == "xor":
+            value = get(args[0]) ^ get(args[1])
+        elif op == "or":
+            value = get(args[0]) | get(args[1])
+        elif op == "add":
+            value = (get(args[0]) + get(args[1])) & MASK64
+        elif op == "aes_absorb":
+            state, lo, hi = (get(a) for a in args)
+            value = aesenc(state ^ (lo | (hi << 64)), AES_ROUND_KEY)
+        elif op == "aes_fold":
+            state = get(args[0])
+            value = (state ^ (state >> 64)) & MASK64
+        elif op == "tail_xor":
+            value = get(args[0])
+            position = args[1]
+            length = len(key)
+            while position + 8 <= length:
+                value ^= int.from_bytes(
+                    key[position : position + 8], "little"
+                )
+                position += 8
+            if position < length:
+                value ^= int.from_bytes(key[position:length], "little")
+        elif op == "ret":
+            yield op, get(args[0])
+            return
+        else:
+            raise ValueError(f"unknown IR opcode: {op}")
+        registers[instr.dest] = value
+        yield op, value
+    raise ValueError("IR function fell off the end without ret")
 
 
 def interpret(func: IRFunction, key: bytes) -> int:
@@ -59,62 +127,9 @@ def _interpret(
 ) -> int:
     if registers is None:
         registers = {}
-
-    def get(name) -> int:
-        if isinstance(name, int):
-            return name
-        return registers[name]
-
-    for instr in func.instrs:
-        op, dest, args = instr.opcode, instr.dest, instr.args
-        if op == "const":
-            registers[dest] = args[0]
-        elif op == "load64":
-            offset, width = args
-            registers[dest] = int.from_bytes(
-                key[offset : offset + width], "little"
-            )
-        elif op == "pext":
-            registers[dest] = pext(get(args[0]), args[1])
-        elif op == "shl":
-            registers[dest] = (get(args[0]) << args[1]) & MASK64
-        elif op == "shr":
-            registers[dest] = get(args[0]) >> args[1]
-        elif op == "mul64":
-            registers[dest] = (get(args[0]) * args[1]) & MASK64
-        elif op == "rotl":
-            registers[dest] = rotl64(get(args[0]), args[1])
-        elif op == "xor":
-            registers[dest] = get(args[0]) ^ get(args[1])
-        elif op == "or":
-            registers[dest] = get(args[0]) | get(args[1])
-        elif op == "add":
-            registers[dest] = (get(args[0]) + get(args[1])) & MASK64
-        elif op == "aes_absorb":
-            state, lo, hi = (get(a) for a in args)
-            registers[dest] = aesenc(
-                state ^ (lo | (hi << 64)), AES_ROUND_KEY
-            )
-        elif op == "aes_fold":
-            value = get(args[0])
-            registers[dest] = (value ^ (value >> 64)) & MASK64
-        elif op == "tail_xor":
-            acc = get(args[0])
-            position = args[1]
-            length = len(key)
-            while position + 8 <= length:
-                acc ^= int.from_bytes(
-                    key[position : position + 8], "little"
-                )
-                position += 8
-            if position < length:
-                acc ^= int.from_bytes(key[position:length], "little")
-            registers[dest] = acc
-        elif op == "ret":
-            return get(args[0])
-        else:
-            raise ValueError(f"unknown IR opcode: {op}")
-    raise ValueError("IR function fell off the end without ret")
+    for _op, value in _steps(func, key, registers):
+        pass
+    return value
 
 
 def interpret_profiled_many(
@@ -146,68 +161,10 @@ def interpret_profiled_many(
     """
     values = []
     append = values.append
-    instrs = func.instrs
     cpu_entry = cpu_prev = time.thread_time()
     wall_entry = wall_prev = time.perf_counter()
     for key in keys:
-        registers: Dict[str, int] = {}
-
-        def get(name) -> int:
-            if isinstance(name, int):
-                return name
-            return registers[name]
-
-        returned = False
-        for instr in instrs:
-            op, dest, args = instr.opcode, instr.dest, instr.args
-            if op == "const":
-                registers[dest] = args[0]
-            elif op == "load64":
-                offset, width = args
-                registers[dest] = int.from_bytes(
-                    key[offset : offset + width], "little"
-                )
-            elif op == "pext":
-                registers[dest] = pext(get(args[0]), args[1])
-            elif op == "shl":
-                registers[dest] = (get(args[0]) << args[1]) & MASK64
-            elif op == "shr":
-                registers[dest] = get(args[0]) >> args[1]
-            elif op == "mul64":
-                registers[dest] = (get(args[0]) * args[1]) & MASK64
-            elif op == "rotl":
-                registers[dest] = rotl64(get(args[0]), args[1])
-            elif op == "xor":
-                registers[dest] = get(args[0]) ^ get(args[1])
-            elif op == "or":
-                registers[dest] = get(args[0]) | get(args[1])
-            elif op == "add":
-                registers[dest] = (get(args[0]) + get(args[1])) & MASK64
-            elif op == "aes_absorb":
-                state, lo, hi = (get(a) for a in args)
-                registers[dest] = aesenc(
-                    state ^ (lo | (hi << 64)), AES_ROUND_KEY
-                )
-            elif op == "aes_fold":
-                value = get(args[0])
-                registers[dest] = (value ^ (value >> 64)) & MASK64
-            elif op == "tail_xor":
-                acc = get(args[0])
-                position = args[1]
-                length = len(key)
-                while position + 8 <= length:
-                    acc ^= int.from_bytes(
-                        key[position : position + 8], "little"
-                    )
-                    position += 8
-                if position < length:
-                    acc ^= int.from_bytes(key[position:length], "little")
-                registers[dest] = acc
-            elif op == "ret":
-                append(get(args[0]))
-                returned = True
-            else:
-                raise ValueError(f"unknown IR opcode: {op}")
+        for op, value in _steps(func, key, {}):
             cpu_now = time.thread_time()
             wall_now = time.perf_counter()
             entry = stats.get(op)
@@ -218,20 +175,5 @@ def interpret_profiled_many(
             entry[2] += cpu_now - cpu_prev
             wall_prev = wall_now
             cpu_prev = cpu_now
-            if returned:
-                break
-        if not returned:
-            raise ValueError("IR function fell off the end without ret")
+        append(value)
     return values, wall_prev - wall_entry, cpu_prev - cpu_entry
-
-
-def interpret_profiled(
-    func: IRFunction, key: bytes, stats: Dict[str, list]
-) -> tuple:
-    """Single-key form of :func:`interpret_profiled_many`.
-
-    Returns:
-        ``(value, wall_seconds, cpu_seconds)``.
-    """
-    values, wall, cpu = interpret_profiled_many(func, (key,), stats)
-    return values[0], wall, cpu

@@ -6,8 +6,9 @@ itself* the time goes — by attributing wall/CPU time and execution
 counts to individual IR opcodes:
 
 - **Interpreter profiling** (:func:`profile_interp`) drives
-  :func:`repro.codegen.interp.interpret_profiled_many`, whose chained
-  timestamps attribute every instruction's cost to its opcode.  The
+  :func:`repro.codegen.interp.interpret_profiled_many`, which runs the
+  interpreter's own opcode semantics and whose chained timestamps
+  attribute every instruction's cost to its opcode.  The
   attribution is exhaustive by construction: self-times sum to the
   evaluation's elapsed time, and only corpus-level entry/exit
   bookkeeping escapes, so coverage against an externally measured wall

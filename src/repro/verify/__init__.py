@@ -6,9 +6,12 @@ this package were backed only by construction.  ``repro.verify`` checks
 them after the fact, on every plan, without running a single key
 through the hash:
 
-- :mod:`repro.verify.absint` — bit-level abstract interpretation of
-  the IR under a known-bits domain (bits fixed by the key format) and a
-  bit-provenance domain (which key bits influence each hash bit);
+- :mod:`repro.verify.absint` — the known-bits domain (bits fixed by
+  the key format) and bit-provenance domain (which key bits influence
+  each hash bit); :func:`analyze_ir` is the bit projection of the one
+  abstract interpreter, the reduced-product pass of
+  :mod:`repro.verify.dataflow`, which dispatches each opcode through
+  one table of (bit transfer, interval transfer);
 - :mod:`repro.verify.bijectivity` — a prover that certifies or refutes
   injectivity on conforming keys from the provenance facts, peeling the
   invertible finalizer when ``final_mix`` is on;

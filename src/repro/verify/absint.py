@@ -1,7 +1,6 @@
-"""Bit-level abstract interpretation of the hash IR.
+"""The bit domains of the hash IR's abstract interpreter.
 
-One pass over an :class:`~repro.codegen.ir.IRFunction` computes two
-cooperating abstract domains per virtual register:
+Two cooperating domains describe each virtual register:
 
 - **known bits** — masks of bits guaranteed zero / guaranteed one on
   every *conforming* key, seeded at each ``load64`` from the format's
@@ -18,12 +17,12 @@ output whose bits each depend on at most one key bit is injective on
 those bits, and a variable key bit absent from the return value's
 provenance provably never reaches the hash.
 
-Transfer functions cover every opcode of the IR (``const``, ``load64``,
-``pext``, ``shl``/``shr``/``rotl``, ``mul64``, ``xor``/``or``/``add``,
-``aes_absorb``/``aes_fold``, ``tail_xor``); AES registers are modeled
-at their native 128-bit width.  The pass is deliberately linear and
-allocation-light — synthesized functions are a few dozen instructions —
-so it can run on every plan the pipeline produces.
+This module holds the domain and its per-opcode transfer functions
+(AES registers are modeled at their native 128-bit width).  One pass
+walks an IR function: the reduced-product pass of
+:mod:`repro.verify.dataflow`, which pairs each transfer here with an
+interval transfer; :func:`analyze_ir` is that pass projected onto
+these two domains.
 """
 
 from __future__ import annotations
@@ -136,11 +135,6 @@ def const_value(value: int, width: Optional[int] = None) -> AbstractValue:
     return AbstractValue(~value & mask, value, (EMPTY,) * width, width)
 
 
-def unknown_value(width: int = 64) -> AbstractValue:
-    """A fully-unknown value carrying no provenance (rarely useful)."""
-    return AbstractValue(0, 0, (EMPTY,) * width, width)
-
-
 def seed_load(
     pattern: Optional[KeyPattern], offset: int, width: int
 ) -> AbstractValue:
@@ -151,7 +145,15 @@ def seed_load(
     positions (possible only in malformed plans) are treated as tail
     bytes; with no pattern at all, every loaded bit is unknown with its
     own key-bit provenance.
+
+    Raises:
+        VerificationError: when ``width`` is not 1..8 bytes — such a
+            load does not fit the 64-bit register it defines.
     """
+    if not 1 <= width <= 8:
+        raise VerificationError(
+            f"load64 width must be 1..8 bytes, got {width}"
+        )
     zeros = 0
     ones = 0
     prov = []
@@ -258,15 +260,7 @@ def _mul_value(src: AbstractValue, multiplier: int) -> AbstractValue:
     return _make(zeros, 0, tuple(prov))
 
 
-def _require_same_width(a: AbstractValue, b: AbstractValue, op: str) -> None:
-    if a.width != b.width:
-        raise VerificationError(
-            f"{op} mixes register widths {a.width} and {b.width}"
-        )
-
-
 def _xor_value(a: AbstractValue, b: AbstractValue) -> AbstractValue:
-    _require_same_width(a, b, "xor")
     zeros = (a.zeros & b.zeros) | (a.ones & b.ones)
     ones = (a.zeros & b.ones) | (a.ones & b.zeros)
     prov = tuple(
@@ -276,7 +270,6 @@ def _xor_value(a: AbstractValue, b: AbstractValue) -> AbstractValue:
 
 
 def _or_value(a: AbstractValue, b: AbstractValue) -> AbstractValue:
-    _require_same_width(a, b, "or")
     ones = a.ones | b.ones
     zeros = a.zeros & b.zeros
     prov = []
@@ -296,7 +289,6 @@ def _or_value(a: AbstractValue, b: AbstractValue) -> AbstractValue:
 
 
 def _add_value(a: AbstractValue, b: AbstractValue) -> AbstractValue:
-    _require_same_width(a, b, "add")
     width = a.width
     mask = _width_mask(width)
     if a.is_const and b.is_const:
@@ -335,8 +327,6 @@ def _aes_absorb_value(
 
 
 def _aes_fold_value(state: AbstractValue) -> AbstractValue:
-    if state.width != 128:
-        raise VerificationError("aes_fold expects a 128-bit register")
     low = _make(
         state.zeros & MASK64,
         state.ones & MASK64,
@@ -353,8 +343,6 @@ def _aes_fold_value(state: AbstractValue) -> AbstractValue:
 
 
 def _tail_xor_value(acc: AbstractValue) -> AbstractValue:
-    if acc.width != 64:
-        raise VerificationError("tail_xor expects a 64-bit accumulator")
     tail = frozenset((TAIL,))
     prov = tuple(acc.prov[index] | tail for index in range(64))
     return AbstractValue(0, 0, prov, 64)
@@ -410,7 +398,7 @@ def refine_known_bits(value: AbstractValue, lo: int, hi: int) -> AbstractValue:
     return _make(new_zeros, new_ones, value.prov, value.width)
 
 
-# -- the interpreter ---------------------------------------------------------
+# -- the projection of the reduced-product pass ------------------------------
 
 
 @dataclass
@@ -435,6 +423,10 @@ def analyze_ir(
 ) -> AbstractResult:
     """Abstractly interpret ``func`` under the key format ``pattern``.
 
+    This is the bit projection of the reduced-product pass of
+    :mod:`repro.verify.dataflow`: the known bits and provenance of
+    every register, with the interval facts dropped.
+
     Without a pattern, loads are seeded fully unknown (every loaded bit
     carries its own provenance), which still supports provenance-only
     queries like translation validation.
@@ -444,61 +436,13 @@ def analyze_ir(
             or a width-mismatched operation — malformed IR the verifier
             must reject rather than mis-model.
     """
+    # Function-local: the dataflow module builds on this one.
+    from repro.verify.dataflow import _product_pass
+
     with span("verify.absint", function=func.name):
-        values: Dict[str, AbstractValue] = {}
-
-        def get(arg) -> AbstractValue:
-            if isinstance(arg, int):
-                return const_value(arg)
-            if arg not in values:
-                raise VerificationError(
-                    f"register {arg!r} used before definition"
-                )
-            return values[arg]
-
-        ret: Optional[AbstractValue] = None
-        ret_register: Optional[str] = None
-        for instr in func.instrs:
-            op, dest, args = instr.opcode, instr.dest, instr.args
-            if op == "ret":
-                ret = get(args[0])
-                ret_register = args[0] if isinstance(args[0], str) else None
-                break  # Anything after the first ret never executes.
-            if op == "const":
-                value = const_value(args[0])
-            elif op == "load64":
-                value = seed_load(pattern, args[0], args[1])
-            elif op == "pext":
-                value = _pext_value(get(args[0]), args[1])
-            elif op == "shl":
-                value = _shl_value(get(args[0]), args[1])
-            elif op == "shr":
-                value = _shr_value(get(args[0]), args[1])
-            elif op == "rotl":
-                value = _rotl_value(get(args[0]), args[1])
-            elif op == "mul64":
-                value = _mul_value(get(args[0]), args[1])
-            elif op == "xor":
-                if args[0] == args[1]:
-                    value = const_value(0, get(args[0]).width)
-                else:
-                    value = _xor_value(get(args[0]), get(args[1]))
-            elif op == "or":
-                if args[0] == args[1]:
-                    value = get(args[0])
-                else:
-                    value = _or_value(get(args[0]), get(args[1]))
-            elif op == "add":
-                value = _add_value(get(args[0]), get(args[1]))
-            elif op == "aes_absorb":
-                value = _aes_absorb_value(
-                    get(args[0]), get(args[1]), get(args[2])
-                )
-            elif op == "aes_fold":
-                value = _aes_fold_value(get(args[0]))
-            elif op == "tail_xor":
-                value = _tail_xor_value(get(args[0]))
-            else:
-                raise VerificationError(f"unknown IR opcode: {op}")
-            values[dest] = value
-        return AbstractResult(values, ret, ret_register)
+        result = _product_pass(func, pattern)
+    return AbstractResult(
+        {register: value.bits for register, value in result.values.items()},
+        None if result.ret is None else result.ret.bits,
+        result.ret_register,
+    )

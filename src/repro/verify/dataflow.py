@@ -1,25 +1,33 @@
-"""Multi-domain dataflow analysis over the hash IR.
+"""The reduced-product abstract interpreter of the hash IR.
 
-:mod:`repro.verify.absint` computes two cooperating domains per register
-(known bits and bit provenance).  This module adds a third and fourth
-and ties them together:
+This module holds the one pass that walks an IR function abstractly.
+It adds an interval domain to the bit domains of
+:mod:`repro.verify.absint` and ties them together:
 
 - **value ranges** — an unsigned interval ``[lo, hi]`` per register,
   with wraparound-aware transfer functions: an operation that can
   overflow its width widens to ⊤ rather than wrapping unsoundly, while
   provably in-range shifts/multiplies/adds stay exact;
+- **one opcode table** — :data:`_TRANSFERS` gives every opcode the
+  widths its register operands must have, its known-bits/provenance
+  transfer and its interval transfer, so operand widths are checked in
+  one place and each opcode is dispatched once;
 - **reduced product** — after every opcode the interval and the
   known-bit masks refine each other
-  (:func:`repro.verify.absint.refine_known_bits` and the interval meet)
-  until neither changes, so each domain benefits from what the other
-  proved.  The fixpoint makes the refinement idempotent by
-  construction, which the property suite pins;
+  (:func:`repro.verify.absint.refine_known_bits` and the interval
+  intersection) until neither changes, so each domain benefits from
+  what the other proved.  The fixpoint makes the refinement idempotent
+  by construction, which the property suite pins;
 - **entropy provenance** — per-output-bit min-entropy inflow bounds
   built from the bit-provenance sets and the format's byte classes
   (``log2(len(possible_bytes))`` distributed over each byte's variable
   bits), detecting *funnels*: many live input bits collapsing into few
   output bits, a static predictor of chi-square failures long before a
   single key is hashed.
+
+:func:`analyze_dataflow` returns the full product per register;
+:func:`repro.verify.absint.analyze_ir` projects the same pass onto its
+bit domains.
 
 The range facts computed **without** a pattern hold for *every* input
 byte string — that is what licenses the analysis-driven rewrites in
@@ -32,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.codegen.ir import IRFunction
 from repro.core.pattern import KeyPattern
@@ -42,6 +50,7 @@ from repro.isa.bits import popcount, rotl64
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.verify.absint import (
+    MASK64,
     TAIL,
     AbstractValue,
     _add_value,
@@ -54,6 +63,7 @@ from repro.verify.absint import (
     _shl_value,
     _shr_value,
     _tail_xor_value,
+    _width_mask,
     _xor_value,
     const_value,
     interval_from_bits,
@@ -71,13 +81,6 @@ __all__ = [
     "key_bit_entropy",
     "reduce_product",
 ]
-
-MASK64 = (1 << 64) - 1
-
-
-def _width_mask(width: int) -> int:
-    return (1 << width) - 1
-
 
 # -- the interval domain -----------------------------------------------------
 
@@ -101,34 +104,9 @@ class Interval:
     def is_const(self) -> bool:
         return self.lo == self.hi
 
-    @property
-    def is_top(self) -> bool:
-        return self.lo == 0 and self.hi == _width_mask(self.width)
-
     def contains(self, concrete: int) -> bool:
         """Soundness check: can this interval describe ``concrete``?"""
         return self.lo <= (concrete & _width_mask(self.width)) <= self.hi
-
-    def meet(self, other: "Interval") -> "Interval":
-        """Intersection of two facts about the same register.
-
-        Raises:
-            VerificationError: when the intersection is empty — two
-                sound facts about one value cannot contradict, so an
-                empty meet means an analyzer bug, never input data.
-        """
-        if self.width != other.width:
-            raise VerificationError(
-                f"interval meet mixes widths {self.width} and {other.width}"
-            )
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise VerificationError(
-                f"empty interval meet: [{self.lo:#x}, {self.hi:#x}] ∩ "
-                f"[{other.lo:#x}, {other.hi:#x}]"
-            )
-        return Interval(lo, hi, self.width)
 
 
 def top_interval(width: int = 64) -> Interval:
@@ -156,15 +134,14 @@ def _iv_pext(src: Interval, mask: int) -> Interval:
     return Interval(0, _width_mask(popcount(mask)))
 
 
-def _iv_shl(src: Interval, amount: int, width: int = 64) -> Interval:
-    mask = _width_mask(width)
-    if (src.hi << amount) <= mask:
-        return Interval(src.lo << amount, src.hi << amount, width)
-    return top_interval(width)
+def _iv_shl(src: Interval, amount: int) -> Interval:
+    if (src.hi << amount) <= MASK64:
+        return Interval(src.lo << amount, src.hi << amount)
+    return top_interval()
 
 
 def _iv_shr(src: Interval, amount: int) -> Interval:
-    return Interval(src.lo >> amount, src.hi >> amount, src.width)
+    return Interval(src.lo >> amount, src.hi >> amount)
 
 
 def _iv_rotl(src: Interval, amount: int) -> Interval:
@@ -193,10 +170,6 @@ def _iv_mul(src: Interval, multiplier: int) -> Interval:
 
 
 def _iv_xor(a: Interval, b: Interval) -> Interval:
-    if a.width != b.width:
-        raise VerificationError(
-            f"xor mixes interval widths {a.width} and {b.width}"
-        )
     if a.is_const and b.is_const:
         return const_interval(a.lo ^ b.lo, a.width)
     # xor cannot set a bit above the highest bit either operand can set.
@@ -205,10 +178,6 @@ def _iv_xor(a: Interval, b: Interval) -> Interval:
 
 
 def _iv_or(a: Interval, b: Interval) -> Interval:
-    if a.width != b.width:
-        raise VerificationError(
-            f"or mixes interval widths {a.width} and {b.width}"
-        )
     if a.is_const and b.is_const:
         return const_interval(a.lo | b.lo, a.width)
     # a|b >= max(a, b) and cannot exceed the joint bit length.
@@ -217,14 +186,9 @@ def _iv_or(a: Interval, b: Interval) -> Interval:
 
 
 def _iv_add(a: Interval, b: Interval) -> Interval:
-    if a.width != b.width:
-        raise VerificationError(
-            f"add mixes interval widths {a.width} and {b.width}"
-        )
-    mask = _width_mask(a.width)
-    if a.hi + b.hi <= mask:
-        return Interval(a.lo + b.lo, a.hi + b.hi, a.width)
-    return top_interval(a.width)  # the sum can wrap for some operand pair
+    if a.hi + b.hi <= MASK64:
+        return Interval(a.lo + b.lo, a.hi + b.hi)
+    return top_interval()  # the sum can wrap for some operand pair
 
 
 def _iv_aes_fold(state: Interval) -> Interval:
@@ -307,6 +271,52 @@ def _product_const(value: int, width: Optional[int] = None) -> ProductValue:
     return ProductValue(bits, const_interval(bits.value, bits.width))
 
 
+# -- the opcode table --------------------------------------------------------
+
+# Required width of each register operand; 0 means "the first operand's
+# width" (xor and or work on 64-bit words and on 128-bit AES state).
+_TRANSFERS: Dict[str, Tuple[Tuple[int, ...], Callable, Callable]] = {
+    "pext": ((64,), _pext_value, _iv_pext),
+    "shl": ((64,), _shl_value, _iv_shl),
+    "shr": ((64,), _shr_value, _iv_shr),
+    "rotl": ((64,), _rotl_value, _iv_rotl),
+    "mul64": ((64,), _mul_value, _iv_mul),
+    "xor": ((0, 0), _xor_value, _iv_xor),
+    "or": ((0, 0), _or_value, _iv_or),
+    "add": ((64, 64), _add_value, _iv_add),
+    "aes_absorb": (
+        (128, 64, 64),
+        _aes_absorb_value,
+        lambda state, lo, hi: top_interval(128),
+    ),
+    "aes_fold": ((128,), _aes_fold_value, _iv_aes_fold),
+    "tail_xor": (
+        (64,),
+        lambda acc, start: _tail_xor_value(acc),
+        lambda acc, start: top_interval(),
+    ),
+}
+"""Opcode -> (operand widths, bit transfer, interval transfer).
+
+Each transfer takes the register operands' abstract values in order,
+then the instruction's immediates (a pext mask, a shift amount, a
+tail start)."""
+
+
+def _check_widths(op: str, widths: Tuple[int, ...], operands) -> None:
+    first = operands[0].width
+    for expected, operand in zip(widths, operands):
+        if operand.width != (expected or first):
+            if expected:
+                raise VerificationError(
+                    f"{op} expects a {expected}-bit operand, got a "
+                    f"{operand.width}-bit register"
+                )
+            raise VerificationError(
+                f"{op} mixes register widths {first} and {operand.width}"
+            )
+
+
 # -- the analyzer ------------------------------------------------------------
 
 
@@ -319,14 +329,61 @@ class DataflowResult:
             the (first) return.
         ret: product state of the returned register, or ``None``.
         ret_register: name of the returned register.
-        opcode_counts: executed-instruction histogram (up to the first
-            ``ret``, inclusive) — the shape the static cost model prices.
     """
 
     values: Dict[str, ProductValue]
     ret: Optional[ProductValue]
     ret_register: Optional[str]
-    opcode_counts: Dict[str, int]
+
+
+def _product_pass(
+    func: IRFunction, pattern: Optional[KeyPattern]
+) -> DataflowResult:
+    """The reduced-product pass itself, untraced.
+
+    :func:`analyze_dataflow` and :func:`repro.verify.absint.analyze_ir`
+    wrap it in their own spans.
+    """
+    values: Dict[str, ProductValue] = {}
+
+    def get(arg) -> ProductValue:
+        if isinstance(arg, int):
+            return _product_const(arg)
+        if arg not in values:
+            raise VerificationError(
+                f"register {arg!r} used before definition"
+            )
+        return values[arg]
+
+    for instr in func.instrs:
+        op, dest, args = instr.opcode, instr.dest, instr.args
+        if op == "ret":
+            register = args[0] if isinstance(args[0], str) else None
+            return DataflowResult(values, get(args[0]), register)
+        if op == "const":
+            values[dest] = _product_const(args[0])
+        elif op == "load64":
+            values[dest] = reduce_product(
+                seed_load(pattern, args[0], args[1]), top_interval()
+            )
+        elif op in ("xor", "or") and args[0] == args[1]:
+            # x ^ x == 0 and x | x == x, whatever x is.
+            source = get(args[0])
+            values[dest] = (
+                _product_const(0, source.width) if op == "xor" else source
+            )
+        elif op in _TRANSFERS:
+            widths, bit_transfer, range_transfer = _TRANSFERS[op]
+            operands = [get(arg) for arg in args[: len(widths)]]
+            _check_widths(op, widths, operands)
+            immediates = args[len(widths):]
+            values[dest] = reduce_product(
+                bit_transfer(*(o.bits for o in operands), *immediates),
+                range_transfer(*(o.range for o in operands), *immediates),
+            )
+        else:
+            raise VerificationError(f"unknown IR opcode: {op}")
+    return DataflowResult(values, None, None)
 
 
 def analyze_dataflow(
@@ -345,89 +402,7 @@ def analyze_dataflow(
     """
     with span("verify.dataflow", function=func.name):
         get_registry().counter("verify.dataflow.runs").inc()
-        values: Dict[str, ProductValue] = {}
-        counts: Dict[str, int] = {}
-
-        def get(arg) -> ProductValue:
-            if isinstance(arg, int):
-                return _product_const(arg)
-            if arg not in values:
-                raise VerificationError(
-                    f"register {arg!r} used before definition"
-                )
-            return values[arg]
-
-        ret: Optional[ProductValue] = None
-        ret_register: Optional[str] = None
-        for instr in func.instrs:
-            op, dest, args = instr.opcode, instr.dest, instr.args
-            counts[op] = counts.get(op, 0) + 1
-            if op == "ret":
-                ret = get(args[0])
-                ret_register = args[0] if isinstance(args[0], str) else None
-                break
-            if op == "const":
-                value = _product_const(args[0])
-                values[dest] = value
-                continue
-            if op == "load64":
-                bits = seed_load(pattern, args[0], args[1])
-                rng = top_interval(64)
-            elif op == "pext":
-                src = get(args[0])
-                bits = _pext_value(src.bits, args[1])
-                rng = _iv_pext(src.range, args[1])
-            elif op == "shl":
-                src = get(args[0])
-                bits = _shl_value(src.bits, args[1])
-                rng = _iv_shl(src.range, args[1])
-            elif op == "shr":
-                src = get(args[0])
-                bits = _shr_value(src.bits, args[1])
-                rng = _iv_shr(src.range, args[1])
-            elif op == "rotl":
-                src = get(args[0])
-                bits = _rotl_value(src.bits, args[1])
-                rng = _iv_rotl(src.range, args[1])
-            elif op == "mul64":
-                src = get(args[0])
-                bits = _mul_value(src.bits, args[1])
-                rng = _iv_mul(src.range, args[1])
-            elif op == "xor":
-                if args[0] == args[1]:
-                    width = get(args[0]).width
-                    values[dest] = _product_const(0, width)
-                    continue
-                a, b = get(args[0]), get(args[1])
-                bits = _xor_value(a.bits, b.bits)
-                rng = _iv_xor(a.range, b.range)
-            elif op == "or":
-                if args[0] == args[1]:
-                    values[dest] = get(args[0])
-                    continue
-                a, b = get(args[0]), get(args[1])
-                bits = _or_value(a.bits, b.bits)
-                rng = _iv_or(a.range, b.range)
-            elif op == "add":
-                a, b = get(args[0]), get(args[1])
-                bits = _add_value(a.bits, b.bits)
-                rng = _iv_add(a.range, b.range)
-            elif op == "aes_absorb":
-                state, lo, hi = (get(a) for a in args)
-                bits = _aes_absorb_value(state.bits, lo.bits, hi.bits)
-                rng = top_interval(128)
-            elif op == "aes_fold":
-                state = get(args[0])
-                bits = _aes_fold_value(state.bits)
-                rng = _iv_aes_fold(state.range)
-            elif op == "tail_xor":
-                acc = get(args[0])
-                bits = _tail_xor_value(acc.bits)
-                rng = top_interval(64)
-            else:
-                raise VerificationError(f"unknown IR opcode: {op}")
-            values[dest] = reduce_product(bits, rng)
-        return DataflowResult(values, ret, ret_register, counts)
+        return _product_pass(func, pattern)
 
 
 # -- entropy provenance ------------------------------------------------------

@@ -34,7 +34,6 @@ from repro.core.pattern import KeyPattern
 from repro.core.plan import CombineOp, HashFamily, SynthesisPlan
 from repro.errors import SepeError
 from repro.obs.trace import span
-from repro.verify.absint import AbstractResult, analyze_ir
 from repro.verify.bijectivity import (
     BijectivityResult,
     prove_bijectivity,
@@ -156,8 +155,8 @@ class LintReport:
 class LintContext:
     """Shared, lazily-computed analysis state handed to every rule.
 
-    Expensive artifacts (IR, optimized IR, abstract interpretation, the
-    bijectivity proof) are computed at most once per plan no matter how
+    Expensive artifacts (IR, optimized IR, the reduced-product analysis,
+    the bijectivity proof, the entropy report, the cost prediction) are computed at most once per plan no matter how
     many rules consult them.  Accessors raise :class:`SepeError`
     subclasses on malformed plans; rules let those propagate — the
     runner folds them into the dedicated lowering finding.
@@ -170,7 +169,6 @@ class LintContext:
         self.pattern = resolve_pattern(plan, pattern)
         self._ir: Optional[IRFunction] = None
         self._optimized: Optional[IRFunction] = None
-        self._absint: Optional[AbstractResult] = None
         self._bijectivity: Optional[BijectivityResult] = None
         self._dataflow: Optional[DataflowResult] = None
         self._entropy: Optional[EntropyReport] = None
@@ -187,12 +185,6 @@ class LintContext:
         if self._optimized is None:
             self._optimized = optimize(self.ir)
         return self._optimized
-
-    @property
-    def absint(self) -> AbstractResult:
-        if self._absint is None:
-            self._absint = analyze_ir(self.ir, self.pattern)
-        return self._absint
 
     @property
     def bijectivity(self) -> BijectivityResult:

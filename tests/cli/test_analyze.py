@@ -3,7 +3,7 @@
 The exit-code protocol is part of the CI interface: 0 clean, 1 the gate
 found findings, 2 the tooling itself failed (bad input or a crashed
 rule).  The lint JSON document carries a ``schema_version`` so the
-``analyze-gate`` job can evolve its parser deliberately.
+``static-analysis`` job can evolve its parser deliberately.
 """
 
 import json

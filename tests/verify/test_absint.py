@@ -3,7 +3,7 @@
 import pytest
 
 from repro.codegen.interp import interpret
-from repro.codegen.ir import IRFunction, build_ir
+from repro.codegen.ir import Instr, IRFunction, build_ir
 from repro.core.plan import (
     CombineOp,
     HashFamily,
@@ -96,6 +96,11 @@ class TestSeedLoad:
         assert value.known == 0
         assert value.prov[13] == frozenset((13,))
 
+    @pytest.mark.parametrize("width", [0, 9])
+    def test_width_outside_one_word_rejected(self, width):
+        with pytest.raises(VerificationError, match="width"):
+            seed_load(pattern_from_regex(r"[0-9]{16}"), 0, width)
+
 
 class TestAnalyzeIr:
     def test_stops_at_first_ret(self):
@@ -115,8 +120,6 @@ class TestAnalyzeIr:
             analyze_ir(func)
 
     def test_unknown_opcode_rejected(self):
-        from repro.codegen.ir import Instr
-
         func = IRFunction("f", offxor_plan())
         func.instrs.append(Instr("mystery", "t0", ()))
         with pytest.raises(VerificationError):
@@ -173,6 +176,55 @@ class TestAnalyzeIr:
         assert result.ret.width == 64  # folded back down
         widths = {value.width for value in result.values.values()}
         assert 128 in widths
+
+
+# One malformed instruction per opcode that takes registers; "state" is
+# the 128-bit AES state, "word" a 64-bit load.
+WIDTH_CASES = [
+    ("pext", ("state", MASK64)),
+    ("shl", ("state", 3)),
+    ("shr", ("state", 3)),
+    ("rotl", ("state", 3)),
+    ("mul64", ("state", 3)),
+    ("add", ("state", "state")),
+    ("xor", ("state", "word")),
+    ("or", ("word", "state")),
+    ("aes_absorb", ("state", "state", "word")),
+    ("aes_fold", ("word",)),
+    ("tail_xor", ("state", 11)),
+]
+
+
+class TestOperandWidths:
+    """Each opcode checks its operands' register widths.
+
+    The SSN Aes plan has both a 128-bit AES state register and 64-bit
+    words; an opcode fed the wrong one is malformed IR (``shr`` of the
+    state, say, is a 125-bit value no 64-bit fact describes), so the
+    analyzer must refuse it rather than model it at another width.
+    """
+
+    @pytest.mark.parametrize(
+        "opcode, args", WIDTH_CASES, ids=[case[0] for case in WIDTH_CASES]
+    )
+    def test_width_mismatch_rejected(self, opcode, args):
+        pattern = pattern_from_regex(SSN)
+        func = build_ir(build_plan(pattern, HashFamily.AES))
+        registers = {
+            "state": next(
+                i.dest for i in func.instrs if i.opcode == "aes_absorb"
+            ),
+            "word": next(
+                i.dest for i in func.instrs if i.opcode == "load64"
+            ),
+        }
+        operands = tuple(registers.get(arg, arg) for arg in args)
+        func.instrs = [i for i in func.instrs if i.opcode != "ret"] + [
+            Instr(opcode, "bad", operands),
+            Instr("ret", "", ("bad",)),
+        ]
+        with pytest.raises(VerificationError, match=opcode):
+            analyze_ir(func, pattern)
 
 
 @pytest.mark.parametrize("family", list(HashFamily))

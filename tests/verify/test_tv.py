@@ -67,3 +67,14 @@ def test_reports_analysis_failure_of_broken_rewrite():
     broken.instrs = [Instr("mystery", "t0", ()), Instr("ret", "", ("t0",))]
     mismatch = translation_validate(func, broken)
     assert mismatch is not None and "abstract interpretation" in mismatch
+
+
+def test_reports_analysis_failure_of_bad_load_width():
+    """A nine-byte load is malformed IR, reported rather than raised."""
+    func = build_ir(
+        build_plan(pattern_from_regex(SSN), HashFamily.OFFXOR)
+    )
+    broken = IRFunction(name=func.name, plan=func.plan)
+    broken.instrs = [Instr("load64", "t0", (0, 9)), Instr("ret", "", ("t0",))]
+    mismatch = translation_validate(func, broken)
+    assert mismatch is not None and "abstract interpretation" in mismatch
