@@ -328,6 +328,9 @@ def collect_smoke_entries(
     The same cells as :func:`repro.bench.batch_compare.compare_scalar_batch`
     — scalar and batched H-Time per (key type, family) — but each repeat
     is timed *individually* so entries carry per-repeat sample arrays.
+    Where the native tier is available, each cell also carries its
+    native H-Time and compile ms, and one ``native/probe_ms`` row times
+    the toolchain probe.
     ``repeats`` defaults to 5 because Mann–Whitney needs at least four
     observations per side before p can drop under 0.05; with fewer, the
     comparison silently degrades to ratio-only verdicts.
@@ -407,7 +410,40 @@ def collect_smoke_entries(
                             source="smoke",
                         )
                     )
+    probe_ms = _probe_ms(repeats)
+    if probe_ms:
+        entries.append(
+            LedgerEntry(
+                id="native/probe_ms",
+                value=min(probe_ms),
+                samples=probe_ms,
+                repeats=repeats,
+                unit="ms",
+                source="smoke",
+            )
+        )
     return entries
+
+
+def _probe_ms(repeats: int) -> List[float]:
+    """Wall-clock ms of ``repeats`` fresh toolchain probes.
+
+    Each repeat re-probes (``refresh=True``), as the
+    ``native_compile_ms`` rows bypass the compile cache: the row gates
+    what every cold start pays.  Empty when no toolchain is available.
+    """
+    from repro.codegen.native import detect_toolchain
+    from repro.errors import NativeUnavailableError
+
+    samples: List[float] = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        try:
+            detect_toolchain(refresh=True)
+        except NativeUnavailableError:
+            return []
+        samples.append((time.perf_counter() - started) * 1e3)
+    return samples
 
 
 def collect_serve_smoke_entries(

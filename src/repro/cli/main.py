@@ -147,7 +147,10 @@ def _run_obs(args: argparse.Namespace) -> int:
     # Trace a *cold* synthesis: with a warm compile cache the IR and
     # compile stages would be elided from the span tree, which is the
     # very pipeline this command exists to show.  Counter totals survive.
+    # The native tier is traced too where it is enabled: its toolchain
+    # probe (once per process) and the plan's compile.
     from repro.codegen.cache import get_compile_cache
+    from repro.codegen.native import native_enabled
 
     get_compile_cache().clear()
     exporter = None
@@ -165,7 +168,7 @@ def _run_obs(args: argparse.Namespace) -> int:
     was_enabled = tracer.enabled
     tracer.enable()
     try:
-        dispatcher = FormatDispatcher()
+        dispatcher = FormatDispatcher(prefer_native=native_enabled())
         synthesized = dispatcher.register(args.regex, family=family)
         pattern = synthesized.pattern
         if pattern.is_fixed_length:
@@ -593,7 +596,6 @@ def _run_analyze(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.codegen.ir import optimize_with_stats
     from repro.core.plan import HashFamily
     from repro.core.regex_expand import pattern_from_regex
     from repro.core.synthesis import build_plan
@@ -644,7 +646,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
             errors += sum(
                 1 for f in findings if f.severity.value == "error"
             )
-            _, rewrites = optimize_with_stats(ctx.ir)
+            rewrites = ctx.rewrites
             entropy = ctx.entropy
             costs = ctx.costs
             ret = ctx.dataflow.ret

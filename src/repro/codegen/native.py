@@ -15,18 +15,28 @@ Toolchain discovery (:func:`detect_toolchain`) is deliberately paranoid:
 
 - candidates are probed in order ``$CXX``, ``c++``, ``clang++``,
   ``g++`` — first one that can compile *and run* a trivial program
-  wins, with ``-march=native`` tried first and no arch flag only when
-  that fails;
-- ISA feature probes (BMI2 ``pext``, AES-NI / NEON crypto) are
-  compiled as tiny executables and **executed in a subprocess**, so a
-  compiler that accepts ``-mbmi2`` on a CPU without BMI2 produces a
-  dead child process, not a SIGILL in the Python interpreter.  On x86
-  they compile the JIT unit's own prelude, so they exercise the exact
-  primitives the kernels call, and every probe must print the result
-  :mod:`repro.isa` predicts;
-- ``-march=native`` is preferred when the probe survives it, otherwise
-  explicit per-feature flags are tried, otherwise the feature is
-  recorded as unavailable and plans needing it degrade.
+  wins;
+- the probe is one program, compiled with ``-march=native`` and
+  **executed in a subprocess**, so a compiler that enables an
+  instruction the CPU lacks produces a dead child process, not a
+  SIGILL in the Python interpreter.  The program is the JIT unit's own
+  prelude for every feature of the target plus a ``main`` that prints
+  ``42`` and then, for each ISA feature (BMI2 ``pext``, AES-NI / NEON
+  crypto) and only under that feature's macro guard (``__BMI2__``,
+  ``__AES__``, ``__ARM_FEATURE_AES``), one tagged result line, flushing
+  after every line.  Its stdout is read even when the run dies, so the
+  sections before a crash still count.  ``42`` keeps ``-march=native``;
+  a feature is proven only when its line is the result :mod:`repro.isa`
+  predicts, so the probe exercises the exact primitives the kernels
+  call;
+- on a working host that is the whole probe: one compile-and-run.  A
+  feature the run did not prove is re-probed alone with its explicit
+  flag (``-mbmi2``, ``-maes``, ``-march=armv8-a+crypto``), and is
+  recorded as unavailable (plans needing it degrade) when that fails
+  too.  If the run died after ``42``, the sections after the crash
+  never ran, so each feature it did not prove is first run alone under
+  ``-march=native``.  Without the ``42`` line, a flagless run proves
+  the compiler before the explicit-flag probes.
 
 The probe is not cached on disk: the CPU can change under the same
 compiler, and the probe is what stands between a ``-march=native``
@@ -40,7 +50,8 @@ counted under ``codegen.native.fallbacks`` and warned about exactly
 once per process.  Nothing here is allowed to take the pipeline down.
 
 Observability: ``codegen.native.probe`` and ``codegen.native.compile``
-spans, ``codegen.native.compiles`` / ``compile_failures`` /
+spans, ``codegen.native.probe_runs`` (compile-and-runs the probe made),
+``codegen.native.compiles`` / ``compile_failures`` /
 ``unavailable`` / ``fallbacks`` counters, and a
 ``codegen.native.compile_ms`` latency histogram (per-plan compile cost,
 63–82 ms with g++ 12 at ``-O2 -march=native`` on a 2-vCPU x86 VM).
@@ -66,6 +77,7 @@ from repro.codegen.cpp_backend import (
     NATIVE_SYMBOL,
     NATIVE_UNIT_VERSION,
     emit_cpp_native,
+    _JIT_ARM,
     plan_isa_features,
     x86_jit_prelude,
 )
@@ -107,76 +119,125 @@ _BASE_FLAGS: Tuple[str, ...] = ("-O2", "-fPIC", "-std=c++17")
 
 _MASK64 = (1 << 64) - 1
 
-_PROBE_MAIN = """\
-#include <cstdio>
-int main() {
-    std::printf("%d\\n", 40 + 2);
-    return 0;
-}
-"""
 
-# The x86 feature probes compile the JIT unit's own prelude
-# (:func:`~repro.codegen.cpp_backend.x86_jit_prelude`) plus a ``main``,
-# so a passing probe has executed the primitives the kernels call.  The
-# inputs are volatile so the compiler cannot fold the call away, and
-# each probe prints its whole result for comparison with the expected
-# output, which ``tests/codegen/test_native_probes.py`` derives from
-# :mod:`repro.isa`.
+@dataclass(frozen=True)
+class _FeatureProbe:
+    """One ISA feature's section of the toolchain probe program.
+
+    ``guard`` is the macro a compiler defines when its flags enable the
+    feature; ``body`` declares the section's volatile inputs (so the
+    compiler cannot fold the call away) and prints the tagged result
+    line; ``expect`` is that result as :mod:`repro.isa` predicts it
+    (``tests/codegen/test_native_probes.py`` derives it); ``flags`` are
+    the explicit flags tried when ``-march=native`` does not prove the
+    feature.
+    """
+
+    name: str
+    guard: str
+    body: str
+    expect: str
+    flags: Tuple[str, ...]
+
+    @property
+    def line(self) -> str:
+        """The result line a passing section prints."""
+        return f"{self.name} {self.expect}"
+
 
 _PEXT_PROBE_ARGS = (0x0123456789ABCDEF, 0xFF00F0F00FF00F0F)
-_PEXT_PROBE_EXPECT = "21404383"
 
-_PROBE_PEXT = x86_jit_prelude({"pext"}) + """\
-#include <cstdio>
-int main() {
-    volatile uint64_t value = UINT64_C(%#x);
-    volatile uint64_t mask = UINT64_C(%#x);
-    std::printf("%%llu\\n", (unsigned long long)sepe_pext(value, mask));
-    return 0;
-}
-""" % _PEXT_PROBE_ARGS
+_PEXT_PROBE = _FeatureProbe(
+    name="pext",
+    guard="__BMI2__",
+    body="""\
+        volatile uint64_t value = UINT64_C(%#x);
+        volatile uint64_t mask = UINT64_C(%#x);
+        std::printf("pext %%llu\\n",
+                    (unsigned long long)sepe_pext(value, mask));
+""" % _PEXT_PROBE_ARGS,
+    expect="21404383",
+    flags=("-mbmi2",),
+)
 
 # ``(state, round key)`` of the probe round: the Aes kernels' own
 # initial state and round key, as 128-bit little-endian integers.
 _AES_PROBE_ARGS = (AES_INITIAL_STATE, AES_ROUND_KEY)
-_AES_X86_PROBE_EXPECT = "11012308514663870964 13432742152343533349"
 
-_PROBE_AES_X86 = x86_jit_prelude({"aes"}) + """\
-#include <cstdio>
-int main() {
-    volatile uint64_t words[4] = {
-        UINT64_C(%#x), UINT64_C(%#x),
-        UINT64_C(%#x), UINT64_C(%#x)};
-    sepe_v2di state = sepe_set_epi64x(words[1], words[0]);
-    sepe_v2di key = sepe_set_epi64x(words[3], words[2]);
-    state = sepe_aesenc(state, key);
-    std::printf("%%llu %%llu\\n", (unsigned long long)state[0],
-                (unsigned long long)state[1]);
-    return 0;
-}
+_AES_X86_PROBE = _FeatureProbe(
+    name="aes",
+    guard="__AES__",
+    body="""\
+        volatile uint64_t words[4] = {
+            UINT64_C(%#x), UINT64_C(%#x),
+            UINT64_C(%#x), UINT64_C(%#x)};
+        sepe_v2di state = sepe_set_epi64x(words[1], words[0]);
+        sepe_v2di key = sepe_set_epi64x(words[3], words[2]);
+        state = sepe_aesenc(state, key);
+        std::printf("aes %%llu %%llu\\n", (unsigned long long)state[0],
+                    (unsigned long long)state[1]);
 """ % (
-    _AES_PROBE_ARGS[0] & _MASK64,
-    _AES_PROBE_ARGS[0] >> 64,
-    _AES_PROBE_ARGS[1] & _MASK64,
-    _AES_PROBE_ARGS[1] >> 64,
+        _AES_PROBE_ARGS[0] & _MASK64,
+        _AES_PROBE_ARGS[0] >> 64,
+        _AES_PROBE_ARGS[1] & _MASK64,
+        _AES_PROBE_ARGS[1] >> 64,
+    ),
+    expect="11012308514663870964 13432742152343533349",
+    flags=("-maes",),
 )
 
 # One aesenc round with a zero key on a state of sixteen 0x5a bytes:
 # AESE with a zero key then AESMC is exactly that round on aarch64.
-_AES_ARM_PROBE_EXPECT = "190"
+_AES_ARM_PROBE = _FeatureProbe(
+    name="aes",
+    guard="__ARM_FEATURE_AES",
+    body="""\
+        uint8x16_t state = vdupq_n_u8(0x5a);
+        state = vaesmcq_u8(vaeseq_u8(state, vdupq_n_u8(0)));
+        uint8_t bytes[16];
+        vst1q_u8(bytes, state);
+        std::printf("aes %u\\n", (unsigned)bytes[0]);
+""",
+    expect="190",
+    flags=("-march=armv8-a+crypto",),
+)
 
-_PROBE_AES_ARM = """\
-#include <arm_neon.h>
-#include <cstdio>
-int main() {
-    uint8x16_t state = vdupq_n_u8(0x5a);
-    state = vaesmcq_u8(vaeseq_u8(state, vdupq_n_u8(0)));
-    uint8_t bytes[16];
-    vst1q_u8(bytes, state);
-    std::printf("%u\\n", (unsigned)bytes[0]);
-    return 0;
+_FEATURE_PROBES = {
+    "x86": (_PEXT_PROBE, _AES_X86_PROBE),
+    "aarch64": (_AES_ARM_PROBE,),
 }
-"""
+
+
+def _probe_program(target: str, probes: Sequence[_FeatureProbe]) -> str:
+    """The toolchain probe: the JIT prelude for ``probes`` plus a ``main``.
+
+    ``main`` prints ``42``, then each feature's tagged result line, each
+    section only under its feature's guard, so the program compiles
+    whichever features the flags enable.  Every line is flushed as it
+    is printed: if a section dies on an unsupported instruction, the
+    lines before it still reach the parent.
+    """
+    if target == "x86":
+        prelude = x86_jit_prelude(
+            [probe.name for probe in probes],
+            guards={probe.name: probe.guard for probe in probes},
+        )
+    else:
+        # <arm_neon.h>'s crypto intrinsics need no helper to guard.
+        prelude = _JIT_ARM
+    sections = "".join(
+        f"#ifdef {probe.guard}\n    {{\n{probe.body}"
+        "        std::fflush(stdout);\n    }\n#endif\n"
+        for probe in probes
+    )
+    return (
+        prelude
+        + "#include <cstdio>\nint main() {\n"
+        + '    std::printf("%d\\n", 40 + 2);\n'
+        + "    std::fflush(stdout);\n"
+        + sections
+        + "    return 0;\n}\n"
+    )
 
 
 @dataclass(frozen=True)
@@ -496,20 +557,24 @@ def _run(cmd: Sequence[str], timeout: float, cwd: Optional[Path] = None):
     )
 
 
-def _probe_runs(
+def _probe_run(
     command: str,
     flags: Sequence[str],
     source: str,
     work: Path,
     stem: str,
-    expect: str,
-) -> bool:
-    """Compile ``source`` with ``flags``, run it, and check its output.
+) -> Tuple[List[str], bool]:
+    """Compile ``source`` with ``flags`` and run it.
 
+    Returns the run's stdout lines and whether it exited with status 0.
     Running (not just compiling) is the point: an unsupported
-    instruction kills the probe subprocess, never this interpreter, and
-    a wrong result (stdout other than ``expect``) fails the probe too.
+    instruction kills the probe subprocess, never this interpreter.
+    The lines are returned even when the run dies or times out, so the
+    sections that completed before it stopped still count; a failed
+    compile or launch returns no lines.  Each call counts one
+    ``codegen.native.probe_runs``.
     """
+    get_registry().counter("codegen.native.probe_runs").inc()
     src = work / f"{stem}.cpp"
     exe = work / f"{stem}.bin"
     src.write_text(source, encoding="utf-8")
@@ -519,13 +584,37 @@ def _probe_runs(
             _PROBE_TIMEOUT_S,
         )
         if compiled.returncode != 0:
-            return False
-        ran = _run([str(exe)], _PROBE_TIMEOUT_S)
+            return [], False
+        try:
+            ran = _run([str(exe)], _PROBE_TIMEOUT_S)
+        except subprocess.TimeoutExpired as error:
+            return _stdout_lines(error.stdout), False
     except (OSError, subprocess.SubprocessError):
-        return False
-    if ran.returncode != 0:
-        return False
-    return ran.stdout.decode("utf-8", "replace").strip() == expect
+        return [], False
+    return _stdout_lines(ran.stdout), ran.returncode == 0
+
+
+def _stdout_lines(stdout: Optional[bytes]) -> List[str]:
+    return [
+        line.strip()
+        for line in (stdout or b"").decode("utf-8", "replace").splitlines()
+    ]
+
+
+def _proves(
+    command: str,
+    flags: Sequence[str],
+    target: str,
+    probe: _FeatureProbe,
+    work: Path,
+    stem: str,
+) -> bool:
+    """Whether ``probe``'s section, compiled alone with ``flags`` and
+    run, prints the expected line."""
+    lines, _ = _probe_run(
+        command, flags, _probe_program(target, (probe,)), work, stem
+    )
+    return probe.line in lines
 
 
 _CPUINFO_KEYS = frozenset(
@@ -593,55 +682,53 @@ def _probe_toolchain() -> Tuple[Optional[Toolchain], Optional[str]]:
     candidates = _candidate_compilers()
     if not candidates:
         return None, "no C++ compiler found ($CXX, c++, clang++, g++)"
+    probes = _FEATURE_PROBES[target]
     with tempfile.TemporaryDirectory(prefix="sepe-probe-") as tmp:
         work = Path(tmp)
         for command in candidates:
-            # -march=native first: on a working host that one compile
-            # proves the compiler, and the flagless probe only runs when
-            # the arch flag is what failed.
-            if _probe_runs(
+            # One compile-and-run under -march=native proves the
+            # compiler (the ``42`` line) and every feature whose tagged
+            # line matches.  The flagless run happens only when the arch
+            # flag is what failed.
+            lines, exited = _probe_run(
                 command,
                 ["-march=native"],
-                _PROBE_MAIN,
+                _probe_program(target, probes),
                 work,
-                "march",
-                expect="42",
-            ):
+                "native",
+            )
+            if lines[:1] == ["42"]:
                 arch_flags = ["-march=native"]
-            elif _probe_runs(
-                command, [], _PROBE_MAIN, work, "base", expect="42"
-            ):
+                features = {
+                    probe.name for probe in probes if probe.line in lines
+                }
+            elif _probe_run(
+                command, [], _probe_program(target, ()), work, "base"
+            )[0][:1] == ["42"]:
                 arch_flags = []
+                features = set()
             else:
                 continue
-            features = set()
             feature_flags: List[str] = []
-            if target == "x86":
-                feature_probes = [
-                    ("pext", _PROBE_PEXT, ["-mbmi2"], _PEXT_PROBE_EXPECT),
-                    ("aes", _PROBE_AES_X86, ["-maes"], _AES_X86_PROBE_EXPECT),
-                ]
-            else:
-                feature_probes = [
-                    (
-                        "aes",
-                        _PROBE_AES_ARM,
-                        ["-march=armv8-a+crypto"],
-                        _AES_ARM_PROBE_EXPECT,
-                    ),
-                ]
-            for name, source, explicit, expect in feature_probes:
-                if arch_flags and _probe_runs(
-                    command, arch_flags, source, work, f"{name}_arch", expect
+            for probe in probes:
+                if probe.name in features:
+                    continue
+                # A run that died stopped before the sections after the
+                # one that crashed: each feature it did not prove is run
+                # alone under -march=native before its explicit flags.
+                if arch_flags and not exited and _proves(
+                    command, arch_flags, target, probe, work,
+                    f"{probe.name}_arch",
                 ):
-                    features.add(name)
-                elif _probe_runs(
-                    command, explicit, source, work, f"{name}_flag", expect
+                    features.add(probe.name)
+                elif _proves(
+                    command, probe.flags, target, probe, work,
+                    f"{probe.name}_flag",
                 ):
-                    features.add(name)
+                    features.add(probe.name)
                     feature_flags.extend(
                         flag
-                        for flag in explicit
+                        for flag in probe.flags
                         if flag not in feature_flags
                     )
             flags = (*_BASE_FLAGS, *arch_flags, *feature_flags)

@@ -28,7 +28,7 @@ from repro.codegen.ir import (
     IRFunction,
     build_ir,
     dead_code_eliminate,
-    optimize,
+    optimize_with_stats,
 )
 from repro.core.pattern import KeyPattern
 from repro.core.plan import CombineOp, HashFamily, SynthesisPlan
@@ -155,9 +155,10 @@ class LintReport:
 class LintContext:
     """Shared, lazily-computed analysis state handed to every rule.
 
-    Expensive artifacts (IR, optimized IR, the reduced-product analysis,
-    the bijectivity proof, the entropy report, the cost prediction) are computed at most once per plan no matter how
-    many rules consult them.  Accessors raise :class:`SepeError`
+    Expensive artifacts (IR, optimized IR and its rewrite stats, the
+    reduced-product analysis, the bijectivity proof, the entropy report,
+    the cost prediction) are computed at most once per plan no matter
+    how many rules consult them.  Accessors raise :class:`SepeError`
     subclasses on malformed plans; rules let those propagate — the
     runner folds them into the dedicated lowering finding.
     """
@@ -169,6 +170,7 @@ class LintContext:
         self.pattern = resolve_pattern(plan, pattern)
         self._ir: Optional[IRFunction] = None
         self._optimized: Optional[IRFunction] = None
+        self._rewrites: Optional[dict] = None
         self._bijectivity: Optional[BijectivityResult] = None
         self._dataflow: Optional[DataflowResult] = None
         self._entropy: Optional[EntropyReport] = None
@@ -183,8 +185,15 @@ class LintContext:
     @property
     def optimized(self) -> IRFunction:
         if self._optimized is None:
-            self._optimized = optimize(self.ir)
+            self._optimized, self._rewrites = optimize_with_stats(self.ir)
         return self._optimized
+
+    @property
+    def rewrites(self) -> dict:
+        """The stats of the rewrites that built :attr:`optimized`
+        (see :func:`~repro.codegen.ir.optimize_with_stats`)."""
+        self.optimized
+        return self._rewrites
 
     @property
     def bijectivity(self) -> BijectivityResult:

@@ -479,3 +479,37 @@ class TestSmokeEntries:
             "codegen.native.compiles"
         ).value
         assert compiles - before >= 2
+
+    @pytest.mark.native
+    def test_probe_row_probes_afresh_per_repeat(self):
+        from repro.bench.ledger import collect_smoke_entries
+        from repro.codegen import native as native_mod
+        from repro.core.plan import HashFamily
+
+        if not native_mod.native_available():
+            pytest.skip("no working C++ toolchain on this host")
+        counter = native_mod.get_registry().counter(
+            "codegen.native.probe_runs"
+        )
+        before = counter.value
+        entries = {
+            entry.id: entry
+            for entry in collect_smoke_entries(
+                key_types=("SSN",),
+                families=(HashFamily.NAIVE,),
+                keys_per_type=64,
+                repeats=2,
+            )
+        }
+        row = entries["native/probe_ms"]
+        assert row.unit == "ms"
+        assert len(row.samples) == 2
+        assert all(sample > 0 for sample in row.samples)
+        assert row.value == min(row.samples)
+        assert counter.value - before >= 2
+
+    def test_no_probe_samples_when_native_disabled(self, monkeypatch):
+        from repro.bench.ledger import _probe_ms
+
+        monkeypatch.setenv("SEPE_NATIVE", "0")
+        assert _probe_ms(repeats=2) == []

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.cli.main import run
+from repro.obs.metrics import get_registry
 from repro.verify import lints
 from repro.verify.lints import LINT_SCHEMA_VERSION
 
@@ -64,6 +65,42 @@ class TestAnalyze:
     def test_short_format_is_skipped(self, capsys):
         assert run(["analyze", r"[0-9]{4}"]) == 0
         assert "skipped" in capsys.readouterr().out
+
+
+class TestAnalyzeOnce:
+    """``sepe analyze`` optimizes and analyzes each plan once."""
+
+    COUNTERS = (
+        "verify.dataflow.runs",
+        "codegen.optimize.rotl_to_shl",
+        "codegen.optimize.pext_elided",
+    )
+
+    def _analyze(self, capsys, regex):
+        registry = get_registry()
+        before = [registry.counter(name).value for name in self.COUNTERS]
+        assert run(["analyze", regex, "--family", "pext", "--json"]) == 0
+        (document,) = json.loads(capsys.readouterr().out)
+        moved = [
+            registry.counter(name).value - value
+            for name, value in zip(self.COUNTERS, before)
+        ]
+        return document, dict(zip(self.COUNTERS, moved))
+
+    def test_two_dataflow_runs_per_plan(self, capsys):
+        # One pass without the pattern (optimize's range rewrites), one
+        # with it (the context's dataflow, shared by every consumer).
+        _, moved = self._analyze(capsys, r"\d{3}-\d{2}-\d{4}")
+        assert moved["verify.dataflow.runs"] == 2
+
+    def test_rewrite_counters_move_once(self, capsys):
+        document, moved = self._analyze(
+            capsys, r"([0-9a-f]{2}-){5}[0-9a-f]{2}"
+        )
+        rewrites = document["rewrites"]
+        assert rewrites["rotl_to_shl"] > 0  # a rewrite fires on MAC Pext
+        for name in ("rotl_to_shl", "pext_elided"):
+            assert moved[f"codegen.optimize.{name}"] == rewrites[name]
 
 
 class TestLintSchema:

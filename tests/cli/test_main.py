@@ -126,6 +126,19 @@ class TestObs:
         assert "process metrics" in out
         assert "containers.inserts" in out
 
+    @pytest.mark.native
+    def test_obs_traces_the_native_probe(self, capsys):
+        from repro.codegen import native as native_mod
+
+        if not native_mod.native_available():
+            pytest.skip("no working C++ toolchain on this host")
+        native_mod.reset_native_state()  # the probe runs under tracing
+        assert run(["obs", "--metrics"]) == 0
+        out = capsys.readouterr().out
+        assert "codegen.native.probe " in out
+        assert "codegen.native.compile " in out
+        assert "codegen.native.probe_runs" in out
+
     def test_obs_bad_family(self, capsys):
         assert run(["obs", "--family", "nope"]) == 1
         assert "error" in capsys.readouterr().err
