@@ -2,9 +2,9 @@
 
 Quantifies the headline claim of the batch execution layer: calling a
 specialized hash once per key pays CPython function-call and dispatch
-overhead per key, while the batched kernel
-(:func:`repro.codegen.batch.compile_plan_batch`) pays it once per
-*batch*.  Each row times both forms of the same synthesized plan on the
+overhead per key, while the batched entry of the plan's compiled
+module (:func:`repro.codegen.batch.emit_python_module`) pays it once
+per *batch*.  Each row times both forms of the same synthesized plan on the
 same key sample and reports the amortization factor.
 
 When the host has a working C++ toolchain the rows also carry the

@@ -397,9 +397,9 @@ def collect_smoke_entries(
                     compile_plan_native(synthesized.plan)[0].compile_ms
                     for _ in range(repeats)
                 ]
-                for metric, samples in (
-                    ("native_ns_per_key", native),
-                    ("native_compile_ms", compile_ms),
+                for metric, samples, unit in (
+                    ("native_ns_per_key", native, "ns_per_key"),
+                    ("native_compile_ms", compile_ms, "ms"),
                 ):
                     entries.append(
                         LedgerEntry(
@@ -407,6 +407,7 @@ def collect_smoke_entries(
                             value=min(samples),
                             samples=samples,
                             repeats=repeats,
+                            unit=unit,
                             source="smoke",
                         )
                     )

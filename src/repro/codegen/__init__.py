@@ -18,15 +18,16 @@ A :class:`repro.core.plan.SynthesisPlan` is lowered to a small linear IR
 
 Two amortization layers sit alongside the backends:
 
-- :mod:`repro.codegen.batch` — emits a batched ``hash_many(keys)``:
-  a NumPy lane body that removes per-key call overhead, or the scalar
+- :mod:`repro.codegen.batch` — emits the plan's one Python module: the
+  scalar function followed by a batched ``hash_many(keys)``, either a
+  NumPy lane body that removes per-key call overhead or the scalar
   function mapped over the keys.
 - :mod:`repro.codegen.cache` — a content-addressed compile cache so
   repeated synthesis of the same plan skips IR, emission, and ``exec``
   (and, for the native kind, persists and reloads the compiled ``.so``).
 """
 
-from repro.codegen.batch import compile_plan_batch, emit_python_batch
+from repro.codegen.batch import emit_python_module
 from repro.codegen.cache import (
     CompileCache,
     get_compile_cache,
@@ -42,11 +43,10 @@ __all__ = [
     "Instr",
     "build_ir",
     "compile_plan",
-    "compile_plan_batch",
     "emit_cpp",
     "emit_cpp_native",
     "emit_python",
-    "emit_python_batch",
+    "emit_python_module",
     "get_compile_cache",
     "plan_fingerprint",
 ]

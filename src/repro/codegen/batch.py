@@ -1,4 +1,4 @@
-"""Batch backend: hash many keys with one generated call.
+"""Batch tail of the compiled module: hash many keys with one call.
 
 The scalar backend (:mod:`repro.codegen.python_backend`) already removes
 per-byte loops, but every *call* still pays CPython's function-call
@@ -7,10 +7,13 @@ paper's key sizes (8–32 formatted bytes) that fixed cost dominates
 H-Time, the same per-invocation regime Thorup's "High Speed Hashing"
 describes and the reason HighwayHash amortizes across SIMD lanes.
 
-The batch source embeds the scalar function
-(:func:`repro.codegen.python_backend.emit_python`) as ``_<name>_one``,
-so the one scalar lowering — byte tables or fused gathers — serves both
-entries and the source stays self-contained.  On top of it:
+Each plan lowers to one Python module (:func:`emit_python_module`),
+compiled with one ``exec``: the scalar function ``<name>`` exactly as
+:func:`repro.codegen.python_backend.emit_python` renders it, then a
+batch tail whose list entry ``<name>_many`` maps ``<name>`` itself, so
+the one scalar lowering — byte tables or fused gathers — serves both
+entries.  The scalar function carries the list entry as ``.many``.
+The tail is one of:
 
 - **Vectorized** (fixed-length plans, NumPy importable): a *lane body*
   ``_<name>_lanes(rows)`` takes a ``uint8[k, key_length]`` row view
@@ -32,7 +35,7 @@ entries and the source stays self-contained.  On top of it:
   ``n * key_length`` are no row view), so semantics never change.
 - **Mapped** (everything else: variable-length plans, opcodes the lane
   lowering refuses, NumPy-less hosts): the list entry is
-  ``list(map(_<name>_one, keys))``.
+  ``list(map(<name>, keys))``.
 
 Differential tests (:mod:`tests.codegen.test_batch`) pin
 ``hash_many(keys) == [interpret(func, k) for k in keys]`` for all four
@@ -43,13 +46,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from repro.codegen.ir import AES_ROUND_KEY, IRFunction, build_ir, optimize
-from repro.codegen.python_backend import (
-    _emit_python_lines,
-    _pext_expression,
-    compile_source,
-)
-from repro.core.plan import SynthesisPlan
+from repro.codegen.ir import AES_ROUND_KEY, IRFunction
+from repro.codegen.python_backend import _emit_python_lines, _pext_expression
 from repro.obs.trace import span
 
 try:  # Vectorization tier; the mapped scalar function covers absence.
@@ -120,8 +118,8 @@ def _emit_vector_lines(
     """Vectorized lane body plus its list entry, or None when inapplicable.
 
     The lane body ``_<name>_lanes`` maps a ``uint8[k, key_length]`` row
-    view to ``uint64[k]``; the list entry ``<name>`` wraps it (join →
-    ``frombuffer`` → lanes → ``tolist``) and carries it as ``.lanes``.
+    view to ``uint64[k]``; the list entry ``<name>_many`` wraps it (join
+    → ``frombuffer`` → lanes → ``tolist``) and carries it as ``.lanes``.
     Only fixed-length plans qualify (variable-length needs the per-key
     tail loop); any opcode outside the vectorizable set, or a return of
     a compile-time scalar, leaves the plan to the mapped scalar function.
@@ -205,59 +203,57 @@ def _emit_vector_lines(
     ]
     entry = [
         "",
-        f"def {name}(keys):",
+        f"def {name}_many(keys):",
         f'    """{doc} (vectorized)."""',
         "    n = len(keys)",
         f"    if n < {VECTOR_MIN_KEYS} or "
         f"list(map(len, keys)).count({length}) != n:",
-        f"        return list(map(_{name}_one, keys))",
+        f"        return list(map({name}, keys))",
         f"    return _{name}_lanes(_np.frombuffer(b''.join(keys), "
         f"dtype=_np.uint8).reshape(n, {length})).tolist()",
         "",
-        f"{name}.lanes = _{name}_lanes",
+        f"{name}_many.lanes = _{name}_lanes",
     ]
     return prologue + lanes + lines + entry
 
 
-def emit_python_batch(func: IRFunction) -> str:
-    """Render an IR function as batched Python source.
+def emit_python_module(func: IRFunction) -> str:
+    """Render an IR function as the plan's one compiled Python module.
 
-    The emitted function takes a sequence of ``bytes`` keys and returns
-    a list of 64-bit ints, in order.  Its name is ``func.name``; the
-    scalar function it embeds is ``_<name>_one`` — build the IR under a
-    distinct name when scalar and batch forms coexist in one namespace.
+    The module defines the scalar function ``func.name`` (``bytes ->
+    int``), byte for byte as
+    :func:`~repro.codegen.python_backend.emit_python` renders it, then
+    the list entry ``<name>_many`` (``keys -> list[int]``), bound to the
+    scalar function as ``.many``.  The scalar function holds no blank
+    line, so the module's first one ends it (:func:`scalar_source`).
     """
     with span(
-        "codegen.python.emit_batch",
-        function=func.name,
-        instrs=len(func.instrs),
+        "codegen.python.emit", function=func.name, instrs=len(func.instrs)
     ):
-        return _emit_batch_lines(func)
+        name = func.name
+        doc = f"Batched {func.plan.family.value} hash"
+        if func.plan.pattern_regex:
+            doc += f" for format {func.plan.pattern_regex!r}"
+        tail = _emit_vector_lines(func, name, doc) if HAVE_NUMPY else None
+        if tail is None:
+            tail = [
+                f"def {name}_many(keys):",
+                f'    """{doc}."""',
+                f"    return list(map({name}, keys))",
+            ]
+        return "\n".join(
+            [
+                _emit_python_lines(func),
+                *tail,
+                "",
+                f"{name}.many = {name}_many",
+                "",
+            ]
+        )
 
 
-def _emit_batch_lines(func: IRFunction) -> str:
-    name = func.name
-    doc = f"Batched {func.plan.family.value} hash"
-    if func.plan.pattern_regex:
-        doc += f" for format {func.plan.pattern_regex!r}"
-    lines = [_emit_python_lines(func, f"_{name}_one")]
-    vector_lines = (
-        _emit_vector_lines(func, name, doc) if HAVE_NUMPY else None
-    )
-    if vector_lines is None:
-        lines += [
-            f"def {name}(keys):",
-            f'    """{doc}."""',
-            f"    return list(map(_{name}_one, keys))",
-        ]
-    else:
-        lines += vector_lines
-    return "\n".join(lines) + "\n"
-
-
-def compile_plan_batch(
-    plan: SynthesisPlan, name: str = "sepe_hash_many"
-) -> BatchHashCallable:
-    """Lower a plan to a callable ``hash_many(keys) -> list[int]``."""
-    func = optimize(build_ir(plan, name=name))
-    return compile_source(emit_python_batch(func), name)
+def scalar_source(module: str) -> str:
+    """The scalar function's source: ``module`` up to its first blank
+    line, exactly what :func:`~repro.codegen.python_backend.emit_python`
+    renders for the same IR."""
+    return module[: module.index("\n\n") + 1]

@@ -11,14 +11,19 @@ JSON rendering of every codegen-relevant plan field).
 Two tiers:
 
 - an in-memory LRU of :class:`CompiledArtifact` (source + callable),
-  keyed by ``(fingerprint, function name, scalar|batch|native)`` — a
-  warm hit performs **zero** ``exec`` calls (pinned by
+  keyed by ``(fingerprint, function name, python|native)`` — a warm
+  hit performs **zero** ``exec`` calls (pinned by
   ``tests.codegen.test_cache`` via the ``codegen.python.exec_calls``
-  counter) and, for the native kind, zero compiler invocations;
+  counter) and, for the native kind, zero compiler invocations.  The
+  ``python`` kind is one module per plan: a cold miss lowers, emits
+  and runs ``exec`` once, and the scalar function it returns carries the
+  batch entry as ``.many`` (:func:`repro.codegen.batch
+  .emit_python_module`);
 - an optional on-disk tier (``source_dir``): generated Python source is
-  persisted as ``.py`` files named by fingerprint *and* lowering version
-  (a process restart skips IR construction and emission, paying only
-  the ``exec``; a newer emitter never loads an older one's source), and
+  persisted as one ``.py`` file per plan, named by fingerprint *and*
+  lowering version (a process restart skips IR construction and
+  emission, paying only the ``exec``; a newer emitter never loads an
+  older one's source), and
   native shared objects as ``.so`` files tagged with the toolchain's
   artifact key — compiler, flags, features, JIT unit version and host
   CPU (a restart skips the C++ compiler entirely and goes straight to
@@ -46,13 +51,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from repro.codegen.batch import emit_python_batch
-from repro.codegen.ir import IRFunction, build_ir, optimize
-from repro.codegen.python_backend import (
-    LOWERING_VERSION,
-    compile_source,
-    emit_python,
-)
+from repro.codegen.batch import emit_python_module
+from repro.codegen.ir import build_ir, optimize
+from repro.codegen.python_backend import LOWERING_VERSION, compile_source
 from repro.core.plan import SynthesisPlan
 from repro.errors import NativeUnavailableError
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -111,7 +112,9 @@ def plan_fingerprint(plan: SynthesisPlan) -> str:
 class CompiledArtifact:
     """One cached compilation: generated source plus the live callable.
 
-    For the ``native`` kind, ``function`` is a
+    For the ``python`` kind, ``source`` is the plan's whole module and
+    ``function`` its scalar function, with the batch entry as
+    ``function.many``.  For the ``native`` kind, ``function`` is a
     :class:`repro.codegen.native.NativeModule` — callable for the
     scalar entry point, with ``.hash_many`` for the batched one — and
     ``source`` is the C++ translation unit (empty when the artifact was
@@ -120,19 +123,13 @@ class CompiledArtifact:
 
     fingerprint: str
     name: str
-    kind: str  # "scalar" | "batch" | "native"
+    kind: str  # "python" | "native"
     source: str
     function: Callable
 
 
-_EMITTERS: Dict[str, Callable[[IRFunction], str]] = {
-    "scalar": emit_python,
-    "batch": emit_python_batch,
-}
-
-
 class CompileCache:
-    """LRU cache of compiled scalar/batch hash callables.
+    """LRU cache of compiled Python modules and native modules.
 
     Args:
         maxsize: in-memory entry cap; least-recently-used artifacts are
@@ -140,7 +137,7 @@ class CompileCache:
         registry: metrics registry for the hit/miss/eviction counters
             (the process-wide one by default, so ``sepe obs`` sees it).
         source_dir: when set, generated source is also persisted to
-            ``<fingerprint>.<kind>.v<version>.<name>.py`` files there
+            ``<fingerprint>.python.v<version>.<name>.py`` files there
             (``version`` is
             :data:`~repro.codegen.python_backend.LOWERING_VERSION`) and
             reloaded on an in-memory miss, skipping IR construction and
@@ -168,7 +165,7 @@ class CompileCache:
         self._native_failures = registry.counter(
             "codegen.cache.native_failures"
         )
-        # Per-kind breakdown (scalar/batch/native), kept as plain ints
+        # Per-kind breakdown (python/native), kept as plain ints
         # under the cache lock; the registry counters above stay the
         # process-wide aggregates that tests and dashboards pin.
         self._kind_stats: Dict[str, Dict[str, int]] = {}
@@ -178,17 +175,17 @@ class CompileCache:
 
     # -- lookup ----------------------------------------------------------
 
-    def scalar(
+    def python(
         self, plan: SynthesisPlan, name: str = "sepe_hash"
     ) -> CompiledArtifact:
-        """The compiled scalar ``hash(key) -> int`` for ``plan``."""
-        return self._get(plan, name, "scalar")
+        """The compiled Python module for ``plan``.
 
-    def batch(
-        self, plan: SynthesisPlan, name: str = "sepe_hash_many"
-    ) -> CompiledArtifact:
-        """The compiled batch ``hash_many(keys) -> list[int]``."""
-        return self._get(plan, name, "batch")
+        The artifact's ``function`` is the scalar ``name(key) -> int``;
+        ``function.many`` is the batch ``hash_many(keys) -> list[int]``,
+        carrying the NumPy lane body as ``.lanes`` when the plan has
+        one.  Both come from one lowering and one ``exec``.
+        """
+        return self._get(plan, name, "python")
 
     def native(
         self, plan: SynthesisPlan, name: str = "sepe_native"
@@ -261,9 +258,7 @@ class CompileCache:
                     self._kind_inc(kind, "failures")
                     raise
             else:
-                artifact = self._compile_miss(
-                    plan, name, kind, fingerprint
-                )
+                artifact = self._compile_miss(plan, name, fingerprint)
             self._entries[key] = artifact
             while len(self._entries) > self._maxsize:
                 self._entries.popitem(last=False)
@@ -271,22 +266,22 @@ class CompileCache:
             return artifact
 
     def _compile_miss(
-        self, plan: SynthesisPlan, name: str, kind: str, fingerprint: str
+        self, plan: SynthesisPlan, name: str, fingerprint: str
     ) -> CompiledArtifact:
-        source = self._read_disk(fingerprint, name, kind)
+        source = self._read_disk(fingerprint, name)
         if source is not None:
             self._disk_hits.inc()
         else:
             with span("codegen.ir"):
                 func = optimize(build_ir(plan, name=name))
-            source = _EMITTERS[kind](func)
-            self._write_disk(fingerprint, name, kind, source)
+            source = emit_python_module(func)
+            self._write_disk(fingerprint, name, source)
         with span("codegen.python.compile", function=name):
             function = compile_source(source, name)
         return CompiledArtifact(
             fingerprint=fingerprint,
             name=name,
-            kind=kind,
+            kind="python",
             source=source,
             function=function,
         )
@@ -376,35 +371,31 @@ class CompileCache:
 
     # -- on-disk source tier --------------------------------------------
 
-    def _disk_path(self, fingerprint: str, name: str, kind: str) -> Path:
-        """``<fingerprint>.<kind>.v<LOWERING_VERSION>.<name>.py``: the
+    def _disk_path(self, fingerprint: str, name: str) -> Path:
+        """``<fingerprint>.python.v<LOWERING_VERSION>.<name>.py``: the
         fingerprint names the plan, the version the emitter, so source
         persisted by an older lowering is re-emitted, never exec'd."""
         assert self._source_dir is not None
         return (
             self._source_dir
-            / f"{fingerprint}.{kind}.v{LOWERING_VERSION}.{name}.py"
+            / f"{fingerprint}.python.v{LOWERING_VERSION}.{name}.py"
         )
 
-    def _read_disk(
-        self, fingerprint: str, name: str, kind: str
-    ) -> Optional[str]:
+    def _read_disk(self, fingerprint: str, name: str) -> Optional[str]:
         if self._source_dir is None:
             return None
-        path = self._disk_path(fingerprint, name, kind)
+        path = self._disk_path(fingerprint, name)
         try:
             return path.read_text(encoding="utf-8")
         except OSError:
             return None
 
-    def _write_disk(
-        self, fingerprint: str, name: str, kind: str, source: str
-    ) -> None:
+    def _write_disk(self, fingerprint: str, name: str, source: str) -> None:
         if self._source_dir is None:
             return
         try:
             self._source_dir.mkdir(parents=True, exist_ok=True)
-            self._disk_path(fingerprint, name, kind).write_text(
+            self._disk_path(fingerprint, name).write_text(
                 source, encoding="utf-8"
             )
         except OSError:
@@ -426,7 +417,7 @@ class CompileCache:
 
         The flat keys (``hits``/``misses``/``disk_hits``/``evictions``)
         are the historical aggregates across every kind; ``kinds`` maps
-        each kind ever requested (``scalar``/``batch``/``native``) to
+        each kind ever requested (``python``/``native``) to
         its own ``hits``/``misses``/``disk_hits``/``failures``/
         ``negative_hits`` breakdown.  ``native_failures`` counts plans
         whose native compile failed and entered the negative cache.

@@ -7,8 +7,9 @@ Specialization matters in Python for the same reason it does in C++: the
 generated function does a handful of slice-and-int operations with no
 per-byte loop, while general-purpose baselines (the STL murmur port)
 iterate word by word with multiplies and shifts.
-The batch backend (:mod:`repro.codegen.batch`) embeds this same
-function and maps it over every batch its NumPy lane body does not take.
+The compiled module of a plan (:func:`repro.codegen.batch
+.emit_python_module`) is this same function followed by its batch tail,
+which maps it over every batch the NumPy lane body does not take.
 
 Three deliberate lowerings replace per-call helpers with inline code:
 
@@ -73,7 +74,7 @@ LOAD_WINDOW_BYTES = 16
 """Widest key slice one fused load reads: loads whose byte ranges fit
 in a span this wide share one ``int.from_bytes`` call."""
 
-LOWERING_VERSION = 5
+LOWERING_VERSION = 6
 """Version of the emitted source for an unchanged plan.  The compile
 cache's on-disk tier puts it in file names, so a persisted lowering
 from an older emitter is re-emitted rather than loaded."""
@@ -157,7 +158,7 @@ def emit_python(func: IRFunction) -> str:
     with span(
         "codegen.python.emit", function=func.name, instrs=len(func.instrs)
     ):
-        return _emit_python_lines(func, func.name)
+        return _emit_python_lines(func)
 
 
 def _shift(value: int, distance: int) -> int:
@@ -530,9 +531,9 @@ class _FusedBody:
         return lines
 
 
-def _emit_python_lines(func: IRFunction, name: str) -> str:
-    """The scalar function's source, defined as ``name``; the batch
-    backend embeds it under its own name."""
+def _emit_python_lines(func: IRFunction) -> str:
+    """The scalar function's source; the compiled module opens with it."""
+    name = func.name
     body = _FusedBody(func)
     body_lines = body.lower()
     parameters = ["key", "_ifb=int.from_bytes", "_aes=_aesenc", *body.tables]

@@ -86,8 +86,8 @@ class FormatDispatcher:
             one counter add.
         prefer_native: when True, registration eagerly JIT-compiles each
             format's emitted C++ (through the compile cache) and routes
-            scalar calls to the native entry point, and batch runs to
-            it when the cost model ranks it first; formats whose native
+            scalar calls and batch runs to the native entry points
+            whenever a native module exists; formats whose native
             tier degrades (no compiler, unsupported ISA) silently keep
             the Python/NumPy path, so the dispatcher works identically
             on hosts without a toolchain.

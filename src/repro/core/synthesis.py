@@ -31,7 +31,7 @@ from typing import (
     Union,
 )
 
-from repro.codegen.batch import BatchHashCallable
+from repro.codegen.batch import BatchHashCallable, scalar_source
 from repro.codegen.cache import get_compile_cache
 from repro.codegen.cpp_backend import emit_cpp
 from repro.codegen.python_backend import HashCallable
@@ -92,7 +92,8 @@ class SynthesizedHash:
         family: the synthetic family realized.
         pattern: the key format synthesized for.
         plan: the declarative plan (loads, masks, shifts).
-        python_source: generated Python source of the function.
+        python_source: generated Python source of the scalar function
+            (the compiled module also holds its batch entry).
         synthesis_seconds: wall-clock time spent synthesizing (pattern
             analysis through Python compilation), measured for RQ6.
     """
@@ -104,9 +105,6 @@ class SynthesizedHash:
     synthesis_seconds: float
     _callable: HashCallable = field(repr=False)
     name: str = "sepe_hash"
-    _batch_callable: Optional[BatchHashCallable] = field(
-        default=None, repr=False, compare=False
-    )
     verification: Optional["VerificationReport"] = field(
         default=None, repr=False, compare=False
     )
@@ -145,16 +143,10 @@ class SynthesizedHash:
     def batch_function(self) -> BatchHashCallable:
         """A ``hash_many(keys) -> list[int]`` over the same plan.
 
-        Compiled lazily through the process compile cache on first
-        access, so hashes that never batch pay nothing and repeated
-        formats share one compilation.
+        The list entry of the module the scalar function was compiled
+        in (``function.many``): one lowering and one ``exec`` serve both.
         """
-        if self._batch_callable is None:
-            artifact = get_compile_cache().batch(
-                self.plan, name=f"{self.name}_many"
-            )
-            self._batch_callable = artifact.function
-        return self._batch_callable
+        return self._callable.many
 
     @property
     def lane_function(self) -> Optional[Callable]:
@@ -268,6 +260,14 @@ class SynthesizedHash:
     def cpp_source(self, target: str = "x86") -> str:
         """Emit the C++ the paper's tool would ship for this plan."""
         return emit_cpp(self.plan, target=target)
+
+
+def compile_python(plan: SynthesisPlan, name: str) -> Tuple[str, HashCallable]:
+    """``(python_source, function)`` for ``plan`` from the process
+    compile cache: the scalar function's source, and the function
+    itself carrying the batch entry as ``.many``."""
+    artifact = get_compile_cache().python(plan, name=name)
+    return scalar_source(artifact.source), artifact.function
 
 
 def _resolve_pattern(source: FormatSource) -> KeyPattern:
@@ -525,9 +525,7 @@ def synthesize(
         function_name = name or f"sepe_{family.value}_hash"
         # The compile cache skips build_ir → optimize → emit → exec
         # entirely when this plan was already lowered under this name.
-        artifact = get_compile_cache().scalar(plan, name=function_name)
-        python_source = artifact.source
-        compiled = artifact.function
+        python_source, compiled = compile_python(plan, function_name)
     elapsed = time.perf_counter() - started
     return SynthesizedHash(
         family=family,
@@ -605,9 +603,7 @@ def synthesize_short_key(
     )
     function_name = f"sepe_{family.value}_short_hash"
     with span("synthesize.short_key", family=family.value):
-        artifact = get_compile_cache().scalar(plan, name=function_name)
-        python_source = artifact.source
-        compiled = artifact.function
+        python_source, compiled = compile_python(plan, function_name)
     elapsed = time.perf_counter() - started
     return SynthesizedHash(
         family=family,

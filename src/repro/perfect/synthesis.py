@@ -30,7 +30,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.codegen.cache import get_compile_cache
 from repro.core.analysis import analyze_fixed_loads, analyze_variable_loads
 from repro.core.inference import infer_pattern
 from repro.core.masks import extraction_masks, fold_rotations
@@ -48,6 +47,7 @@ from repro.core.synthesis import (
     SynthesizedHash,
     VERIFY_MODES,
     build_plan,
+    compile_python,
 )
 from repro.errors import PerfectSearchError, SynthesisError
 from repro.obs.metrics import get_registry
@@ -398,7 +398,7 @@ def synthesize_perfect(
             registry.counter("perfect.refused").inc()
             raise
         function_name = name or "sepe_perfect_hash"
-        artifact = get_compile_cache().scalar(plan, name=function_name)
+        python_source, compiled = compile_python(plan, function_name)
         certificate = certify(
             plan,
             key_list,
@@ -406,7 +406,7 @@ def synthesize_perfect(
             selected_bits=outcome.bits,
             evaluations=outcome.evaluations,
             fallback_used=outcome.strategy == "rotation-mixer",
-            compiled=artifact.function,
+            compiled=compiled,
         )
         if not certificate.certified:
             registry.counter("perfect.refused").inc()
@@ -427,9 +427,9 @@ def synthesize_perfect(
         family=HashFamily.PEXT,
         pattern=pattern,
         plan=plan,
-        python_source=artifact.source,
+        python_source=python_source,
         synthesis_seconds=elapsed,
-        _callable=artifact.function,
+        _callable=compiled,
         name=function_name,
         verification=report,
         certificate=certificate,

@@ -530,8 +530,8 @@ def _lint_cost_anomaly(ctx: LintContext) -> Iterator[Finding]:
                 Severity.WARNING,
                 f"fixed tier order prefers {earlier} "
                 f"(predicted {cost_a:.0f} ns/key) over {later} "
-                f"(predicted {cost_b:.0f} ns/key); cost-ordered "
-                f"routing will invert them",
+                f"(predicted {cost_b:.0f} ns/key); routing keeps the "
+                f"fixed order and does not consult the cost model",
                 {
                     "preferred": earlier,
                     "cheaper": later,

@@ -1,6 +1,7 @@
 """Tests for the bench regression ledger and its noise-aware compare."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,9 @@ from repro.bench.ledger import (
     write_ledger,
     _main,
 )
+
+
+COMMITTED_LEDGER = Path(__file__).resolve().parents[2] / "BENCH_LEDGER.json"
 
 
 def _entry(entry_id, value, samples=None):
@@ -507,6 +511,35 @@ class TestSmokeEntries:
         assert all(sample > 0 for sample in row.samples)
         assert row.value == min(row.samples)
         assert counter.value - before >= 2
+
+    @pytest.mark.native
+    def test_every_ms_row_carries_unit_ms(self):
+        from repro.bench.ledger import collect_smoke_entries
+        from repro.codegen import native as native_mod
+        from repro.core.plan import HashFamily
+
+        if not native_mod.native_available():
+            pytest.skip("no working C++ toolchain on this host")
+        entries = collect_smoke_entries(
+            key_types=("SSN",),
+            families=(HashFamily.PEXT,),
+            keys_per_type=64,
+            repeats=1,
+        )
+        ms_rows = {e.id: e.unit for e in entries if e.id.endswith("_ms")}
+        assert "batch/SSN/pext/native_compile_ms" in ms_rows
+        assert set(ms_rows.values()) == {"ms"}
+
+    def test_committed_ms_rows_carry_unit_ms(self):
+        ledger = load_ledger(str(COMMITTED_LEDGER))
+        assert ledger is not None
+        ms_rows = {
+            entry.id: entry.unit
+            for entry in ledger_entries(ledger)
+            if entry.id.endswith("_ms")
+        }
+        assert len(ms_rows) >= 9
+        assert set(ms_rows.values()) == {"ms"}
 
     def test_no_probe_samples_when_native_disabled(self, monkeypatch):
         from repro.bench.ledger import _probe_ms

@@ -1,5 +1,7 @@
 """Tests for the umbrella sepe CLI."""
 
+import itertools
+
 import pytest
 
 from repro.cli.main import run
@@ -192,6 +194,14 @@ class TestObsCompileCache:
         out = capsys.readouterr().out
         assert "compile cache:" in out
         assert "exec calls" in out
+        cache_report = out[out.index("compile cache:"):].splitlines()[1:]
+        kinds = {
+            line.split(":")[0].strip()
+            for line in itertools.takewhile(
+                lambda line: line.startswith("  "), cache_report
+            )
+        }
+        assert "python" in kinds and kinds <= {"python", "native"}
 
 
 class TestVerify:

@@ -1,4 +1,4 @@
-"""Differential tests for the batch backend.
+"""Differential tests for the batch tail of the compiled module.
 
 The reference interpreter is the oracle: for every family and both
 batch paths (the vectorized lane body and the mapped scalar function)
@@ -15,11 +15,11 @@ from repro.codegen import batch as batch_mod
 from repro.codegen.batch import (
     HAVE_NUMPY,
     VECTOR_MIN_KEYS,
-    compile_plan_batch,
-    emit_python_batch,
+    emit_python_module,
 )
 from repro.codegen.interp import interpret
 from repro.codegen.ir import build_ir, optimize
+from repro.codegen.python_backend import compile_source, emit_python
 from repro.core.plan import HashFamily
 from repro.core.synthesis import synthesize
 from repro.keygen.distributions import Distribution
@@ -33,6 +33,12 @@ VARIABLE_REGEX = r"[0-9a-f]{8,23}"  # odd lengths: exercises tail_xor
 def reference(plan, keys):
     func = optimize(build_ir(plan, name="ref"))
     return [interpret(func, key) for key in keys]
+
+
+def compile_batch(plan, name="hash"):
+    """The list entry of the plan's compiled module (``<name>.many``)."""
+    func = optimize(build_ir(plan, name=name))
+    return compile_source(emit_python_module(func), name).many
 
 
 def fixed_keys(key_type, count=64, seed=11):
@@ -54,7 +60,7 @@ class TestBatchParityFixedLength:
     def test_matches_interpreter(self, key_type, family):
         plan = synthesize(KEY_TYPES[key_type].regex, family).plan
         keys = fixed_keys(key_type)
-        batch = compile_plan_batch(plan, name="hash_many")
+        batch = compile_batch(plan)
         assert batch(keys) == reference(plan, keys)
 
     @pytest.mark.parametrize("family", list(HashFamily))
@@ -64,7 +70,7 @@ class TestBatchParityFixedLength:
         monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
         plan = synthesize(KEY_TYPES["SSN"].regex, family).plan
         keys = fixed_keys("SSN")
-        batch = compile_plan_batch(plan, name="hash_many")
+        batch = compile_batch(plan)
         assert not hasattr(batch, "lanes")
         assert batch(keys) == reference(plan, keys)
 
@@ -74,12 +80,12 @@ class TestBatchParityFixedLength:
         function inside the vectorized entry; results must agree."""
         plan = synthesize(KEY_TYPES["MAC"].regex, family).plan
         keys = fixed_keys("MAC", count=VECTOR_MIN_KEYS - 1)
-        batch = compile_plan_batch(plan, name="hash_many")
+        batch = compile_batch(plan)
         assert batch(keys) == reference(plan, keys)
 
     def test_empty_batch(self):
         plan = synthesize(KEY_TYPES["SSN"].regex, HashFamily.PEXT).plan
-        batch = compile_plan_batch(plan, name="hash_many")
+        batch = compile_batch(plan)
         assert batch([]) == []
 
     def test_matches_scalar_synthesis(self):
@@ -96,13 +102,13 @@ class TestBatchParityVariableLength:
         plan = synthesize(VARIABLE_REGEX, family).plan
         assert not plan.is_fixed_length
         keys = variable_keys()
-        batch = compile_plan_batch(plan, name="hash_many")
+        batch = compile_batch(plan)
         assert batch(keys) == reference(plan, keys)
 
     def test_variable_length_never_vectorizes(self):
         plan = synthesize(VARIABLE_REGEX, HashFamily.NAIVE).plan
         func = optimize(build_ir(plan, name="hash_many"))
-        assert "_np" not in emit_python_batch(func)
+        assert "_np" not in emit_python_module(func)
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="vector tier needs numpy")
@@ -110,11 +116,12 @@ class TestVectorTier:
     @pytest.mark.parametrize("family", list(HashFamily))
     def test_fixed_length_emits_vector_source(self, family):
         plan = synthesize(KEY_TYPES["SSN"].regex, family).plan
-        func = optimize(build_ir(plan, name="hash_many"))
-        source = emit_python_batch(func)
+        func = optimize(build_ir(plan, name="hash"))
+        source = emit_python_module(func)
         assert "_np.frombuffer" in source
-        # The scalar function rides along as the guard's fallback.
-        assert "def _hash_many_one(" in source
+        # The module opens with the scalar function the guard maps.
+        assert source.startswith(emit_python(func))
+        assert "return list(map(hash, keys))" in source
 
     @pytest.mark.parametrize("key_type", FIXED_FORMATS)
     @pytest.mark.parametrize("family", list(HashFamily))
@@ -122,7 +129,7 @@ class TestVectorTier:
         """The lane body against the mapped scalar function."""
         synthesized = synthesize(KEY_TYPES[key_type].regex, family)
         keys = fixed_keys(key_type, count=VECTOR_MIN_KEYS * 4)
-        vector = compile_plan_batch(synthesized.plan, name="hash_many")
+        vector = compile_batch(synthesized.plan)
         assert vector(keys) == list(map(synthesized.function, keys))
 
     def test_non_conforming_lengths_fall_back(self):
@@ -132,7 +139,7 @@ class TestVectorTier:
         plan = synthesize(KEY_TYPES["SSN"].regex, HashFamily.NAIVE).plan
         keys = fixed_keys("SSN", count=VECTOR_MIN_KEYS * 2)
         keys[3] = keys[3] + b"X"  # 12 bytes among 11-byte keys
-        batch = compile_plan_batch(plan, name="hash_many")
+        batch = compile_batch(plan)
         assert batch(keys) == reference(plan, keys)
 
 
@@ -196,20 +203,21 @@ class TestLaneBody:
 
     def test_list_entry_exposes_its_lane_body(self):
         plan = synthesize(KEY_TYPES["SSN"].regex, HashFamily.PEXT).plan
-        batch = compile_plan_batch(plan, name="hash_many")
+        batch = compile_batch(plan)
         assert callable(batch.lanes)
         variable = synthesize(VARIABLE_REGEX, HashFamily.PEXT).plan
-        assert not hasattr(compile_plan_batch(variable), "lanes")
+        assert not hasattr(compile_batch(variable), "lanes")
 
 
 class TestBatchSource:
     @pytest.mark.parametrize("regex", [KEY_TYPES["SSN"].regex, VARIABLE_REGEX])
     @pytest.mark.parametrize("family", list(HashFamily))
     def test_only_the_scalar_function_reads_key_bytes(self, family, regex):
-        """One scalar lowering: the batch source embeds the scalar
-        function, and no other ``def`` in it indexes or slices a key."""
+        """One scalar lowering: the module's batch tail maps the scalar
+        function ``<name>`` itself, and no other ``def`` in the module
+        indexes or slices a key."""
         plan = synthesize(regex, family).plan
-        source = emit_python_batch(optimize(build_ir(plan, name="hash_many")))
+        source = emit_python_module(optimize(build_ir(plan, name="hash")))
         readers = [
             node.name
             for node in ast.parse(source).body
@@ -221,14 +229,14 @@ class TestBatchSource:
                 for sub in ast.walk(node)
             )
         ]
-        assert readers == ["_hash_many_one"]
+        assert readers == ["hash"]
 
 
 class TestOrderingAndTypes:
     def test_results_align_with_input_order(self):
         plan = synthesize(KEY_TYPES["MAC"].regex, HashFamily.OFFXOR).plan
         keys = fixed_keys("MAC", count=128)
-        batch = compile_plan_batch(plan, name="hash_many")
+        batch = compile_batch(plan)
         results = batch(keys)
         shuffled = list(keys)
         random.Random(3).shuffle(shuffled)
@@ -240,6 +248,6 @@ class TestOrderingAndTypes:
         results; numpy scalars would silently change semantics."""
         plan = synthesize(KEY_TYPES["SSN"].regex, HashFamily.AES).plan
         keys = fixed_keys("SSN", count=VECTOR_MIN_KEYS * 2)
-        for value in compile_plan_batch(plan, name="hash_many")(keys):
+        for value in compile_batch(plan)(keys):
             assert type(value) is int
             assert 0 <= value < 1 << 64

@@ -9,6 +9,8 @@ import dataclasses
 
 import pytest
 
+from repro.codegen import cache as cache_mod
+from repro.codegen.batch import scalar_source
 from repro.codegen.cache import (
     CompileCache,
     get_compile_cache,
@@ -21,9 +23,12 @@ from repro.codegen.python_backend import (
     emit_python,
 )
 from repro.core.plan import HashFamily, LoadOp
-from repro.core.synthesis import synthesize
+from repro.core.synthesis import synthesize, synthesize_short_key
+from repro.keygen.extended import EXTENDED_KEY_TYPES
 from repro.keygen.keyspec import KEY_TYPES
+from repro.obs import capture_spans
 from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.perfect import builtin_key_set, synthesize_perfect
 
 SSN = KEY_TYPES["SSN"].regex
 MAC = KEY_TYPES["MAC"].regex
@@ -90,31 +95,27 @@ class TestCompileCache:
     def test_hit_returns_same_artifact(self):
         cache = CompileCache(registry=MetricsRegistry())
         plan = ssn_plan()
-        first = cache.scalar(plan)
-        second = cache.scalar(plan)
+        first = cache.python(plan)
+        second = cache.python(plan)
         assert first is second
         assert cache.stats()["hits"] == 1
         assert cache.stats()["misses"] == 1
 
-    def test_scalar_and_batch_are_distinct_entries(self):
+    def test_one_entry_serves_scalar_and_batch(self):
         cache = CompileCache(registry=MetricsRegistry())
-        plan = ssn_plan()
-        scalar = cache.scalar(plan)
-        batch = cache.batch(plan)
-        assert scalar is not batch
-        assert len(cache) == 2
+        artifact = cache.python(ssn_plan())
+        assert artifact.kind == "python"
+        assert len(cache) == 1
         key = b"123-45-6789"
-        assert batch.function([key]) == [scalar.function(key)]
+        assert artifact.function.many([key]) == [artifact.function(key)]
 
     def test_warm_hit_performs_zero_exec(self):
         registry = MetricsRegistry()
         cache = CompileCache(registry=registry)
         plan = ssn_plan()
-        cache.scalar(plan)
-        cache.batch(plan)
+        cache.python(plan)
         execs = get_registry().counter("codegen.python.exec_calls").value
-        cache.scalar(plan)
-        cache.batch(plan)
+        cache.python(plan)
         after = get_registry().counter("codegen.python.exec_calls").value
         assert after == execs
 
@@ -125,16 +126,16 @@ class TestCompileCache:
             for family in (HashFamily.NAIVE, HashFamily.OFFXOR, HashFamily.AES)
         ]
         for plan in plans:
-            cache.scalar(plan)
+            cache.python(plan)
         assert len(cache) == 2
         assert cache.stats()["evictions"] == 1
         # The evicted (oldest) entry recompiles: a fresh miss.
-        cache.scalar(plans[0])
+        cache.python(plans[0])
         assert cache.stats()["misses"] == 4
 
     def test_clear_keeps_counter_totals(self):
         cache = CompileCache(registry=MetricsRegistry())
-        cache.scalar(ssn_plan())
+        cache.python(ssn_plan())
         cache.clear()
         assert len(cache) == 0
         assert cache.stats()["misses"] == 1
@@ -149,36 +150,37 @@ class TestDiskTier:
         registry = MetricsRegistry()
         plan = ssn_plan()
         first = CompileCache(registry=registry, source_dir=tmp_path)
-        artifact = first.scalar(plan)
-        files = list(tmp_path.glob("*.scalar.*.py"))
-        assert len(files) == 1
+        artifact = first.python(plan)
+        files = list(tmp_path.glob("*.py"))
+        assert [path.name.split(".")[1] for path in files] == ["python"]
         assert files[0].read_text() == artifact.source
         # A fresh cache (new process, same dir) skips IR+emit.
         second = CompileCache(registry=registry, source_dir=tmp_path)
-        reloaded = second.scalar(plan)
+        reloaded = second.python(plan)
         assert reloaded.source == artifact.source
         assert second.stats()["disk_hits"] == 1
-        assert reloaded.function(b"123-45-6789") == artifact.function(
-            b"123-45-6789"
-        )
+        key = b"123-45-6789"
+        assert reloaded.function(key) == artifact.function(key)
+        assert reloaded.function.many([key]) == [artifact.function(key)]
 
     def test_disk_file_named_by_fingerprint(self, tmp_path):
         plan = ssn_plan()
         cache = CompileCache(registry=MetricsRegistry(), source_dir=tmp_path)
-        cache.batch(plan, name="hm")
+        cache.python(plan, name="hm")
         expected = (
             tmp_path
-            / f"{plan_fingerprint(plan)}.batch.v{LOWERING_VERSION}.hm.py"
+            / f"{plan_fingerprint(plan)}.python.v{LOWERING_VERSION}.hm.py"
         )
         assert expected.exists()
 
-    @pytest.mark.parametrize("kind", ["scalar", "batch"])
+    @pytest.mark.parametrize("kind", ["scalar", "batch", "python"])
     def test_source_of_another_lowering_version_is_re_emitted(
         self, tmp_path, kind
     ):
         """Source an older emitter persisted for the same plan is not
         exec'd: the file name carries the lowering version, so the cache
-        misses the stale file and writes the current lowering beside it."""
+        misses the stale file and writes the current lowering beside it.
+        Version 5 wrote separate ``scalar`` and ``batch`` files."""
         plan = ssn_plan()
         fingerprint = plan_fingerprint(plan)
         stale = tmp_path / f"{fingerprint}.{kind}.v{LOWERING_VERSION - 1}.f.py"
@@ -186,15 +188,14 @@ class TestDiskTier:
         legacy = tmp_path / f"{fingerprint}.{kind}.f.py"
         legacy.write_text("def f(key):\n    return 12345\n")
         cache = CompileCache(registry=MetricsRegistry(), source_dir=tmp_path)
-        artifact = getattr(cache, kind)(plan, name="f")
+        artifact = cache.python(plan, name="f")
         assert cache.stats()["disk_hits"] == 0
         assert "12345" not in artifact.source
         key = b"123-45-6789"
-        value = artifact.function([key])[0] if kind == "batch" else (
-            artifact.function(key)
-        )
-        assert value == synthesize(SSN, HashFamily.PEXT)(key)
-        current = tmp_path / f"{fingerprint}.{kind}.v{LOWERING_VERSION}.f.py"
+        expected = synthesize(SSN, HashFamily.PEXT)(key)
+        assert artifact.function(key) == expected
+        assert artifact.function.many([key]) == [expected]
+        current = tmp_path / f"{fingerprint}.python.v{LOWERING_VERSION}.f.py"
         assert current.read_text() == artifact.source
 
 
@@ -213,13 +214,13 @@ class TestDiskTier:
         )
         stale = compile_source(SSN_PEXT_GATHER_FORM, "f")
         cache = CompileCache(registry=MetricsRegistry(), source_dir=tmp_path)
-        artifact = cache.scalar(plan, name="f")
+        artifact = cache.python(plan, name="f")
         assert cache.stats()["disk_hits"] == 0
         assert artifact.function(b"123-45-6789") == stale(b"123-45-6789")
-        assert artifact.source == emit_python(func)
+        assert scalar_source(artifact.source) == emit_python(func)
         assert "except IndexError" in artifact.source
         current = (
-            tmp_path / f"{fingerprint}.scalar.v{LOWERING_VERSION}.f.py"
+            tmp_path / f"{fingerprint}.python.v{LOWERING_VERSION}.f.py"
         )
         assert current.read_text() == artifact.source
 
@@ -300,3 +301,70 @@ class TestSynthesisIntegration:
         synthesize(SSN, HashFamily.OFFXOR)
         synthesize(SSN, HashFamily.OFFXOR)
         assert cache.stats()["hits"] > baseline
+
+
+def _one_exec_cases():
+    """``(label, synthesize thunk)``: all four families, a
+    variable-length plan, a short-key plan and a perfect plan."""
+    cases = [
+        (family.value, lambda family=family: synthesize(MAC, family))
+        for family in HashFamily
+    ]
+    cases += [
+        ("variable", lambda: synthesize(r"[0-9a-f]{8,23}", HashFamily.AES)),
+        ("short_key", lambda: synthesize_short_key(r"\d{4}")),
+        ("perfect", lambda: synthesize_perfect(builtin_key_set("http-methods"))),
+    ]
+    return cases
+
+
+class TestOneExecPerPlan:
+    """A plan lowers once: the scalar function, ``batch_function``,
+    ``lane_function`` and ``hash_many`` all come from one ``exec``."""
+
+    @staticmethod
+    def _costs(thunk):
+        """``(exec calls, codegen.ir spans)`` of synthesizing and then
+        touching every Python entry of the result."""
+        execs = get_registry().counter("codegen.python.exec_calls")
+        before = execs.value
+        with capture_spans() as sink:
+            synthesized = thunk()
+            synthesized.batch_function
+            synthesized.lane_function
+            length = synthesized.plan.key_length or 16
+            keys = [
+                bytes(48 + (i + j) % 10 for j in range(length))
+                for i in range(20)
+            ]
+            assert synthesized.hash_many(keys) == list(map(synthesized, keys))
+        lowerings = [r for r in sink.records() if r.name == "codegen.ir"]
+        return execs.value - before, len(lowerings)
+
+    @pytest.mark.parametrize(
+        "label, thunk", _one_exec_cases(), ids=[c[0] for c in _one_exec_cases()]
+    )
+    def test_cold_plan_execs_once_and_warm_plan_never(
+        self, monkeypatch, label, thunk
+    ):
+        monkeypatch.setattr(
+            cache_mod, "_DEFAULT_CACHE", CompileCache(registry=MetricsRegistry())
+        )
+        assert self._costs(thunk) == (1, 1)
+        assert self._costs(thunk) == (0, 0)
+
+
+class TestScalarSourceUnchanged:
+    """``python_source`` is the scalar function alone, exactly as
+    :func:`emit_python` renders it, for every built-in plan (the 7-byte
+    PLATE format through the short-key path)."""
+
+    @pytest.mark.parametrize("family", list(HashFamily))
+    @pytest.mark.parametrize(
+        "key_type", sorted({**KEY_TYPES, **EXTENDED_KEY_TYPES})
+    )
+    def test_python_source_is_emit_python(self, key_type, family):
+        spec = {**KEY_TYPES, **EXTENDED_KEY_TYPES}[key_type]
+        synthesized = synthesize_short_key(spec.regex, family)
+        func = optimize(build_ir(synthesized.plan, name=synthesized.name))
+        assert synthesized.python_source == emit_python(func)

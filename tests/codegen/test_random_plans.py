@@ -11,10 +11,14 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from repro.codegen.batch import compile_plan_batch
+from repro.codegen.batch import emit_python_module, scalar_source
 from repro.codegen.interp import interpret
 from repro.codegen.ir import build_ir, optimize
-from repro.codegen.python_backend import compile_plan, emit_python
+from repro.codegen.python_backend import (
+    compile_plan,
+    compile_source,
+    emit_python,
+)
 from repro.codegen.serialize import dumps, loads
 from repro.core.plan import (
     CombineOp,
@@ -118,7 +122,9 @@ class TestRandomPlans:
         plan's length, 8 bytes longer, and a drawn length."""
         func = optimize(build_ir(plan, name="f"))
         scalar = compile_plan(plan, name="f")
-        batch = compile_plan_batch(plan, name="f")
+        module = emit_python_module(func)
+        assert scalar_source(module) == emit_python(func)
+        batch = compile_source(module, "f").many
         keys = [
             data[:n]
             for n in (0, 1, 7, KEY_LENGTH - 1, KEY_LENGTH, KEY_LENGTH + 8,
@@ -161,11 +167,11 @@ class TestRandomPlanLanes:
     @settings(max_examples=60, deadline=None)
     def test_lanes_match_interpreter(self, plan, rows_count, seed):
         np = self.np
-        lanes = compile_plan_batch(plan, name="f").lanes
+        func = optimize(build_ir(plan, name="f"))
+        lanes = compile_source(emit_python_module(func), "f").many.lanes
         rows = np.random.default_rng(seed).integers(
             0, 256, size=(rows_count, KEY_LENGTH), dtype=np.uint8
         )
-        func = optimize(build_ir(plan, name="f"))
         assert lanes(rows).tolist() == [
             interpret(func, row.tobytes()) for row in rows
         ]
