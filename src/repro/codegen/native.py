@@ -8,8 +8,12 @@ unit from :func:`repro.codegen.cpp_backend.emit_cpp_native` (the hash
 core plus ``extern "C"`` scalar and batched entry points, behind a
 header-light prelude that calls the ``pext``/``aesenc`` compiler
 builtins instead of including ``<immintrin.h>``), shells out to the
-system C++ compiler (``c++ -O2 -shared -fPIC``), and loads the shared
-object back through :mod:`ctypes`.
+system C++ compiler (``c++ -O2 -fPIC -shared -nodefaultlibs -Wl,-z,defs``
+on Linux), and loads the shared object back through :mod:`ctypes`.
+The unit needs no C++ runtime, libm or libgcc, so the link reads no
+library but libc, and libc only for a variable-length plan, whose tail
+``memcpy`` may be a call; ``-z defs`` makes an unresolved symbol a
+compile failure instead of a late ``dlopen`` error.
 
 Toolchain discovery (:func:`detect_toolchain`) is deliberately paranoid:
 
@@ -54,7 +58,8 @@ spans, ``codegen.native.probe_runs`` (compile-and-runs the probe made),
 ``codegen.native.compiles`` / ``compile_failures`` /
 ``unavailable`` / ``fallbacks`` counters, and a
 ``codegen.native.compile_ms`` latency histogram (per-plan compile cost,
-63–82 ms with g++ 12 at ``-O2 -march=native`` on a 2-vCPU x86 VM).
+a median of 49–53 ms with g++ 12 at ``-O2 -march=native`` on a 2-vCPU
+x86 VM, against 71–74 ms linked with the default libraries).
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ import os
 import platform
 import shutil
 import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -116,6 +122,26 @@ COMPILE_MS_BUCKETS: Tuple[float, ...] = exponential_buckets(4, 2, 12)
 """Latency buckets for ``codegen.native.compile_ms`` (4 ms .. 8.2 s)."""
 
 _BASE_FLAGS: Tuple[str, ...] = ("-O2", "-fPIC", "-std=c++17")
+
+# Link flags, kept out of ``Toolchain.flags`` (they change no machine
+# code, so cached objects stay valid).  On ELF hosts the link skips the
+# default libraries: a JIT unit calls nothing in libstdc++, libm or
+# libgcc, and reading their symbol tables was about a third of each
+# compile.  ``-z defs`` turns an unresolved symbol into a link error (a
+# counted compile failure) instead of a ``dlopen`` failure; the weak
+# references of the C runtime start files stay allowed.  ``_LIBC`` goes
+# after the source, and only where a call into libc can occur: the
+# probe's ``printf``, and the tail ``memcpy`` of a variable-length unit
+# (``__memcpy_chk`` and ``__stack_chk_fail`` on hardened compilers).
+_LEAN_LINK = sys.platform.startswith("linux")
+_SHARED_LINK_FLAGS: Tuple[str, ...] = (
+    ("-shared", "-nodefaultlibs", "-Wl,-z,defs") if _LEAN_LINK
+    else ("-shared",)
+)
+_PROBE_LINK_FLAGS: Tuple[str, ...] = (
+    ("-nodefaultlibs",) if _LEAN_LINK else ()
+)
+_LIBC: Tuple[str, ...] = ("-lc",) if _LEAN_LINK else ()
 
 _MASK64 = (1 << 64) - 1
 
@@ -285,6 +311,25 @@ class Toolchain:
         return "\n".join(parts)
 
 
+def _kernel_key(key, length: Optional[int]) -> bytes:
+    """``key`` as the ``bytes`` a kernel is handed.
+
+    A ``str`` is UTF-8 encoded and any other buffer (``bytearray``,
+    ``memoryview``) copied, since ctypes takes only ``bytes`` for a char
+    pointer; anything else raises ``TypeError``.  A fixed-length kernel
+    (``length`` set) reads bytes ``[0, length)`` whatever the key's
+    length, so the key is cut or zero-filled to exactly the bytes the
+    scalar function reads.  Every entry of :class:`NativeModule`
+    normalises its keys here.
+    """
+    if isinstance(key, str):
+        key = key.encode("utf-8")
+    view = memoryview(key)
+    if length is None:
+        return view.tobytes()
+    return view[:length].tobytes().ljust(length, b"\0")
+
+
 class NativeModule:
     """A loaded specialized-hash shared object.
 
@@ -359,16 +404,8 @@ class NativeModule:
         self._offsets_cache: Optional[tuple] = None
 
     def __call__(self, key) -> int:
-        if not isinstance(key, bytes):
-            # ctypes takes only bytes for a char pointer: encode a str,
-            # copy any other buffer (bytearray, memoryview).
-            key = key.encode("utf-8") if isinstance(key, str) else bytes(key)
-        length = self.key_length
-        if length is not None and len(key) < length:
-            # A fixed-length kernel reads bytes [0, key_length) whatever
-            # the key's length: zero-fill a short key, as the scalar
-            # function and the batch entries do.
-            key = bytes(key).ljust(length, b"\0")
+        if not isinstance(key, bytes) or len(key) < (self.key_length or 0):
+            key = _kernel_key(key, self.key_length)
         return self._scalar(key, len(key))
 
     def hash_many(self, keys: Sequence) -> List[int]:
@@ -386,14 +423,7 @@ class NativeModule:
         if count == 0:
             return []
         if not _HAVE_NUMPY:
-            try:
-                return self._hash_many_ctypes(keys, count)
-            except TypeError:
-                keys = [
-                    key.encode("utf-8") if isinstance(key, str) else key
-                    for key in keys
-                ]
-                return self._hash_many_ctypes(keys, count)
+            return self._hash_many_ctypes(keys, count)
         return self._marshal_batch(keys, count).tolist()
 
     def hash_many_array(self, keys):
@@ -440,22 +470,14 @@ class NativeModule:
         """Pack, point, call: the NumPy-vectorized batched invocation."""
         try:
             buf = b"".join(keys)
-        except TypeError:
-            keys = [
-                key.encode("utf-8") if isinstance(key, str) else key
-                for key in keys
-            ]
+        except TypeError:  # a ``str`` key
+            keys = self._kernel_keys(keys)
             buf = b"".join(keys)
         length = self.key_length
         if length is not None and list(map(len, keys)).count(length) != count:
-            # A fixed-length kernel reads bytes [0, key_length) of every
-            # key whatever its length.  Cut or zero-pad each key of a
-            # ragged batch to exactly the bytes the scalar function
-            # reads; lengths that merely sum to ``count * length`` do
-            # not make a batch fixed-length.
-            buf = b"".join(
-                [bytes(key[:length]).ljust(length, b"\0") for key in keys]
-            )
+            # Lengths that merely sum to ``count * length`` do not make
+            # a batch fixed-length: every key is checked.
+            buf = b"".join(self._kernel_keys(keys))
         # ``buf`` must stay alive through the call; the local
         # guarantees it.
         base = ctypes.cast(
@@ -502,7 +524,12 @@ class NativeModule:
         )
         return out
 
+    def _kernel_keys(self, keys: Sequence) -> List[bytes]:
+        length = self.key_length
+        return [_kernel_key(key, length) for key in keys]
+
     def _hash_many_ctypes(self, keys: Sequence, count: int) -> List[int]:
+        keys = self._kernel_keys(keys)
         key_array = (ctypes.c_char_p * count)(*keys)
         len_array = (ctypes.c_size_t * count)(
             *[len(key) for key in keys]
@@ -580,7 +607,10 @@ def _probe_run(
     src.write_text(source, encoding="utf-8")
     try:
         compiled = _run(
-            [command, "-O2", *flags, str(src), "-o", str(exe)],
+            [
+                command, "-O2", *flags, *_PROBE_LINK_FLAGS,
+                str(src), "-o", str(exe), *_LIBC,
+            ],
             _PROBE_TIMEOUT_S,
         )
         if compiled.returncode != 0:
@@ -821,15 +851,21 @@ def compile_shared_object(
     source: str,
     out_path: Path,
     toolchain: Optional[Toolchain] = None,
+    libc: bool = True,
 ) -> float:
     """Compile ``source`` into the shared object ``out_path``.
+
+    ``libc=False`` links no library at all, for a unit that calls
+    nothing outside itself (a fixed-length plan's, whose loads all have
+    constant sizes); any call it does make fails the link.
 
     Returns the wall-clock compile latency in milliseconds (also
     observed into the ``codegen.native.compile_ms`` histogram).
 
     Raises:
-        NativeUnavailableError: on any compiler failure, with the tail
-            of stderr in the message.
+        NativeUnavailableError: on any compiler or link failure, an
+            unresolved symbol included, with the tail of stderr in the
+            message.
     """
     toolchain = toolchain if toolchain is not None else detect_toolchain()
     registry = get_registry()
@@ -840,10 +876,11 @@ def compile_shared_object(
     cmd = [
         toolchain.command,
         *toolchain.flags,
-        "-shared",
+        *_SHARED_LINK_FLAGS,
         str(src_path),
         "-o",
         str(out_path),
+        *(_LIBC if libc else ()),
     ]
     started = time.perf_counter()
     try:
@@ -932,7 +969,9 @@ def compile_plan_native(
         if out_path is None:
             tempdir = tempfile.TemporaryDirectory(prefix="sepe-native-")
             out_path = Path(tempdir.name) / "plan.so"
-        elapsed_ms = compile_shared_object(source, out_path, toolchain)
+        elapsed_ms = compile_shared_object(
+            source, out_path, toolchain, libc=not plan.is_fixed_length
+        )
         module = NativeModule(
             Path(out_path),
             symbol=symbol,

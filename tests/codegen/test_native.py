@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codegen.cache import CompileCache
+from repro.codegen.cpp_backend import plan_isa_features
 from repro.codegen.interp import interpret
 from repro.codegen.ir import build_ir, optimize
 from repro.codegen import native as native_mod
@@ -28,7 +29,7 @@ from repro.core.validate import sample_conforming_keys
 from repro.errors import NativeUnavailableError
 from repro.keygen.distributions import Distribution
 from repro.keygen.generator import generate_keys
-from repro.keygen.keyspec import key_spec
+from repro.keygen.keyspec import KEY_TYPE_NAMES, key_spec
 from tests.codegen.test_random_plans import KEY_LENGTH, random_plan
 
 SSN = r"\d{3}-\d{2}-\d{4}"
@@ -148,6 +149,87 @@ def test_buffer_keys_accepted(family, wrap):
     assert module is not None
     for key in (b"123-45-6789", b"123-45", b"123-45-6789-0123"):
         assert module(wrap(key)) == synthesized.function(key), key
+
+
+@requires_compiler
+@pytest.mark.parametrize("name", ["SSN", "MAC", "IPV4"])
+def test_numpy_less_hash_many_normalises_keys(monkeypatch, name):
+    """Without NumPy, ``hash_many`` hands the kernel each key cut or
+    zero-filled to ``key_length``, as the scalar function reads it:
+    short, exact, long and ``str`` keys alike."""
+    synthesized = synthesize(key_spec(name).regex, HashFamily.PEXT)
+    module = synthesized.native_module
+    if module is None:
+        pytest.skip("host toolchain lacks pext")
+    monkeypatch.setattr(native_mod, "_HAVE_NUMPY", False)
+    rng = random.Random(17)
+    exact = generate_keys(name, 200, Distribution.UNIFORM, seed=9)
+    short = [key[: rng.randrange(len(key))] for key in exact]
+    long = [key + rng.randbytes(rng.randint(1, 9)) for key in exact[:50]]
+    for keys in (exact, short, long, short + exact + long):
+        assert module.hash_many(keys) == [
+            synthesized.function(key) for key in keys
+        ]
+    text = [key.decode("ascii") for key in exact[:50] + short[:50]]
+    assert module.hash_many(text) == [
+        synthesized.function(key.encode("ascii")) for key in text
+    ]
+    assert module.hash_many([bytearray(key) for key in short[:20]]) == [
+        synthesized.function(key) for key in short[:20]
+    ]
+
+
+# -- the link ---------------------------------------------------------------
+
+
+@requires_compiler
+@pytest.mark.skipif(
+    not native_mod._LEAN_LINK, reason="-z defs is an ELF linker option"
+)
+@pytest.mark.parametrize("libc", [True, False])
+def test_link_rejects_unresolved_symbols(tmp_path, libc):
+    """A unit calling a function nothing defines fails its link, as a
+    counted compile failure, instead of building and failing at load."""
+    from repro.obs.metrics import get_registry
+
+    source = (
+        "#include <cstddef>\n#include <cstdint>\n"
+        'extern "C" uint64_t sepe_undefined_helper(uint64_t);\n'
+        'extern "C" uint64_t sepe_native_hash(const char* key,'
+        " size_t len) {\n"
+        "    return sepe_undefined_helper(len) + (uint64_t)key[0];\n"
+        "}\n"
+    )
+    failures = get_registry().counter("codegen.native.compile_failures")
+    before = failures.value
+    with pytest.raises(NativeUnavailableError, match="sepe_undefined_helper"):
+        native_mod.compile_shared_object(
+            source, tmp_path / "bad.so", libc=libc
+        )
+    assert failures.value == before + 1
+    assert not (tmp_path / "bad.so").exists()
+
+
+@requires_compiler
+@pytest.mark.parametrize("name", KEY_TYPE_NAMES)
+def test_every_builtin_plan_links_and_matches_interpreter(name):
+    """Every built-in format's plan, in every family the host can run,
+    compiles, links and loads through ``compile_plan_native``, and its
+    scalar and batch entries equal the interpreter."""
+    toolchain = native_mod.detect_toolchain()
+    regex = key_spec(name).regex
+    keys = generate_keys(name, 64, Distribution.UNIFORM, seed=21)
+    compiled = 0
+    for family in HashFamily:
+        synthesized = synthesize(regex, family)
+        if not toolchain.supports(plan_isa_features(synthesized.plan)):
+            continue
+        module, _ = native_mod.compile_plan_native(synthesized.plan)
+        expected = _interp_reference(synthesized, keys)
+        assert [module(key) for key in keys] == expected, family
+        assert module.hash_many(keys) == expected, family
+        compiled += 1
+    assert compiled >= 2  # Naive and OffXor need no ISA feature
 
 
 # -- disk cache round-trip --------------------------------------------------
