@@ -16,8 +16,8 @@ Subcommands:
 - ``sepe lint`` — the CI gate: lint many formats (built-ins, explicit
   regexes, corpus reproducers) and fail on error findings.
 - ``sepe analyze`` — multi-domain static analysis report per format:
-  derived value ranges, entropy funnels, and the predicted per-tier
-  cost ladder.
+  derived value ranges, entropy funnels, and the analysis-driven
+  rewrites that fired.
 """
 
 from __future__ import annotations
@@ -589,10 +589,9 @@ def _run_analyze(args: argparse.Namespace) -> int:
     """Multi-domain static analysis report (``sepe analyze``).
 
     For each target format × family: the return value's derived range
-    and known bits, the entropy-flow report (funnels), the predicted
-    per-tier cost ladder, and which analysis-driven rewrites fired.
-    Exit code 1 means at least one error-severity analysis finding
-    (the CI ``static-analysis`` signal); 2 is an input error.
+    and known bits, the entropy-flow report (funnels), and which
+    analysis-driven rewrites fired.  Exit codes follow ``sepe lint``:
+    1 for an error-severity finding, 2 for bad input or a crashed rule.
     """
     import json
 
@@ -616,8 +615,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     documents = []
-    errors = 0
-    skipped = 0
+    errors = skipped = internal = 0
     for label, regex in targets:
         try:
             pattern = pattern_from_regex(regex)
@@ -637,18 +635,22 @@ def _run_analyze(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 2
             ctx = LintContext(plan, pattern)
-            findings = run_lints(
-                plan,
-                pattern,
-                rules=["entropy-funnel", "cost-anomaly"],
-                ctx=ctx,
-            ).findings
+            report = run_lints(
+                plan, pattern, rules=["entropy-funnel"], ctx=ctx
+            )
+            if report.internal_errors:
+                # The analysis the crashed rule read would raise again.
+                for finding in report.internal_errors:
+                    print(f"{label}/{family.value}: {finding.message}",
+                          file=sys.stderr)
+                internal += len(report.internal_errors)
+                continue
+            findings = report.findings
             errors += sum(
                 1 for f in findings if f.severity.value == "error"
             )
             rewrites = ctx.rewrites
             entropy = ctx.entropy
-            costs = ctx.costs
             ret = ctx.dataflow.ret
             document = {
                 "target": label,
@@ -656,7 +658,6 @@ def _run_analyze(args: argparse.Namespace) -> int:
                 "family": family.value,
                 "ret": None,
                 "entropy": entropy.to_dict(),
-                "cost": costs.to_dict(),
                 "rewrites": rewrites,
                 "findings": [f.to_dict() for f in findings],
             }
@@ -682,13 +683,6 @@ def _run_analyze(args: argparse.Namespace) -> int:
                 f"avoidable loss {entropy.avoidable_bits:.1f}, "
                 f"{entropy.funneled_bits} funneled output bit(s)"
             )
-            ladder = " > ".join(
-                f"{tier} {costs.cost(tier):.0f}ns"
-                for tier in reversed(costs.order())
-            )
-            print(f"  cost ladder (slow to fast): {ladder}")
-            if costs.abstained():
-                print(f"  cost abstained: {', '.join(costs.abstained())}")
             fired = {
                 k: v
                 for k, v in rewrites.items()
@@ -723,6 +717,10 @@ def _run_analyze(args: argparse.Namespace) -> int:
         f"target(s): {errors} error finding(s), {skipped} skipped",
         file=sys.stderr,
     )
+    if internal:
+        print(f"internal error: {internal} lint rule crash(es)",
+              file=sys.stderr)
+        return 2
     return 1 if errors else 0
 
 
@@ -1249,7 +1247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = subparsers.add_parser(
         "analyze",
-        help="multi-domain static analysis: ranges, entropy, cost",
+        help="multi-domain static analysis: ranges, entropy, rewrites",
     )
     analyze.add_argument(
         "regexes", nargs="*", metavar="REGEX", help="formats to analyze"

@@ -39,7 +39,6 @@ from repro.verify.bijectivity import (
     prove_bijectivity,
     resolve_pattern,
 )
-from repro.verify.cost import TIERS, CostPrediction, predict_ir_costs
 from repro.verify.dataflow import (
     DataflowResult,
     EntropyReport,
@@ -156,11 +155,11 @@ class LintContext:
     """Shared, lazily-computed analysis state handed to every rule.
 
     Expensive artifacts (IR, optimized IR and its rewrite stats, the
-    reduced-product analysis, the bijectivity proof, the entropy report,
-    the cost prediction) are computed at most once per plan no matter
-    how many rules consult them.  Accessors raise :class:`SepeError`
-    subclasses on malformed plans; rules let those propagate — the
-    runner folds them into the dedicated lowering finding.
+    reduced-product analysis, the bijectivity proof, the entropy report)
+    are computed at most once per plan no matter how many rules consult
+    them.  Accessors raise :class:`SepeError` subclasses on malformed
+    plans; rules let those propagate — the runner folds them into the
+    dedicated lowering finding.
     """
 
     def __init__(
@@ -174,7 +173,6 @@ class LintContext:
         self._bijectivity: Optional[BijectivityResult] = None
         self._dataflow: Optional[DataflowResult] = None
         self._entropy: Optional[EntropyReport] = None
-        self._costs: Optional[CostPrediction] = None
 
     @property
     def ir(self) -> IRFunction:
@@ -216,12 +214,6 @@ class LintContext:
                 self.ir, self.pattern, result=self.dataflow
             )
         return self._entropy
-
-    @property
-    def costs(self) -> CostPrediction:
-        if self._costs is None:
-            self._costs = predict_ir_costs(self.optimized)
-        return self._costs
 
 
 LintFn = Callable[[LintContext], Iterator[Finding]]
@@ -509,35 +501,6 @@ def _lint_entropy_funnel(ctx: LintContext) -> Iterator[Finding]:
             f"compression are inherent, not a plan defect",
             detail,
         )
-
-
-@lint_rule(
-    "cost-anomaly",
-    Severity.WARNING,
-    "the fixed tier preference should not pick a predictably slow tier",
-)
-def _lint_cost_anomaly(ctx: LintContext) -> Iterator[Finding]:
-    prediction = ctx.costs
-    priced = [
-        (tier, prediction.cost(tier))
-        for tier in TIERS
-        if prediction.cost(tier) is not None
-    ]
-    for (earlier, cost_a), (later, cost_b) in zip(priced, priced[1:]):
-        if cost_b > 0 and cost_a >= 2.0 * cost_b:
-            yield Finding(
-                "cost-anomaly",
-                Severity.WARNING,
-                f"fixed tier order prefers {earlier} "
-                f"(predicted {cost_a:.0f} ns/key) over {later} "
-                f"(predicted {cost_b:.0f} ns/key); routing keeps the "
-                f"fixed order and does not consult the cost model",
-                {
-                    "preferred": earlier,
-                    "cheaper": later,
-                    "predicted_ns": {earlier: cost_a, later: cost_b},
-                },
-            )
 
 
 @lint_rule(

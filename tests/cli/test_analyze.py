@@ -19,9 +19,7 @@ from repro.verify.lints import LINT_SCHEMA_VERSION
 class TestAnalyze:
     def test_clean_format_exits_zero(self, capsys):
         assert run(["analyze", r"[0-9a-f]{16}", "--family", "pext"]) == 0
-        out = capsys.readouterr().out
-        assert "cost ladder" in out
-        assert "ret range" in out
+        assert "ret range" in capsys.readouterr().out
 
     def test_reports_entropy_funnel_findings(self, capsys):
         assert run(
@@ -37,13 +35,18 @@ class TestAnalyze:
         documents = json.loads(capsys.readouterr().out)
         assert len(documents) == 4  # one per family
         for document in documents:
+            assert set(document) == {
+                "target",
+                "pattern",
+                "family",
+                "ret",
+                "entropy",
+                "rewrites",
+                "findings",
+            }
             assert document["target"]
             assert document["family"]
-            assert "ret" in document and "range" in document["ret"]
-            assert "entropy" in document
-            assert "cost" in document
-            assert "rewrites" in document
-            assert "findings" in document
+            assert "range" in document["ret"]
 
     def test_json_out_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "analysis.json"
@@ -65,6 +68,31 @@ class TestAnalyze:
     def test_short_format_is_skipped(self, capsys):
         assert run(["analyze", r"[0-9]{4}"]) == 0
         assert "skipped" in capsys.readouterr().out
+
+    def test_crashed_rule_exits_two(self, capsys, monkeypatch):
+        """A crashing rule is a tooling failure, not a plan finding."""
+        severity, description, _ = lints._RULES["entropy-funnel"]
+
+        def crash(ctx):
+            raise RuntimeError("synthetic rule crash")
+
+        monkeypatch.setitem(
+            lints._RULES,
+            "entropy-funnel",
+            (severity, description, crash),
+        )
+        assert run(["analyze", r"[0-9]{16}", "--family", "pext"]) == 2
+        assert "internal error" in capsys.readouterr().err
+
+    def test_crashed_analysis_is_not_read_again(self, capsys, monkeypatch):
+        """The analysis a rule crashed on is not re-read outside it."""
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("synthetic analysis crash")
+
+        monkeypatch.setattr(lints, "entropy_report", crash)
+        assert run(["analyze", r"[0-9]{16}", "--family", "pext"]) == 2
+        assert "internal error" in capsys.readouterr().err
 
 
 class TestAnalyzeOnce:

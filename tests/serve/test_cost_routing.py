@@ -1,10 +1,12 @@
 """Batch tier selection in the route state.
 
 A route's batch tier is ``"native"`` exactly when the plan has a native
-module (and the route prefers it), else ``"numpy"``; the static cost
-model (:mod:`repro.verify.cost`) takes no part in it.  Either way the
-chosen callable must hash identically to the scalar path.
+module and the route prefers it, else ``"numpy"``; no tier is priced.
+Either way the chosen callable must hash identically to the scalar path.
 """
+
+import importlib.util
+import sys
 
 from repro.core.plan import HashFamily
 from repro.core.synthesis import synthesize
@@ -43,20 +45,25 @@ class TestBatchTierSelection:
         expected = "numpy" if synthesized.native_module is None else "native"
         assert native.batch_tier == expected
 
-    def test_tier_is_never_priced(self, monkeypatch):
-        import repro.verify.cost
-
-        def refuse(plan):
-            raise AssertionError("routing must not price a plan")
-
-        monkeypatch.setattr(repro.verify.cost, "predict_plan_costs", refuse)
+    def test_tier_is_never_priced(self):
+        """The tier follows from the native module alone: no cost model
+        exists to consult, and none is loaded while routes are built."""
         for regex in (KEY_TYPES["SSN"].regex, r"[a-z]{8,16}"):
             for family in HashFamily:
                 for prefer_native in (True, False):
                     state = build_route_state(
                         "r0", regex, family, prefer_native=prefer_native
                     )
-                    assert state.batch_tier in ("native", "numpy")
+                    module = state.synthesized.native_module
+                    native = prefer_native and module is not None
+                    assert state.native is native
+                    if native:
+                        assert state.batch_tier == "native"
+                        assert state.batch == module.hash_many
+                    else:
+                        assert state.batch_tier == "numpy"
+        assert importlib.util.find_spec("repro.verify.cost") is None
+        assert "repro.verify.cost" not in sys.modules
 
     def test_picked_batch_agrees_with_scalar(self):
         spec = KEY_TYPES["SSN"]
