@@ -495,10 +495,11 @@ def collect_perfect_smoke_entries(
 
     Only the three shipped key sets are smoke-measured — they are small
     and byte-identical on every host, so the ids line up exactly with
-    the committed ``BENCH_perfect.json``.  The RQ closed-sample rows
-    stay committed-artifact-only (re-sampling 1,000-key pools per CI
-    run would dominate the smoke budget); their ``missing`` verdicts
-    are informational, never failures.
+    the committed ``BENCH_perfect.json``.  The RQ closed-sample sets
+    stay in ``BENCH_perfect.json`` only (re-sampling 1,000-key pools per
+    CI run would dominate the smoke budget) and have no ledger rows: a
+    row the smoke run never measures would read ``missing`` on every
+    compare and gate nothing.
     """
     from repro.bench.perfect_compare import measure
 

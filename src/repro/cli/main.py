@@ -320,7 +320,7 @@ def _run_obs(args: argparse.Namespace) -> int:
 
 
 def _run_profile(args: argparse.Namespace) -> int:
-    """Per-opcode hot-spot report for one format (``sepe profile``)."""
+    """Per-stage hot-spot report for one format (``sepe profile``)."""
     import json
 
     from repro.core.plan import HashFamily
@@ -349,7 +349,6 @@ def _run_profile(args: argparse.Namespace) -> int:
                 family=family,
                 count=args.keys,
                 seed=args.seed,
-                batch=args.batch,
             )
     except SepeError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -1123,7 +1122,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     profile = subparsers.add_parser(
-        "profile", help="per-opcode timing profile for one format"
+        "profile",
+        help="time one format's hash_many stage by stage (the emitted "
+        "lane body's opcodes, or the mapped scalar function)",
     )
     profile.add_argument(
         "regex",
@@ -1139,12 +1140,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="conforming keys to profile over (default: 2000)",
     )
     profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument(
-        "--batch",
-        action="store_true",
-        help="profile the vectorized batch kernel instead of the "
-        "interpreter (falls back when the plan does not vectorize)",
-    )
     profile.add_argument(
         "--json-out",
         metavar="FILE",

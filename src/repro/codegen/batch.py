@@ -44,7 +44,7 @@ families, on both paths.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.codegen.ir import AES_ROUND_KEY, IRFunction
 from repro.codegen.python_backend import _emit_python_lines, _pext_expression
@@ -112,29 +112,47 @@ def _emit_vector_arith(
         lines.append(f"    {dest} = {args[0]} + {args[1]}")
 
 
-def _emit_vector_lines(
-    func: IRFunction, name: str, doc: str
-) -> Optional[List[str]]:
-    """Vectorized lane body plus its list entry, or None when inapplicable.
+# The lane function opens with LANE_PROLOGUE before its stages; the
+# list entry maps the batch when LENGTH_GUARD holds, else hashes ROW_VIEW.
+LANE_PROLOGUE = ["    _a = _np.ascontiguousarray(_a)", "    n = _a.shape[0]"]
+LENGTH_GUARD = (
+    f"n < {VECTOR_MIN_KEYS} or list(map(len, keys)).count({{length}}) != n"
+)
+ROW_VIEW = (
+    "_np.frombuffer(b''.join(keys), dtype=_np.uint8).reshape(n, {length})"
+)
 
-    The lane body ``_<name>_lanes`` maps a ``uint8[k, key_length]`` row
-    view to ``uint64[k]``; the list entry ``<name>_many`` wraps it (join
-    → ``frombuffer`` → lanes → ``tolist``) and carries it as ``.lanes``.
-    Only fixed-length plans qualify (variable-length needs the per-key
-    tail loop); any opcode outside the vectorizable set, or a return of
-    a compile-time scalar, leaves the plan to the mapped scalar function.
+
+def lane_stages(
+    func: IRFunction,
+) -> Optional[Tuple[List[str], List[Tuple[str, List[str]]]]]:
+    """The plan's lane body as data, or None when it has none.
+
+    Returns ``(setup, stages)``: ``setup`` is the module-level prologue
+    (the NumPy import, ``_u64``, the AES round-key planes) and
+    ``stages`` holds one ``(opcode, lines)`` pair per IR instruction,
+    the ``ret`` last.  The lane function is its ``def``,
+    :data:`LANE_PROLOGUE` and the stages' lines, in order.
+    :func:`emit_python_module` joins them, and
+    :func:`repro.obs.profile.profile_plan` renders the same stages with
+    a timing checkpoint between each pair.
+
+    Only fixed-length plans on hosts with NumPy qualify (variable length
+    needs the per-key tail loop); any opcode outside the vectorizable
+    set, or a return of a compile-time scalar, leaves the plan to the
+    mapped scalar function.
     """
     plan = func.plan
-    if not plan.is_fixed_length:
+    if not HAVE_NUMPY or not plan.is_fixed_length:
         return None
-    length = plan.key_length
-    lines: List[str] = []
+    stages: List[Tuple[str, List[str]]] = []
     wide: set = set()  # registers holding 128-bit column planes
     scalars: set = set()  # registers holding per-plan (not per-key) ints
     uses_aes = any(instr.opcode == "aes_absorb" for instr in func.instrs)
     returned: Optional[str] = None
     for instr in func.instrs:
         op, dest, args = instr.opcode, instr.dest, instr.args
+        lines: List[str] = []
         if op == "const":
             scalars.add(dest)
             lines.append(f"    {dest} = {hex(args[0])}")
@@ -188,33 +206,48 @@ def _emit_vector_lines(
             lines.append(f"    return {returned}")
         else:
             return None
+        stages.append((op, lines))
     if returned is None:
         return None
-    prologue = [
+    setup = [
         "import numpy as _np",
         "_u64 = _np.uint64",
     ]
     if uses_aes:
-        prologue.append(f"_AES_KEY = _aes_planes({hex(AES_ROUND_KEY)})")
-    lanes = [
+        setup.append(f"_AES_KEY = _aes_planes({hex(AES_ROUND_KEY)})")
+    return setup, stages
+
+
+def _emit_vector_lines(
+    func: IRFunction, name: str, doc: str
+) -> Optional[List[str]]:
+    """Vectorized lane body plus its list entry, or None when inapplicable.
+
+    The lane body ``_<name>_lanes`` maps a ``uint8[k, key_length]`` row
+    view to ``uint64[k]``; the list entry ``<name>_many`` wraps it (join
+    → ``frombuffer`` → lanes → ``tolist``) and carries it as ``.lanes``.
+    """
+    lowered = lane_stages(func)
+    if lowered is None:
+        return None
+    setup, stages = lowered
+    guard = LENGTH_GUARD.format(length=func.plan.key_length)
+    rows = ROW_VIEW.format(length=func.plan.key_length)
+    return [
+        *setup,
         f"def _{name}_lanes(_a):",
-        "    _a = _np.ascontiguousarray(_a)",
-        "    n = _a.shape[0]",
-    ]
-    entry = [
+        *LANE_PROLOGUE,
+        *(line for _op, lines in stages for line in lines),
         "",
         f"def {name}_many(keys):",
         f'    """{doc} (vectorized)."""',
         "    n = len(keys)",
-        f"    if n < {VECTOR_MIN_KEYS} or "
-        f"list(map(len, keys)).count({length}) != n:",
+        f"    if {guard}:",
         f"        return list(map({name}, keys))",
-        f"    return _{name}_lanes(_np.frombuffer(b''.join(keys), "
-        f"dtype=_np.uint8).reshape(n, {length})).tolist()",
+        f"    return _{name}_lanes({rows}).tolist()",
         "",
         f"{name}_many.lanes = _{name}_lanes",
     ]
-    return prologue + lanes + lines + entry
 
 
 def emit_python_module(func: IRFunction) -> str:
@@ -234,7 +267,7 @@ def emit_python_module(func: IRFunction) -> str:
         doc = f"Batched {func.plan.family.value} hash"
         if func.plan.pattern_regex:
             doc += f" for format {func.plan.pattern_regex!r}"
-        tail = _emit_vector_lines(func, name, doc) if HAVE_NUMPY else None
+        tail = _emit_vector_lines(func, name, doc)
         if tail is None:
             tail = [
                 f"def {name}_many(keys):",

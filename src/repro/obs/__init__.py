@@ -13,9 +13,9 @@ Five layers, all zero-dependency:
 - **Metrics** (:mod:`repro.obs.metrics`) — counters, gauges, and
   fixed-bucket histograms cheap enough for hot paths, behind a
   get-or-create registry with a snapshot/export API.
-- **Profiling** (:mod:`repro.obs.profile`) — per-opcode wall/CPU
-  attribution for the IR interpreter and batch kernels, plus span
-  self-time trees; ``sepe profile`` prints the hot-opcode report.
+- **Profiling** (:mod:`repro.obs.profile`) — per-stage wall/CPU
+  attribution of the emitted batch code, plus span self-time trees;
+  ``sepe profile`` prints the hot-opcode report.
 - **Exporters** (:mod:`repro.obs.export`) — Prometheus text exposition
   (with a strict format checker), JSON-lines snapshots, and a
   stdlib-only ``/metrics`` HTTP endpoint (``sepe obs --serve``).
@@ -66,9 +66,8 @@ from repro.obs.metrics import (
 from repro.obs.profile import (
     OpcodeStat,
     ProfileReport,
-    profile_batch,
     profile_format,
-    profile_interp,
+    profile_plan,
     render_profile,
     render_self_time_tree,
     self_time_tree,
@@ -112,9 +111,8 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "parse_prometheus",
-    "profile_batch",
     "profile_format",
-    "profile_interp",
+    "profile_plan",
     "read_jsonl",
     "render_metrics",
     "render_profile",

@@ -1,46 +1,40 @@
-"""Per-opcode and per-stage profiling: the observatory's diagnostic eye.
+"""Per-stage and per-span profiling: the observatory's diagnostic eye.
 
 The spans of :mod:`repro.obs.trace` say how long a pipeline *stage*
 took; this module answers the next question — *where inside the hash
-itself* the time goes — by attributing wall/CPU time and execution
-counts to individual IR opcodes:
+itself* the time goes — by timing the code ``hash_many`` runs:
 
-- **Interpreter profiling** (:func:`profile_interp`) drives
-  :func:`repro.codegen.interp.interpret_profiled_many`, which runs the
-  interpreter's own opcode semantics and whose chained timestamps
-  attribute every instruction's cost to its opcode.  The
-  attribution is exhaustive by construction: self-times sum to the
-  evaluation's elapsed time, and only corpus-level entry/exit
-  bookkeeping escapes, so coverage against an externally measured wall
-  clock sits above 99%.
-- **Batch-kernel profiling** (:func:`profile_batch`) re-executes the IR
-  over NumPy ``uint64`` lane arrays one opcode at a time — the same
-  lowering rules as :mod:`repro.codegen.batch`'s vector tier, with a
-  timestamp per array op — and falls back to interpreter attribution
-  when the plan has no lane body.  Results are parity-checked against
-  the interpreter, so a profile is also a correctness witness.
+- **Plan profiling** (:func:`profile_plan`) renders the lane body of
+  :mod:`repro.codegen.batch` — the same ``(opcode, lines)`` stages
+  :func:`~repro.codegen.batch.emit_python_module` joins — with a chained
+  ``perf_counter``/``thread_time`` checkpoint between each pair, and
+  times the list entry's own steps (length guard, row view,
+  ``tolist``) as named pseudo-stages, so the parts sum to the whole.  A
+  batch the list entry would map (no lane body, too few keys,
+  off-length keys, no NumPy) is timed as the one ``(scalar map)`` stage
+  it runs.  Every value is checked against ``hash_many``, so a profile
+  is also a parity witness.
 - **Stage self-times** (:func:`self_time_tree`) turn captured span
   records into a tree where each node carries *self* wall/CPU time
   (total minus children), the shape ``sepe profile`` prints for the
   synthesis pipeline.
 
-``sepe profile <regex>`` wires all three together into the per-plan
-"hot opcode" report the native-tier roadmap item will lean on.
+``sepe profile <regex>`` wires both together into the per-plan
+"hot opcode" report.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.obs.trace import SpanRecord
 
 __all__ = [
     "OpcodeStat",
     "ProfileReport",
-    "profile_interp",
-    "profile_batch",
+    "profile_plan",
     "profile_format",
     "self_time_tree",
     "stage_self_times",
@@ -51,7 +45,7 @@ __all__ = [
 
 @dataclass
 class OpcodeStat:
-    """Aggregated cost of one IR opcode across a profiled corpus."""
+    """Aggregated cost of one stage (an IR opcode or a pseudo-stage)."""
 
     opcode: str
     count: int
@@ -69,19 +63,19 @@ class OpcodeStat:
 
 @dataclass
 class ProfileReport:
-    """Per-opcode attribution for one plan over one key corpus.
+    """Per-stage attribution for one plan over one key batch.
 
     Attributes:
         label: plan identification (regex + family).
         family: hash family profiled.
-        mode: ``"interp"`` (scalar interpreter) or ``"vector"`` (NumPy
-            lane-array re-execution of the batch kernel's lowering).
+        mode: ``"vector"`` (the lane body, stage by stage) or
+            ``"mapped"`` (the scalar function mapped over the keys).
         keys: number of keys evaluated.
-        total_wall: the evaluator's own elapsed seconds (entry→exit).
-        total_cpu: the evaluator's elapsed thread-CPU seconds.
+        total_wall: elapsed seconds from the first checkpoint to the last.
+        total_cpu: the same span in thread-CPU seconds.
         harness_wall: externally measured wall seconds around the whole
             profiled run — the denominator of :attr:`coverage`.
-        opcodes: per-opcode stats, keyed by opcode name.
+        opcodes: per-stage stats, keyed by opcode or pseudo-stage name.
     """
 
     label: str
@@ -95,7 +89,7 @@ class ProfileReport:
 
     @property
     def attributed_wall(self) -> float:
-        """Wall seconds attributed to named opcodes (sums self-times)."""
+        """Wall seconds attributed to named stages (sums self-times)."""
         return sum(stat.wall_seconds for stat in self.opcodes.values())
 
     @property
@@ -106,16 +100,16 @@ class ProfileReport:
     def coverage(self) -> float:
         """Attributed share of the externally measured wall time.
 
-        Chained timestamps make this ≥ 0.95 in practice (typically
-        > 0.99); it can never meaningfully exceed 1.0 — only timer
-        granularity noise sits between the two measurements.
+        Chained checkpoints make this ≥ 0.95 in practice; it can never
+        meaningfully exceed 1.0 — only the call into the profiled entry
+        and timer granularity sit between the two measurements.
         """
         if self.harness_wall <= 0:
             return 0.0
         return self.attributed_wall / self.harness_wall
 
     def hot(self) -> List[OpcodeStat]:
-        """Opcodes by descending wall time — the "hot opcode" ranking."""
+        """Stages by descending wall time — the "hot opcode" ranking."""
         return sorted(
             self.opcodes.values(),
             key=lambda stat: stat.wall_seconds,
@@ -137,256 +131,111 @@ class ProfileReport:
         }
 
 
-def _stats_to_report(
-    label: str,
-    family: str,
-    mode: str,
-    keys: int,
-    stats: Dict[str, list],
-    total_wall: float,
-    total_cpu: float,
-    harness_wall: float,
-) -> ProfileReport:
-    return ProfileReport(
-        label=label,
-        family=family,
-        mode=mode,
-        keys=keys,
-        total_wall=total_wall,
-        total_cpu=total_cpu,
-        harness_wall=harness_wall,
-        opcodes={
-            opcode: OpcodeStat(opcode, entry[0], entry[1], entry[2])
-            for opcode, entry in stats.items()
-        },
-    )
+_CHECKPOINT = ["    _w(_pc())", "    _c(_tt())"]
 
 
-def _ir_function(synthesized):
-    from repro.codegen.ir import build_ir, optimize
+def _render_profiled(setup, stages, length):
+    """The list entry and lane body with a checkpoint between stages.
 
-    return optimize(build_ir(synthesized.plan))
+    Returns ``(source, labels)``: ``labels[i]`` names the span between
+    checkpoints ``i`` and ``i + 1``.  The ``ret`` stage returns from the
+    lane body, so the entry's checkpoint after the call closes it.  The
+    last checkpoint reads the CPU clock before the wall clock, so that
+    ``thread_time`` call (a system call) is attributed, not left in the
+    harness's unattributed gap.  The entry returns None for a batch the
+    real entry would map.
+    """
+    from repro.codegen.batch import LANE_PROLOGUE, LENGTH_GUARD, ROW_VIEW
+
+    lines = [
+        *setup,
+        "from time import perf_counter as _pc, thread_time as _tt",
+        "def _lanes(_a, _w, _c):",
+        *LANE_PROLOGUE,
+    ]
+    for _opcode, body in stages:
+        lines += _CHECKPOINT + body
+    lines += [
+        "",
+        "def _entry(keys, _w, _c):",
+        *_CHECKPOINT,
+        "    n = len(keys)",
+        f"    if {LENGTH_GUARD.format(length=length)}:",
+        "        return None",
+        *_CHECKPOINT,
+        f"    _r = _lanes({ROW_VIEW.format(length=length)}, _w, _c)",
+        *_CHECKPOINT,
+        "    _r = _r.tolist()",
+        *reversed(_CHECKPOINT),
+        "    return _r",
+        "",
+    ]
+    labels = ["(length guard)", "(row view)"]
+    labels += [opcode for opcode, _lines in stages]
+    labels.append("(tolist)")
+    return "\n".join(lines), labels
 
 
-def profile_interp(synthesized, keys: Sequence[bytes]) -> ProfileReport:
-    """Profile the IR interpreter over ``keys``, opcode by opcode.
+def profile_plan(synthesized, keys: Sequence[bytes]) -> ProfileReport:
+    """Profile what ``hash_many(keys)`` runs, stage by stage.
 
     ``synthesized`` is a :class:`repro.core.synthesis.SynthesizedHash`.
-    The profiled values are checked against the compiled scalar function
-    on a sample, so the attribution demonstrably measures the same
-    program it claims to.
+    A batch the list entry vectorizes is reported as mode ``"vector"``:
+    one stat per IR opcode (count = instructions of that opcode) plus
+    the entry's pseudo-stages.  Any other batch is mode ``"mapped"``
+    with the one ``(scalar map)`` stage.  The profiled values must
+    equal ``synthesized.batch_function(keys)``.
     """
-    func = _ir_function(synthesized)
-    from repro.codegen.interp import interpret_profiled_many
+    from repro.codegen.batch import lane_stages
+    from repro.codegen.ir import build_ir, optimize
+    from repro.codegen.python_backend import compile_source
 
-    stats: Dict[str, list] = {}
-    started = time.perf_counter()
-    values, total_wall, total_cpu = interpret_profiled_many(
-        func, keys, stats
-    )
-    harness_wall = time.perf_counter() - started
-    compiled = synthesized.function
-    for index in range(0, len(keys), max(1, len(keys) // 16)):
-        if values[index] != compiled(keys[index]):  # pragma: no cover
-            raise AssertionError(
-                "profiled interpreter diverged from compiled function "
-                f"on key {keys[index]!r}"
-            )
-    return _stats_to_report(
+    keys = list(keys)
+    walls: List[float] = []
+    cpus: List[float] = []
+    values = None
+    lowered = lane_stages(optimize(build_ir(synthesized.plan)))
+    if lowered is not None:
+        source, labels = _render_profiled(
+            *lowered, synthesized.plan.key_length
+        )
+        entry = compile_source(source, "_entry")
+        # Bound before the clock starts: allocating them can run the GC.
+        mark_wall, mark_cpu = walls.append, cpus.append
+        started = time.perf_counter()
+        values = entry(keys, mark_wall, mark_cpu)
+        harness_wall = time.perf_counter() - started
+        mode = "vector"
+    if values is None:
+        mode, labels = "mapped", ["(scalar map)"]
+        function = synthesized.function
+        walls.clear()
+        cpus.clear()
+        started = time.perf_counter()
+        walls.append(time.perf_counter())
+        cpus.append(time.thread_time())
+        values = list(map(function, keys))
+        cpus.append(time.thread_time())
+        walls.append(time.perf_counter())
+        harness_wall = time.perf_counter() - started
+    if values != synthesized.batch_function(keys):
+        raise AssertionError("profiled stages diverged from hash_many")
+    opcodes: Dict[str, OpcodeStat] = {}
+    for index, label in enumerate(labels):
+        stat = opcodes.setdefault(label, OpcodeStat(label, 0, 0.0, 0.0))
+        stat.count += 1
+        stat.wall_seconds += walls[index + 1] - walls[index]
+        stat.cpu_seconds += cpus[index + 1] - cpus[index]
+    return ProfileReport(
         label=synthesized.plan.pattern_regex or synthesized.name,
         family=synthesized.family.value,
-        mode="interp",
+        mode=mode,
         keys=len(keys),
-        stats=stats,
-        total_wall=total_wall,
-        total_cpu=total_cpu,
+        total_wall=walls[-1] - walls[0],
+        total_cpu=cpus[-1] - cpus[0],
         harness_wall=harness_wall,
+        opcodes=opcodes,
     )
-
-
-class _NotVectorizable(Exception):
-    """Raised when a plan would not take the batch backend's vector tier."""
-
-
-def _profile_vector(func, keys: Sequence[bytes], stats: Dict[str, list]):
-    """Re-execute the IR over uint64 lane arrays, timing each opcode.
-
-    Mirrors the lowering rules of
-    :func:`repro.codegen.batch._emit_vector_lines` — the same bail-out
-    conditions (variable length, per-plan scalar operands, 128-bit
-    column planes in plain arithmetic) raise :class:`_NotVectorizable`,
-    so this profiler only reports vector timings for plans whose real
-    batch kernel runs the vector tier.  ``aes_absorb`` and ``aes_fold``
-    call the same :mod:`repro.isa.aes` plane helpers the generated
-    kernel calls, so an AES profile times the code that runs.
-    """
-    import numpy as np
-
-    from repro.codegen.ir import AES_ROUND_KEY
-    from repro.isa.aes import aes_fold_planes, aes_planes, aesenc_planes
-    from repro.isa.bits import mask_to_gathers
-
-    plan = func.plan
-    if not plan.is_fixed_length:
-        raise _NotVectorizable("variable-length plan")
-    length = plan.key_length
-    n = len(keys)
-
-    cpu_prev = time.thread_time()
-    wall_prev = time.perf_counter()
-    wall_entry, cpu_entry = wall_prev, cpu_prev
-
-    # The prologue the real vector kernel also pays — joining the batch
-    # into one buffer and viewing it as a byte matrix — is attributed to
-    # an explicit pseudo-stage so the vector profile stays exhaustive.
-    buf = b"".join(keys)
-    if len(buf) != n * length:
-        raise _NotVectorizable("non-conforming key lengths in batch")
-    arr = np.frombuffer(buf, dtype=np.uint8).reshape(n, length)
-    round_key = aes_planes(AES_ROUND_KEY)
-
-    cpu_now = time.thread_time()
-    wall_now = time.perf_counter()
-    stats["(batch setup)"] = [
-        1,
-        wall_now - wall_prev,
-        cpu_now - cpu_prev,
-    ]
-    wall_prev, cpu_prev = wall_now, cpu_now
-
-    registers: Dict[str, Any] = {}
-    wide: set = set()
-    scalars: set = set()
-    values: Optional[list] = None
-    for instr in func.instrs:
-        op, dest, args = instr.opcode, instr.dest, instr.args
-        if op == "const":
-            scalars.add(dest)
-            registers[dest] = args[0]
-        elif op == "load64":
-            offset, width = args
-            if width == 8:
-                registers[dest] = (
-                    arr[:, offset : offset + 8].view("<u8")[:, 0].copy()
-                )
-            else:
-                widened = np.zeros((n, 8), dtype=np.uint8)
-                widened[:, :width] = arr[:, offset : offset + width]
-                registers[dest] = widened.view("<u8").ravel()
-        elif op in ("pext", "shl", "shr", "mul64", "rotl", "xor", "or", "add"):
-            register_args = [arg for arg in args if isinstance(arg, str)]
-            if any(arg in scalars or arg in wide for arg in register_args):
-                raise _NotVectorizable(f"scalar/wide operand in {op}")
-            if op == "pext":
-                source = registers[args[0]]
-                out = np.zeros(n, dtype=np.uint64)
-                for distance, out_mask in mask_to_gathers(args[1]):
-                    out |= (source >> np.uint64(distance)) & np.uint64(
-                        out_mask
-                    )
-                registers[dest] = out
-            elif op == "shl":
-                registers[dest] = registers[args[0]] << np.uint64(args[1])
-            elif op == "shr":
-                registers[dest] = registers[args[0]] >> np.uint64(args[1])
-            elif op == "mul64":
-                registers[dest] = registers[args[0]] * np.uint64(args[1])
-            elif op == "rotl":
-                source = registers[args[0]]
-                amount = args[1]
-                registers[dest] = (source << np.uint64(amount)) | (
-                    source >> np.uint64(64 - amount)
-                )
-            elif op == "xor":
-                registers[dest] = registers[args[0]] ^ registers[args[1]]
-            elif op == "or":
-                registers[dest] = registers[args[0]] | registers[args[1]]
-            else:  # add
-                registers[dest] = registers[args[0]] + registers[args[1]]
-        elif op == "aes_absorb":
-            state, lo, hi = args
-            if state not in wide and state not in scalars:
-                raise _NotVectorizable("narrow lane array as aes state")
-            if any(arg in scalars or arg in wide for arg in (lo, hi)):
-                raise _NotVectorizable("scalar lane in aes_absorb")
-            source = registers[state]
-            if state not in wide:
-                source = aes_planes(source)
-            registers[dest] = aesenc_planes(
-                source, registers[lo], registers[hi], round_key
-            )
-            wide.add(dest)
-        elif op == "aes_fold":
-            source = args[0]
-            if source not in wide:
-                raise _NotVectorizable("aes_fold of a narrow register")
-            registers[dest] = aes_fold_planes(registers[source])
-        elif op == "ret":
-            returned = args[0]
-            if returned in scalars or returned in wide:
-                raise _NotVectorizable("ret of a non-lane register")
-            values = registers[returned].tolist()
-        else:
-            raise _NotVectorizable(f"opcode {op} has no vector lowering")
-        cpu_now = time.thread_time()
-        wall_now = time.perf_counter()
-        entry = stats.get(op)
-        if entry is None:
-            entry = stats[op] = [0, 0.0, 0.0]
-        entry[0] += 1
-        entry[1] += wall_now - wall_prev
-        entry[2] += cpu_now - cpu_prev
-        wall_prev = wall_now
-        cpu_prev = cpu_now
-        if values is not None:
-            break
-    if values is None:
-        raise _NotVectorizable("IR function fell off the end without ret")
-    return values, wall_prev - wall_entry, cpu_prev - cpu_entry
-
-
-def profile_batch(synthesized, keys: Sequence[bytes]) -> ProfileReport:
-    """Profile the batch kernel's work, opcode by opcode.
-
-    Vectorizable plans are re-executed over NumPy lane arrays with one
-    timestamp per array op (mode ``"vector"``), and the profiled values
-    are parity-checked against the real ``hash_many`` kernel.  Plans
-    without a lane body — for which the batch entry maps the scalar
-    function over the keys — and environments without NumPy fall back
-    to interpreter attribution (mode ``"interp"``), per key like the
-    mapped scalar function.
-    """
-    func = _ir_function(synthesized)
-    from repro.codegen.batch import HAVE_NUMPY
-
-    if HAVE_NUMPY:
-        stats: Dict[str, list] = {}
-        started = time.perf_counter()
-        try:
-            values, total_wall, total_cpu = _profile_vector(
-                func, keys, stats
-            )
-        except _NotVectorizable:
-            values = None
-        if values is not None:
-            harness_wall = time.perf_counter() - started
-            expected = synthesized.batch_function(list(keys))
-            if values != expected:  # pragma: no cover - parity guard
-                raise AssertionError(
-                    "vector profiler diverged from the batch kernel"
-                )
-            return _stats_to_report(
-                label=synthesized.plan.pattern_regex or synthesized.name,
-                family=synthesized.family.value,
-                mode="vector",
-                keys=len(keys),
-                stats=stats,
-                total_wall=total_wall,
-                total_cpu=total_cpu,
-                harness_wall=harness_wall,
-            )
-    report = profile_interp(synthesized, keys)
-    return report
 
 
 def profile_format(
@@ -394,14 +243,12 @@ def profile_format(
     family=None,
     count: int = 2000,
     seed: int = 0,
-    batch: bool = False,
 ) -> ProfileReport:
     """Synthesize ``regex`` and profile it on conforming keys.
 
     The convenience form behind ``sepe profile``: draws ``count``
     conforming keys (seeded, so profiles are comparable run to run) and
-    attributes interpreter — or, with ``batch``, vector-kernel — time to
-    opcodes.
+    profiles the plan's ``hash_many`` over them (:func:`profile_plan`).
     """
     from repro.core.plan import HashFamily
     from repro.core.synthesis import synthesize
@@ -411,9 +258,7 @@ def profile_format(
         family = HashFamily.PEXT
     synthesized = synthesize(regex, family)
     keys = sample_conforming_keys(synthesized.pattern, count, seed=seed)
-    if batch:
-        return profile_batch(synthesized, keys)
-    return profile_interp(synthesized, keys)
+    return profile_plan(synthesized, keys)
 
 
 # -- stage self-times over span records ---------------------------------
@@ -495,17 +340,17 @@ def stage_self_times(
 
 
 def render_profile(report: ProfileReport) -> str:
-    """The per-opcode table ``sepe profile`` prints."""
+    """The per-stage table ``sepe profile`` prints."""
     lines = [
-        f"opcode profile: {report.label} [{report.family}] "
+        f"stage profile: {report.label} [{report.family}] "
         f"mode={report.mode} keys={report.keys}",
-        f"{'opcode':<12s} {'count':>10s} {'wall ms':>10s} {'%':>7s} "
+        f"{'stage':<14s} {'count':>10s} {'wall ms':>10s} {'%':>7s} "
         f"{'cpu ms':>10s} {'ns/key':>9s}",
     ]
     total = report.attributed_wall or 1.0
     for stat in report.hot():
         lines.append(
-            f"{stat.opcode:<12s} {stat.count:>10,d} "
+            f"{stat.opcode:<14s} {stat.count:>10,d} "
             f"{stat.wall_seconds * 1e3:>10.3f} "
             f"{100 * stat.wall_seconds / total:>6.1f}% "
             f"{stat.cpu_seconds * 1e3:>10.3f} "

@@ -7,6 +7,7 @@ bit for bit.
 """
 
 import ast
+import hashlib
 import random
 
 import pytest
@@ -19,15 +20,25 @@ from repro.codegen.batch import (
 )
 from repro.codegen.interp import interpret
 from repro.codegen.ir import build_ir, optimize
-from repro.codegen.python_backend import compile_source, emit_python
+from repro.codegen.python_backend import (
+    LOWERING_VERSION,
+    compile_source,
+    emit_python,
+)
 from repro.core.plan import HashFamily
-from repro.core.synthesis import synthesize
+from repro.core.synthesis import synthesize, synthesize_short_key
 from repro.keygen.distributions import Distribution
+from repro.keygen.extended import EXTENDED_KEY_TYPES
 from repro.keygen.generator import generate_keys
 from repro.keygen.keyspec import KEY_TYPES
 
 FIXED_FORMATS = ("SSN", "MAC", "IPV4", "IPV6")
 VARIABLE_REGEX = r"[0-9a-f]{8,23}"  # odd lengths: exercises tail_xor
+# SHA-256 of emit_python_module over every built-in plan, by
+# LOWERING_VERSION (TestBatchSource pins the current one).
+MODULE_DIGESTS = {
+    6: "bc7cd27070b13f54a48b93f225db633457d8c4acd0cc939ea7a3ade8554b685c",
+}
 
 
 def reference(plan, keys):
@@ -230,6 +241,29 @@ class TestBatchSource:
             )
         ]
         assert readers == ["hash"]
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="vector tier needs numpy")
+    def test_module_bytes_are_pinned_to_the_lowering_version(self):
+        """The disk cache execs ``.python.v<LOWERING_VERSION>.`` files,
+        so a change to the emitted module must bump the version.  This
+        digest covers every built-in plan (13 paper + extended formats x
+        4 families); when the lowering changes, bump LOWERING_VERSION and
+        record the new digest beside it."""
+        specs = {**KEY_TYPES, **EXTENDED_KEY_TYPES}
+        digest = hashlib.sha256()
+        plans = 0
+        for key_type in sorted(specs):
+            for family in HashFamily:
+                synthesized = synthesize_short_key(
+                    specs[key_type].regex, family
+                )
+                func = optimize(
+                    build_ir(synthesized.plan, name=synthesized.name)
+                )
+                digest.update(emit_python_module(func).encode() + b"\0")
+                plans += 1
+        assert plans == 52
+        assert digest.hexdigest() == MODULE_DIGESTS[LOWERING_VERSION]
 
 
 class TestOrderingAndTypes:

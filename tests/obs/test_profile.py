@@ -1,17 +1,18 @@
-"""Tests for per-opcode profiling and span self-time trees."""
+"""Tests for per-stage plan profiling and span self-time trees."""
 
 import pytest
 
-from repro.codegen.interp import interpret, interpret_profiled_many
+from repro.codegen import batch as batch_mod
+from repro.codegen.batch import HAVE_NUMPY
+from repro.codegen.interp import interpret
 from repro.codegen.ir import build_ir, optimize
 from repro.core.plan import HashFamily
-from repro.core.synthesis import build_plan, synthesize
+from repro.core.synthesis import SynthesizedHash, synthesize
 from repro.core.validate import sample_conforming_keys
 from repro.obs import capture_spans
 from repro.obs.profile import (
-    profile_batch,
     profile_format,
-    profile_interp,
+    profile_plan,
     render_profile,
     render_self_time_tree,
     self_time_tree,
@@ -26,80 +27,119 @@ FAMILIES = [
     HashFamily.AES,
     HashFamily.PEXT,
 ]
+ENTRY_STAGES = {"(length guard)", "(row view)", "(tolist)"}
+
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
 
 
 def _keys(synthesized, count=200, seed=0):
     return sample_conforming_keys(synthesized.pattern, count, seed=seed)
 
 
+def _schedule(synthesized):
+    counts = {}
+    for instr in optimize(build_ir(synthesized.plan)).instrs:
+        counts[instr.opcode] = counts.get(instr.opcode, 0) + 1
+    return counts
+
+
 class TestProfiledInterpreter:
+    """The profiled stages agree with the plain IR interpreter."""
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_parity_with_plain_interpreter(self, family):
         synthesized = synthesize(SSN, family)
         func = optimize(build_ir(synthesized.plan))
         keys = _keys(synthesized, count=64)
-        stats = {}
-        values, wall, cpu = interpret_profiled_many(func, keys, stats)
-        assert values == [interpret(func, key) for key in keys]
-        assert wall > 0 and cpu >= 0
+        # profile_plan raises unless its values equal batch_function.
+        report = profile_plan(synthesized, keys)
+        assert synthesized.batch_function(keys) == [
+            interpret(func, key) for key in keys
+        ]
+        assert report.total_wall > 0 and report.total_cpu >= 0
 
-    def test_stats_accumulate_across_calls(self):
-        synthesized = synthesize(SSN, HashFamily.PEXT)
-        func = optimize(build_ir(synthesized.plan))
-        keys = _keys(synthesized, count=16)
-        stats = {}
-        interpret_profiled_many(func, keys, stats)
-        first = {op: entry[0] for op, entry in stats.items()}
-        interpret_profiled_many(func, keys, stats)
-        assert all(entry[0] == 2 * first[op] for op, entry in stats.items())
+
+@needs_numpy
+class TestProfilePlan:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_parity_with_hash_many(self, family):
+        """Values equal ``batch_function`` (checked inside the profile),
+        every IR instruction is one timed stage, and the stages cover
+        the run."""
+        synthesized = synthesize(SSN, family)
+        report = profile_plan(synthesized, _keys(synthesized, count=2000))
+        assert report.mode == "vector"
+        counts = {op: stat.count for op, stat in report.opcodes.items()}
+        assert counts == {
+            **_schedule(synthesized),
+            **dict.fromkeys(ENTRY_STAGES, 1),
+        }
+        assert 0.95 <= report.coverage <= 1.001
 
     def test_self_times_sum_to_internal_totals(self):
         synthesized = synthesize(SSN, HashFamily.PEXT)
-        func = optimize(build_ir(synthesized.plan))
-        stats = {}
-        _values, wall, cpu = interpret_profiled_many(
-            func, _keys(synthesized, count=400), stats
+        report = profile_plan(synthesized, _keys(synthesized, count=400))
+        assert report.attributed_wall == pytest.approx(
+            report.total_wall, rel=1e-9
         )
-        attributed = sum(entry[1] for entry in stats.values())
-        assert attributed == pytest.approx(wall, rel=1e-9)
-        attributed_cpu = sum(entry[2] for entry in stats.values())
-        assert attributed_cpu == pytest.approx(cpu, rel=1e-9)
+        assert report.attributed_cpu == pytest.approx(
+            report.total_cpu, rel=1e-9
+        )
 
-    def test_unknown_opcode_raises(self):
-        import dataclasses
+    def test_divergence_from_hash_many_raises(self, monkeypatch):
+        synthesized = synthesize(SSN, HashFamily.PEXT)
+        monkeypatch.setattr(
+            SynthesizedHash,
+            "batch_function",
+            property(lambda self: lambda keys: [0] * len(keys)),
+        )
+        with pytest.raises(AssertionError, match="diverged"):
+            profile_plan(synthesized, _keys(synthesized, count=64))
 
-        synthesized = synthesize(SSN, HashFamily.NAIVE)
-        func = optimize(build_ir(synthesized.plan))
-        bogus = dataclasses.replace(func.instrs[0], opcode="bogus")
-        func.instrs[0] = bogus
-        with pytest.raises(ValueError, match="unknown IR opcode"):
-            interpret_profiled_many(func, [b"123-45-6789"], {})
+    def test_ragged_batch_is_mapped(self):
+        """Lengths that merely sum to ``n * L`` are no row view: the
+        list entry maps the scalar function, and so does the profile."""
+        synthesized = synthesize(SSN, HashFamily.PEXT)
+        keys = _keys(synthesized, count=32)
+        keys[0] += b"7"
+        keys[1] = keys[1][:-1]
+        assert sum(map(len, keys)) == 32 * synthesized.plan.key_length
+        report = profile_plan(synthesized, keys)
+        assert report.mode == "mapped"
+        assert set(report.opcodes) == {"(scalar map)"}
+        assert synthesized.hash_many(keys) == list(map(synthesized, keys))
+
+    def test_small_batch_is_mapped(self):
+        synthesized = synthesize(SSN, HashFamily.PEXT)
+        keys = _keys(synthesized, count=batch_mod.VECTOR_MIN_KEYS - 1)
+        assert profile_plan(synthesized, keys).mode == "mapped"
+
+    def test_numpy_less_host_is_mapped(self, monkeypatch):
+        synthesized = synthesize(SSN, HashFamily.PEXT)
+        monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
+        report = profile_plan(synthesized, _keys(synthesized, count=64))
+        assert report.mode == "mapped"
 
 
 class TestProfileReports:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_interp_coverage_bounds(self, family):
-        """Acceptance: opcode self-times are ≤100% and ≥95% of wall."""
+        """Acceptance: stage self-times are ≤100% and ≥95% of wall."""
         synthesized = synthesize(SSN, family)
-        report = profile_interp(synthesized, _keys(synthesized, count=500))
-        assert report.mode == "interp"
+        report = profile_plan(synthesized, _keys(synthesized, count=2000))
         assert 0.95 <= report.coverage <= 1.001
         assert report.attributed_wall <= report.harness_wall * 1.001
 
+    @needs_numpy
     def test_counts_match_instruction_schedule(self):
-        synthesized = synthesize(SSN, HashFamily.PEXT)
-        count = 120
-        report = profile_interp(synthesized, _keys(synthesized, count))
-        func = optimize(build_ir(synthesized.plan))
-        expected = {}
-        for instr in func.instrs:
-            expected[instr.opcode] = expected.get(instr.opcode, 0) + 1
-        for opcode, stat in report.opcodes.items():
-            assert stat.count == expected[opcode] * count
+        synthesized = synthesize(r".{4}(:.{4}){7}", HashFamily.AES)
+        report = profile_plan(synthesized, _keys(synthesized, count=120))
+        for opcode, expected in _schedule(synthesized).items():
+            assert report.opcodes[opcode].count == expected
 
     def test_hot_ranking_and_dict_shape(self):
         synthesized = synthesize(SSN, HashFamily.PEXT)
-        report = profile_interp(synthesized, _keys(synthesized, count=100))
+        report = profile_plan(synthesized, _keys(synthesized, count=100))
         hot = report.hot()
         walls = [stat.wall_seconds for stat in hot]
         assert walls == sorted(walls, reverse=True)
@@ -116,22 +156,19 @@ class TestProfileReports:
         assert "hot opcode" in text
         assert "pext" in text
 
-    def test_profile_batch_vectorizes_fixed_length(self):
-        pytest.importorskip("numpy")
+    @needs_numpy
+    def test_fixed_length_batch_vectorizes(self):
         synthesized = synthesize(SSN, HashFamily.PEXT)
-        report = profile_batch(synthesized, _keys(synthesized, count=300))
+        report = profile_plan(synthesized, _keys(synthesized, count=300))
         assert report.mode == "vector"
-        # Vector attribution covers the kernel work plus an explicit
-        # batch-setup pseudo-stage; the bar is a little lower than the
-        # interpreter's because timestamps bracket whole array ops.
-        assert report.coverage >= 0.85
-        assert "(batch setup)" in report.opcodes
+        assert ENTRY_STAGES <= set(report.opcodes)
 
-    def test_profile_batch_falls_back_for_variable_length(self):
+    def test_variable_length_plan_is_mapped(self):
         synthesized = synthesize(r"[a-z]+@corp\.com", HashFamily.OFFXOR)
-        keys = _keys(synthesized, count=50)
-        report = profile_batch(synthesized, keys)
-        assert report.mode == "interp"
+        report = profile_plan(synthesized, _keys(synthesized, count=50))
+        assert report.mode == "mapped"
+        assert report.opcodes["(scalar map)"].count == 1
+        assert 0.95 <= report.coverage <= 1.001
 
 
 def _record(span_id, parent_id, name, started, wall, cpu=None):
