@@ -305,6 +305,7 @@ class CompileCache:
                     symbol=name,
                     compiler=toolchain.identity,
                     key_length=plan.key_length,
+                    min_length=native_mod.native_min_length(plan),
                 )
             except NativeUnavailableError:
                 pass  # Stale/corrupt artifact: recompile below.

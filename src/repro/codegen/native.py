@@ -5,15 +5,30 @@ Python — the generated scalar functions, the NumPy lane kernels, the
 interpreter.  The paper's numbers come from *compiled* specialized hash
 functions, so this tier closes that gap: it takes the JIT translation
 unit from :func:`repro.codegen.cpp_backend.emit_cpp_native` (the hash
-core plus ``extern "C"`` scalar and batched entry points, behind a
+core plus ``extern "C"`` scalar and list entry points, behind a
 header-light prelude that calls the ``pext``/``aesenc`` compiler
 builtins instead of including ``<immintrin.h>``), shells out to the
 system C++ compiler (``c++ -O2 -fPIC -shared -nodefaultlibs -Wl,-z,defs``
-on Linux), and loads the shared object back through :mod:`ctypes`.
-The unit needs no C++ runtime, libm or libgcc, so the link reads no
-library but libc, and libc only for a variable-length plan, whose tail
-``memcpy`` may be a call; ``-z defs`` makes an unresolved symbol a
-compile failure instead of a late ``dlopen`` error.
+on Linux), and loads the shared object back through
+:class:`ctypes.PyDLL`.  The unit needs no C++ runtime, libm or libgcc,
+so the link reads no library but libc, and libc only for a
+variable-length plan, whose tail ``memcpy`` may be a call; ``-z defs``
+makes an unresolved symbol a compile failure instead of a late
+``dlopen`` error.  The five Python C API functions the list entry
+calls are declared weak, without ``<Python.h>``: they stay unresolved
+at the link and ``dlopen`` binds them to the running interpreter
+(darwin links with ``-undefined dynamic_lookup`` for the same effect;
+no test runs on darwin).
+
+A batch costs one foreign call: the list entry reads each key's bytes
+in place from the Python list, with the GIL held, and writes the hashes
+into one ``array("Q")`` that :meth:`NativeModule.hash_many` turns into
+ints and :meth:`NativeModule.hash_many_array` views as a NumPy array.
+It then releases the GIL and takes it back, so a thread waiting for the
+GIL gets it once per batch rather than at the next switch interval.  A
+key it cannot read in place (not ``bytes``, or shorter than the kernel
+reads) sends the batch through :func:`_kernel_key` and once more
+through the entry.
 
 Toolchain discovery (:func:`detect_toolchain`) is deliberately paranoid:
 
@@ -75,6 +90,7 @@ import tempfile
 import threading
 import time
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -84,6 +100,7 @@ from repro.codegen.cpp_backend import (
     NATIVE_UNIT_VERSION,
     emit_cpp_native,
     _JIT_ARM,
+    native_min_length,
     plan_isa_features,
     x86_jit_prelude,
 )
@@ -93,7 +110,7 @@ from repro.errors import NativeUnavailableError, SynthesisError
 from repro.obs.metrics import exponential_buckets, get_registry
 from repro.obs.trace import span
 
-try:  # Marshaling tier: vectorized pointer arrays need NumPy.
+try:  # ``hash_many_array`` returns a NumPy array.
     import numpy as _numpy
 
     _HAVE_NUMPY = True
@@ -134,8 +151,12 @@ _BASE_FLAGS: Tuple[str, ...] = ("-O2", "-fPIC", "-std=c++17")
 # probe's ``printf``, and the tail ``memcpy`` of a variable-length unit
 # (``__memcpy_chk`` and ``__stack_chk_fail`` on hardened compilers).
 _LEAN_LINK = sys.platform.startswith("linux")
+# The unit's Python C API references are weak and bound at ``dlopen``;
+# the darwin linker needs ``dynamic_lookup`` to leave them unresolved.
 _SHARED_LINK_FLAGS: Tuple[str, ...] = (
     ("-shared", "-nodefaultlibs", "-Wl,-z,defs") if _LEAN_LINK
+    else ("-shared", "-undefined", "dynamic_lookup")
+    if sys.platform == "darwin"
     else ("-shared",)
 )
 _PROBE_LINK_FLAGS: Tuple[str, ...] = (
@@ -144,6 +165,9 @@ _PROBE_LINK_FLAGS: Tuple[str, ...] = (
 _LIBC: Tuple[str, ...] = ("-lc",) if _LEAN_LINK else ()
 
 _MASK64 = (1 << 64) - 1
+
+_ZERO_HASH = array("Q", [0])
+"""One zero ``uint64``; ``_ZERO_HASH * count`` is an output buffer."""
 
 
 @dataclass(frozen=True)
@@ -295,48 +319,50 @@ class Toolchain:
         """Everything a shared object built by this toolchain depends on.
 
         The compiler identity, its flags, the probed features, the JIT
-        unit version and, when ``-march=native`` is in the flags, the
-        host CPU (two hosts with the same compiler but different CPUs
-        produce objects that need not run on each other).  The compile
-        cache tags persisted ``.so`` files with a digest of this key.
+        unit version, the Python ABI its list entry calls into and,
+        when ``-march=native`` is in the flags, the host CPU (two hosts
+        with the same compiler but different CPUs produce objects that
+        need not run on each other).  The compile cache tags persisted
+        ``.so`` files with a digest of this key.
         """
         parts = [
             self.identity,
             " ".join(self.flags),
             ",".join(sorted(self.features)),
             f"unit-v{NATIVE_UNIT_VERSION}",
+            sys.implementation.cache_tag or sys.implementation.name,
         ]
         if "-march=native" in self.flags:
             parts.append(host_cpu_identity())
         return "\n".join(parts)
 
 
-def _kernel_key(key, length: Optional[int]) -> bytes:
+def _kernel_key(key, minimum: int) -> bytes:
     """``key`` as the ``bytes`` a kernel is handed.
 
     A ``str`` is UTF-8 encoded and any other buffer (``bytearray``,
-    ``memoryview``) copied, since ctypes takes only ``bytes`` for a char
-    pointer; anything else raises ``TypeError``.  A fixed-length kernel
-    (``length`` set) reads bytes ``[0, length)`` whatever the key's
-    length, so the key is cut or zero-filled to exactly the bytes the
-    scalar function reads.  Every entry of :class:`NativeModule`
-    normalises its keys here.
+    ``memoryview``) copied; anything else raises ``TypeError``.  A key
+    shorter than ``minimum``, the bytes the kernel reads whatever the
+    key's length (:func:`~repro.codegen.cpp_backend.native_min_length`),
+    is zero-filled to it, as the interpreter reads past a short key's
+    end.  Every entry of :class:`NativeModule` normalises its keys here.
     """
     if isinstance(key, str):
         key = key.encode("utf-8")
-    view = memoryview(key)
-    if length is None:
-        return view.tobytes()
-    return view[:length].tobytes().ljust(length, b"\0")
+    return memoryview(key).tobytes().ljust(minimum, b"\0")
 
 
 class NativeModule:
     """A loaded specialized-hash shared object.
 
     Calling the module hashes one key through the ``extern "C"`` scalar
-    entry point; :meth:`hash_many` marshals a whole batch through the
-    ``<symbol>_hash_many`` entry point, paying the foreign-function
-    overhead once per batch instead of once per key.
+    entry point.  :meth:`hash_many` and :meth:`hash_many_array` hash a
+    batch through the ``<symbol>_hash_list`` entry point, which reads
+    the key list through the Python C API itself: one foreign call per
+    batch, with no join and no pointer arrays.  Both exports are bound
+    through one :class:`ctypes.PyDLL` load, so a call holds the GIL: the
+    list entry reads the keys in place, and hands the GIL to a waiting
+    thread once per batch.
 
     Attributes:
         path: the ``.so`` on disk (may live in a temp dir owned by this
@@ -345,6 +371,9 @@ class NativeModule:
             (empty when loaded from a cached artifact without metadata).
         compile_ms: wall-clock compile latency in milliseconds, 0.0 for
             a disk-cache load that skipped the compiler.
+        key_length: the plan's fixed key length, or None.
+        min_length: the bytes the kernel reads whatever the key's
+            length; a shorter key is zero-filled to it first.
     """
 
     def __init__(
@@ -354,6 +383,7 @@ class NativeModule:
         compiler: str = "",
         compile_ms: float = 0.0,
         key_length: Optional[int] = None,
+        min_length: Optional[int] = None,
         _tempdir: Optional[tempfile.TemporaryDirectory] = None,
     ):
         self.path = Path(so_path)
@@ -361,182 +391,76 @@ class NativeModule:
         self.compiler = compiler
         self.compile_ms = compile_ms
         self.key_length = key_length
+        self.min_length = (
+            min_length if min_length is not None else key_length or 0
+        )
         self._tempdir = _tempdir  # keeps a temp build dir alive with us
         try:
-            self._lib = ctypes.CDLL(str(self.path))
-            scalar = getattr(self._lib, f"{symbol}_hash")
-            batch = getattr(self._lib, f"{symbol}_hash_many")
-            # A second binding of the same symbol (CDLL.__getitem__
-            # creates a fresh function object) taking raw addresses, so
-            # the packed path passes NumPy data pointers directly.
-            batch_raw = self._lib[f"{symbol}_hash_many"]
-        except (OSError, AttributeError, KeyError) as exc:
+            lib = ctypes.PyDLL(str(self.path))
+            scalar = lib[f"{symbol}_hash"]
+            hash_list = lib[f"{symbol}_hash_list"]
+        except (OSError, AttributeError) as exc:
             raise NativeUnavailableError(
                 f"cannot load native module {self.path}: {exc}"
             ) from exc
         scalar.argtypes = [ctypes.c_char_p, ctypes.c_size_t]
         scalar.restype = ctypes.c_uint64
-        batch.argtypes = [
-            ctypes.POINTER(ctypes.c_char_p),
-            ctypes.POINTER(ctypes.c_size_t),
-            ctypes.POINTER(ctypes.c_uint64),
-            ctypes.c_size_t,
-        ]
-        batch.restype = None
-        batch_raw.argtypes = [
-            ctypes.c_void_p,
-            ctypes.c_void_p,
+        hash_list.argtypes = [
+            ctypes.py_object,
             ctypes.c_void_p,
             ctypes.c_size_t,
+            ctypes.c_size_t,
         ]
-        batch_raw.restype = None
+        hash_list.restype = ctypes.c_size_t
+        if hash_list([], None, 0, 0) != 0:
+            # SIZE_MAX: the weak C API references bound to nothing.
+            raise NativeUnavailableError(
+                f"native module {self.path} cannot reach the Python C API"
+            )
+        self._lib = lib
         self._scalar = scalar
-        self._batch = batch
-        self._batch_raw = batch_raw
-        # Per-batch-shape marshaling cache (last ``(count, length)``
-        # only; callers overwhelmingly re-batch at one shape): the
-        # offsets and lens vectors for the fixed-length path.  Only
-        # arrays that are never written after construction live here —
-        # one NativeModule
-        # is shared by every shard/dispatcher hashing the same plan
-        # (the compile cache hands out one instance per plan), so a
-        # cached *output* buffer would be a cross-thread data race.
-        self._offsets_cache: Optional[tuple] = None
+        self._hash_list = hash_list
 
     def __call__(self, key) -> int:
-        if not isinstance(key, bytes) or len(key) < (self.key_length or 0):
-            key = _kernel_key(key, self.key_length)
+        if not isinstance(key, bytes) or len(key) < self.min_length:
+            key = _kernel_key(key, self.min_length)
         return self._scalar(key, len(key))
 
     def hash_many(self, keys: Sequence) -> List[int]:
-        """Hash a batch through the native ``hash_many`` entry point.
+        """Hash a batch through the list entry, as a list of ints."""
+        return self._hash_into(keys).tolist()
 
-        The keys are packed into one contiguous buffer (the same
-        ``b"".join`` strategy as the NumPy lane kernels) and the
-        pointer/length arrays the C ABI wants are computed as NumPy
-        vector ops — so the per-key Python cost is the join, one
-        length scan and the final ``tolist``, not a ctypes conversion
-        per key.  Without NumPy a plain ctypes-array marshal keeps the
-        tier functional.
-        """
-        count = len(keys)
-        if count == 0:
-            return []
-        if not _HAVE_NUMPY:
-            return self._hash_many_ctypes(keys, count)
-        return self._marshal_batch(keys, count).tolist()
-
-    def hash_many_array(self, keys):
-        """Like :meth:`hash_many` but returning a NumPy uint64 array.
-
-        Skips the ``tolist`` materialization (the single largest cost
-        of the batched path — building one large ``int`` object per
-        key), so numeric consumers that mod/partition/compare hashes as
-        arrays get the raw native throughput.
-
-        ``keys`` is either a sequence of keys or a ``uint8[k, w]`` row
-        view, one ``w``-byte key per row — the convention of
-        :meth:`repro.core.synthesis.SynthesizedHash.hash_many`.  Rows
-        already sit in one block, so they are hashed in place: no join
-        and no per-key length scan.
+    def hash_many_array(self, keys: Sequence):
+        """Like :meth:`hash_many` but returning a NumPy ``uint64`` array,
+        which skips building one ``int`` object per key.
 
         Raises:
             NativeUnavailableError: when NumPy is not importable.
-            ValueError: for an array that is not a ``uint8`` matrix, or
-                rows narrower than a fixed-length plan's keys.
         """
         if not _HAVE_NUMPY:
             raise NativeUnavailableError(
                 "hash_many_array requires NumPy for the output array"
             )
-        if isinstance(keys, _numpy.ndarray):
-            if (
-                keys.ndim != 2
-                or keys.dtype != _numpy.uint8
-                or keys.shape[1] < (self.key_length or 0)
-            ):
-                raise ValueError(
-                    f"rows must be uint8[k, >={self.key_length or 0}]; "
-                    f"got {keys.dtype}{keys.shape}"
-                )
-            rows = _numpy.ascontiguousarray(keys)
-            return self._hash_fixed(rows.ctypes.data, *rows.shape)
-        count = len(keys)
-        if count == 0:
-            return _numpy.empty(0, dtype=_numpy.uint64)
-        return self._marshal_batch(keys, count)
+        return _numpy.frombuffer(self._hash_into(keys), dtype=_numpy.uint64)
 
-    def _marshal_batch(self, keys: Sequence, count: int):
-        """Pack, point, call: the NumPy-vectorized batched invocation."""
-        try:
-            buf = b"".join(keys)
-        except TypeError:  # a ``str`` key
-            keys = self._kernel_keys(keys)
-            buf = b"".join(keys)
-        length = self.key_length
-        if length is not None and list(map(len, keys)).count(length) != count:
-            # Lengths that merely sum to ``count * length`` do not make
-            # a batch fixed-length: every key is checked.
-            buf = b"".join(self._kernel_keys(keys))
-        # ``buf`` must stay alive through the call; the local
-        # guarantees it.
-        base = ctypes.cast(
-            ctypes.c_char_p(buf), ctypes.c_void_p
-        ).value
-        if length is not None:
-            return self._hash_fixed(base, count, length)
-        lens = _numpy.fromiter(
-            map(len, keys), dtype=_numpy.uintp, count=count
-        )
-        pointers = _numpy.empty(count, dtype=_numpy.uintp)
-        pointers[0] = base
-        _numpy.cumsum(lens[:-1], out=pointers[1:])
-        pointers[1:] += base
-        out = _numpy.empty(count, dtype=_numpy.uint64)
-        self._batch_raw(
-            pointers.ctypes.data, lens.ctypes.data, out.ctypes.data, count
-        )
-        return out
+    def _hash_into(self, keys: Sequence) -> array:
+        """One list-entry call over ``keys``, as an ``array("Q")``.
 
-    def _hash_fixed(self, base: int, count: int, length: int):
-        """Call the batch entry on ``count`` keys of ``length`` bytes
-        packed from ``base``.
-
-        Pointer arithmetic replaces per-key length computation
-        entirely, and the offsets / lens vectors are reused across
-        equal-shaped batches (the steady-state shape of dispatcher
-        traffic).  The pointers vector is allocated fresh per call:
-        concurrent batches from different threads share this module,
-        and a shared output buffer would let one batch hash another's
-        keys.  The caller keeps the block at ``base`` alive.
+        A list is read in place; any other sequence is copied into one.
+        At a key the entry cannot read in place (not ``bytes``, or
+        shorter than :attr:`min_length`) the whole batch is normalised
+        by :func:`_kernel_key` and hashed again.
         """
-        cached = self._offsets_cache
-        if cached is None or cached[0] != (count, length):
-            offsets = length * _numpy.arange(count, dtype=_numpy.uintp)
-            lens = _numpy.full(count, length, dtype=_numpy.uintp)
-            self._offsets_cache = ((count, length), offsets, lens)
-        else:
-            _, offsets, lens = cached
-        pointers = offsets + _numpy.uintp(base)
-        out = _numpy.empty(count, dtype=_numpy.uint64)
-        self._batch_raw(
-            pointers.ctypes.data, lens.ctypes.data, out.ctypes.data, count
-        )
+        if not isinstance(keys, list):
+            keys = list(keys)
+        count = len(keys)
+        out = _ZERO_HASH * count
+        address = out.buffer_info()[0]
+        minimum = self.min_length
+        if self._hash_list(keys, address, count, minimum) != count:
+            keys = [_kernel_key(key, minimum) for key in keys]
+            self._hash_list(keys, address, count, minimum)
         return out
-
-    def _kernel_keys(self, keys: Sequence) -> List[bytes]:
-        length = self.key_length
-        return [_kernel_key(key, length) for key in keys]
-
-    def _hash_many_ctypes(self, keys: Sequence, count: int) -> List[int]:
-        keys = self._kernel_keys(keys)
-        key_array = (ctypes.c_char_p * count)(*keys)
-        len_array = (ctypes.c_size_t * count)(
-            *[len(key) for key in keys]
-        )
-        out = (ctypes.c_uint64 * count)()
-        self._batch(key_array, len_array, out, count)
-        return list(out)
 
     def __repr__(self) -> str:
         return (
@@ -911,12 +835,14 @@ def load_native_module(
     compiler: str = "",
     compile_ms: float = 0.0,
     key_length: Optional[int] = None,
+    min_length: Optional[int] = None,
 ) -> NativeModule:
     """dlopen an existing shared object and bind its entry points.
 
-    ``key_length`` enables the fixed-length batched marshaling fast
-    path; pass the plan's ``key_length`` when reloading a cached ``.so``
-    so warm artifacts batch as fast as freshly compiled ones.
+    Pass the plan's ``key_length`` and
+    :func:`~repro.codegen.cpp_backend.native_min_length` when reloading
+    a cached ``.so``: they say how far the kernel reads, so short keys
+    are zero-filled before the call.
     """
     return NativeModule(
         Path(so_path),
@@ -924,6 +850,7 @@ def load_native_module(
         compiler=compiler,
         compile_ms=compile_ms,
         key_length=key_length,
+        min_length=min_length,
     )
 
 
@@ -978,6 +905,7 @@ def compile_plan_native(
             compiler=toolchain.identity,
             compile_ms=elapsed_ms,
             key_length=plan.key_length,
+            min_length=native_min_length(plan),
             _tempdir=tempdir,
         )
     return module, source

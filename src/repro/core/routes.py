@@ -18,14 +18,16 @@ whole new one, and the hashing hot path never takes a lock.
 Each :class:`RouteState` pre-resolves the fastest callable of every
 kind at build time — scalar and list batch (native when the plan has a
 native module, else the Python tiers: the scalar function and the
-NumPy batch entry) and array batch (native only) — through the process
+NumPy batch entry) and array batch (native only: the native list entry,
+which reads the key list itself) — through the process
 :class:`repro.codegen.cache.CompileCache`, so a hot-swap pays JIT cost
 in the thread that builds it and traffic only ever calls
 already-compiled functions.
 
 :func:`hash_columnar` is the one synchronous batch loop: sort the batch
-by key length once, hash each length run a route owns as a row view of
-one joined block, resolve the rest key by key, and scatter everything
+by key length once, hash each length run a route owns in one call (the
+run's key list for a native route, a row view of one joined block for
+the NumPy tier), resolve the rest key by key, and scatter everything
 into one ``uint64`` array.
 """
 
@@ -64,7 +66,8 @@ class RouteState:
         scalar: fastest ``hash(key) -> int`` available.
         batch: fastest ``hash_many(keys) -> list[int]`` available.
         batch_array: native ``hash_many_array`` returning a NumPy
-            uint64 array, or None when the native tier degraded.
+            uint64 array, or None when the native tier degraded or NumPy
+            is missing.
         native: True when the native module backs the callables.
         key_length: the plan's fixed key length, or None for a
             variable-length plan.
@@ -109,11 +112,7 @@ class RouteState:
             self.scalar = module
             self.batch = module.hash_many
             self.batch_tier = "native"
-            try:
-                from repro.codegen.native import _HAVE_NUMPY
-            except ImportError:  # pragma: no cover - defensive
-                _HAVE_NUMPY = False
-            if _HAVE_NUMPY:
+            if _np is not None:
                 self.batch_array = module.hash_many_array
         self.key_length = synthesized.plan.key_length
 
@@ -130,9 +129,8 @@ class RouteState:
         """Hash one run of this route's keys through its batch tier.
 
         ``rows`` is the run's ``uint8[k, L]`` row view when the caller
-        holds one.  The native tier hashes the rows in place (or the
-        keys as one packed buffer) through ``hash_many_array``;
-        otherwise a run of at least
+        holds one.  The native tier reads the key list itself through
+        ``hash_many_array``; otherwise a run of at least
         :data:`~repro.codegen.batch.VECTOR_MIN_KEYS` rows goes to the
         NumPy lane body when the plan has one, and anything else to
         the format's ``hash_many`` as a key list.  ``hash_many`` is
@@ -142,9 +140,7 @@ class RouteState:
         """
         if self.batch_tier == "native":
             # ``scalar`` is the native module when it serves.
-            return self.scalar.hash_many_array(
-                keys if rows is None else rows
-            )
+            return self.scalar.hash_many_array(keys)
         synthesized = self.synthesized
         if (
             rows is not None
@@ -434,15 +430,15 @@ def hash_columnar(
     The batch is stable-sorted by key length once (:func:`length_runs`;
     a batch of one length needs no sort) and the sorted keys are joined
     into one block.  A run whose length ``table.fast`` owns is hashed
-    by one :meth:`RouteState.hash_run` call on its zero-copy
-    ``uint8[k, L]`` row view of that block.  Every other run — and
-    every run when ``checked`` (no length trust) — resolves key by key
-    through :meth:`RouteTable.resolve_checked`, one ``hash_run`` per
-    resolved route, and :func:`hash_fallback` hashes the keys no route
-    accepts from the run's rows.
-    Results land in batch order.  After each hashing call ``on_run``
-    receives the route (None for the fallback), its key count and the
-    call's wall time, for the caller's own accounting.
+    by one :meth:`RouteState.hash_run` call on the run's keys and
+    their zero-copy ``uint8[k, L]`` row view of that block.  Every other
+    run — and every run when ``checked`` (no length trust) — resolves
+    key by key through :meth:`RouteTable.resolve_checked`, one
+    ``hash_run`` per resolved route, and :func:`hash_fallback` hashes
+    the keys no route accepts from the run's rows.  Results land in
+    batch order.  After each hashing call ``on_run`` receives the route
+    (None for the fallback), its key count and the call's wall time,
+    for the caller's own accounting.
 
     Needs NumPy.
     """

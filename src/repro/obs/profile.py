@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.trace import SpanRecord
 
@@ -176,10 +176,14 @@ def _render_profiled(setup, stages, length):
     return "\n".join(lines), labels
 
 
-def profile_plan(synthesized, keys: Sequence[bytes]) -> ProfileReport:
+def profile_plan(
+    synthesized, keys: Sequence[bytes], label: Optional[str] = None
+) -> ProfileReport:
     """Profile what ``hash_many(keys)`` runs, stage by stage.
 
-    ``synthesized`` is a :class:`repro.core.synthesis.SynthesizedHash`.
+    ``synthesized`` is a :class:`repro.core.synthesis.SynthesizedHash`;
+    ``label`` names the report (default: the plan's widened
+    ``pattern_regex``, for a plan with no format string to hand).
     A batch the list entry vectorizes is reported as mode ``"vector"``:
     one stat per IR opcode (count = instructions of that opcode) plus
     the entry's pseudo-stages.  Any other batch is mode ``"mapped"``
@@ -221,13 +225,13 @@ def profile_plan(synthesized, keys: Sequence[bytes]) -> ProfileReport:
     if values != synthesized.batch_function(keys):
         raise AssertionError("profiled stages diverged from hash_many")
     opcodes: Dict[str, OpcodeStat] = {}
-    for index, label in enumerate(labels):
-        stat = opcodes.setdefault(label, OpcodeStat(label, 0, 0.0, 0.0))
+    for index, stage in enumerate(labels):
+        stat = opcodes.setdefault(stage, OpcodeStat(stage, 0, 0.0, 0.0))
         stat.count += 1
         stat.wall_seconds += walls[index + 1] - walls[index]
         stat.cpu_seconds += cpus[index + 1] - cpus[index]
     return ProfileReport(
-        label=synthesized.plan.pattern_regex or synthesized.name,
+        label=label or synthesized.plan.pattern_regex or synthesized.name,
         family=synthesized.family.value,
         mode=mode,
         keys=len(keys),
@@ -249,6 +253,7 @@ def profile_format(
     The convenience form behind ``sepe profile``: draws ``count``
     conforming keys (seeded, so profiles are comparable run to run) and
     profiles the plan's ``hash_many`` over them (:func:`profile_plan`).
+    The report is labelled with ``regex`` as given.
     """
     from repro.core.plan import HashFamily
     from repro.core.synthesis import synthesize
@@ -258,7 +263,7 @@ def profile_format(
         family = HashFamily.PEXT
     synthesized = synthesize(regex, family)
     keys = sample_conforming_keys(synthesized.pattern, count, seed=seed)
-    return profile_plan(synthesized, keys)
+    return profile_plan(synthesized, keys, label=regex)
 
 
 # -- stage self-times over span records ---------------------------------

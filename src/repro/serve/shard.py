@@ -8,8 +8,8 @@ with exactly one submitter thread is a single-writer lane, so its
 pending buffers, counters and sample lists can be plain Python objects
 touched without synchronization, and every key costs one dict probe,
 one list append and a length test until the buffer fills and one
-batched call — the native ``hash_many_array`` when the route has it —
-amortizes the per-key cost to tens of nanoseconds.
+batched call — the native list entry when the route has it, handed the
+buffer itself — amortizes the per-key cost to tens of nanoseconds.
 
 The contract, precisely — a lane's mode is fixed for its lifetime:
 
@@ -46,9 +46,11 @@ Keys already sitting in a pending buffer keep the :class:`RouteState`
 they resolved under and are flushed through it — the stale plan serves
 until the swap lands, never a torn mix of old offsets and new masks.
 A swap that changes a route's key length first flushes the route's
-buffer, so a fixed-length route's buffer only holds keys of its length
-and its flush hands the batch tier one ``uint8[n, L]`` row view of the
-joined buffer instead of a key list.
+buffer, so a fixed-length route's buffer only holds keys of its length:
+a key of the new length is hashed by the plan that accepts it, never
+cut or zero-filled by the old one.  A flush hands the batch tier the
+buffer itself: the native list entry reads the keys in place, with no
+join and no row view.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from repro.core.routes import (
     RouteTable,
     hash_columnar,
     hash_fallback,
-    row_view,
 )
 from repro.obs.metrics import MetricsRegistry, get_registry
 
@@ -245,12 +246,8 @@ class Shard:
             self.samples.setdefault(route_id, []).extend(picked)
         if route.batch_array is None:
             values = route.batch(keys)
-        elif route.key_length is None:
-            values = route.batch_array(keys)
         else:
-            values = route.batch_array(
-                row_view(b"".join(keys), 0, len(keys), route.key_length)
-            )
+            values = route.batch_array(keys)
         self.hashed += len(keys)
         self._count_routed(route_id, len(keys))
         self._deliver(route, keys, values)

@@ -280,6 +280,15 @@ class TestNativeArtifactTag:
         monkeypatch.setattr(native_mod, "NATIVE_UNIT_VERSION", version + 1)
         assert self._path(tmp_path) != first
 
+    def test_python_abi_perturbs_path(self, tmp_path, monkeypatch):
+        """The unit's list entry calls into the interpreter's C API, so
+        an object built under another Python is never loaded."""
+        import sys
+
+        first = self._path(tmp_path)
+        monkeypatch.setattr(sys.implementation, "cache_tag", "cpython-399")
+        assert self._path(tmp_path) != first
+
 
 class TestSynthesisIntegration:
     def test_warm_synthesis_performs_zero_exec(self):

@@ -192,7 +192,7 @@ class TestJitUnit:
         assert "#include <string>" not in source
         assert "struct synthesized" not in source
         assert 'extern "C" uint64_t sepe_native_hash(' in source
-        assert 'extern "C" void sepe_native_hash_many(' in source
+        assert 'extern "C" size_t sepe_native_hash_list(' in source
         if target == "x86":
             assert "immintrin" not in source
             assert "_mm_" not in source and "_pext_u64" not in source

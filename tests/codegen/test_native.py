@@ -12,6 +12,10 @@ run everywhere because they stub the toolchain away on purpose.
 
 import dataclasses
 import random
+import shutil
+import subprocess
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -389,33 +393,162 @@ def test_dispatcher_prefer_native_parity():
 
 @requires_compiler
 @pytest.mark.parametrize("family", list(HashFamily))
-def test_hash_rows_matches_hash_many(family):
+@pytest.mark.parametrize("regex", [SSN, SKIP_TABLE])
+def test_list_entry_matches_interpreter(family, regex):
+    """The list entry (and the scalar entry) against the interpreter on
+    every kind of key it can be handed: ``bytes``, ``bytearray``,
+    ``memoryview`` and ``str`` keys, keys shorter than the kernel reads
+    (zero-filled, down to ``b""``), keys wider than the plan, a
+    non-``bytes`` key in the middle of a list, and empty and one-key
+    batches."""
     numpy = pytest.importorskip("numpy")
-    synthesized = synthesize(SSN, family)
+    synthesized = synthesize(regex, family)
     module = synthesized.native_module
-    keys = generate_keys("SSN", 300, Distribution.UNIFORM, seed=5)
-    rows = numpy.frombuffer(b"".join(keys), dtype=numpy.uint8).reshape(
-        len(keys), 11
-    )
-    out = module.hash_many_array(rows)
-    assert out.dtype == numpy.uint64
-    assert out.tolist() == module.hash_many(keys)
-    # A strided view (every other row) is packed before the call.
-    assert module.hash_many_array(rows[::2]).tolist() == module.hash_many(
-        keys[::2]
-    )
-    assert module.hash_many_array(rows[:0]).shape == (0,)
-    # Wider rows hash as the longer keys they hold.
-    wide = numpy.concatenate([rows, rows[:, :5]], axis=1)
-    assert module.hash_many_array(wide).tolist() == [
-        synthesized(key + key[:5]) for key in keys
+    assert module is not None
+    func = optimize(build_ir(synthesized.plan, name=synthesized.name))
+    conforming = _conforming_keys(regex, 24, seed=19)
+    short = [conforming[0][:cut] for cut in range(len(conforming[0]))]
+    wide = [key + b"~" * 9 for key in conforming[:6]]
+    keys = conforming + short + wide
+    mixed = keys[:9] + [bytearray(keys[9])] + keys[10:]
+    batches = [
+        [],
+        keys[:1],
+        short[:1],
+        [memoryview(keys[1])],
+        keys,
+        mixed,
+        [memoryview(key) for key in keys],
+        [key.decode("latin-1") for key in keys],
     ]
-    with pytest.raises(ValueError):
-        module.hash_many_array(rows[:, :10])
-    with pytest.raises(ValueError):
-        module.hash_many_array(rows.astype(numpy.int64))
-    with pytest.raises(ValueError):
-        module.hash_many_array(rows[0])
+    for batch in batches:
+        expected = [
+            interpret(
+                func,
+                key.encode("utf-8") if isinstance(key, str) else bytes(key),
+            )
+            for key in batch
+        ]
+        assert module.hash_many(batch) == expected, batch
+        assert [module(key) for key in batch] == expected, batch
+        values = module.hash_many_array(batch)
+        assert values.dtype == numpy.uint64
+        assert values.tolist() == expected, batch
+    assert [type(key) for key in mixed].count(bytearray) == 1
+
+
+@requires_compiler
+def test_threads_share_one_module():
+    """Threads hash different batches through one module at once, the
+    list entry handing the GIL over once per batch; each thread must
+    get exactly its own values."""
+    threads_count = 4
+    synthesized = synthesize(SSN, HashFamily.OFFXOR)
+    module = synthesized.native_module
+    assert module is not None
+    batches = [
+        generate_keys("SSN", 2_048, Distribution.UNIFORM, seed=31 + index)
+        for index in range(threads_count)
+    ]
+    expected = [[synthesized(key) for key in keys] for keys in batches]
+    assert len({tuple(values) for values in expected}) == threads_count
+    barrier = threading.Barrier(threads_count, timeout=60)
+    wrong = []
+
+    def hash_repeatedly(index):
+        barrier.wait()
+        for _ in range(100):
+            if module.hash_many(batches[index]) != expected[index]:
+                wrong.append(index)
+
+    threads = [
+        threading.Thread(target=hash_repeatedly, args=(index,))
+        for index in range(threads_count)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+@requires_compiler
+def test_unit_calls_only_weak_python_symbols(tmp_path):
+    """The JIT unit declares the Python C API it calls by hand: no
+    ``<Python.h>``, and every ``Py*`` symbol the shared object imports
+    is weak, so it links without libpython."""
+    plan = synthesize(SSN, HashFamily.OFFXOR).plan
+    module, source = native_mod.compile_plan_native(
+        plan, out_path=tmp_path / "unit.so"
+    )
+    assert "#include <Python.h>" not in source
+    if shutil.which("nm"):
+        listing = subprocess.run(
+            ["nm", "-D", "--undefined-only", str(module.path)],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        # ``<address> <type> <name>``: ``w`` is a weak undefined symbol.
+        imported = {
+            fields[-1]: fields[-2]
+            for fields in map(str.split, listing.splitlines())
+            if fields and fields[-1].startswith("Py")
+        }
+        weak = {name for name, kind in imported.items() if kind == "w"}
+    elif shutil.which("readelf"):
+        listing = subprocess.run(
+            ["readelf", "--dyn-syms", "-W", str(module.path)],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        # ``Num: Value Size Type Bind Vis Ndx Name``.
+        rows = [
+            fields
+            for fields in map(str.split, listing.splitlines())
+            if len(fields) >= 8 and fields[7].startswith("Py")
+            and fields[6] == "UND"
+        ]
+        imported = {fields[7]: fields[4] for fields in rows}
+        weak = {name for name, bind in imported.items() if bind == "WEAK"}
+    else:
+        pytest.skip("neither nm nor readelf on this host")
+    assert set(imported) == {
+        "PyList_GetItem",
+        "PyBytes_AsStringAndSize",
+        "PyErr_Clear",
+        "PyEval_SaveThread",
+        "PyEval_RestoreThread",
+    }
+    assert weak == set(imported)
+
+
+@requires_compiler
+def test_so_cached_under_the_previous_unit_is_recompiled(
+    tmp_path, monkeypatch
+):
+    """A ``.so`` persisted under an older unit version's key (the
+    pointer-array unit, version 2) is never loaded: the cache compiles
+    the current unit beside it."""
+    plan = synthesize(SSN, HashFamily.OFFXOR).plan
+    keys = generate_keys("SSN", 64, Distribution.UNIFORM, seed=4)
+    with monkeypatch.context() as patch:
+        patch.setattr(native_mod, "NATIVE_UNIT_VERSION", 2)
+        CompileCache(source_dir=tmp_path).native(plan)
+    (stale,) = tmp_path.glob("*.native.*.so")
+    cache = CompileCache(source_dir=tmp_path)
+    artifact = cache.native(plan)
+    assert artifact.function.path != stale
+    assert artifact.function.compile_ms > 0.0
+    kinds = cache.stats()["kinds"]
+    assert kinds["native"]["disk_hits"] == 0
+    assert len(list(tmp_path.glob("*.native.*.so"))) == 2
+    assert artifact.function.hash_many(keys) == [
+        synthesize(SSN, HashFamily.OFFXOR).function(key) for key in keys
+    ]
 
 
 @requires_compiler

@@ -156,6 +156,15 @@ class TestProfileReports:
         assert "hot opcode" in text
         assert "pext" in text
 
+    @pytest.mark.parametrize("regex", [SSN, r"[a-z]+@corp\.com"])
+    def test_report_is_labelled_with_the_format_asked_for(self, regex):
+        """Not the plan's widened ``pattern_regex`` (``[0-?]{3}...`` for
+        SSN), which names no input a reader would recognise."""
+        report = profile_format(regex, count=50, seed=1)
+        assert report.label == regex
+        assert report.to_dict()["label"] == regex
+        assert f"stage profile: {regex} [pext]" in render_profile(report)
+
     @needs_numpy
     def test_fixed_length_batch_vectorizes(self):
         synthesized = synthesize(SSN, HashFamily.PEXT)
