@@ -11,8 +11,9 @@ tables and figures.
 - :mod:`repro.bench.tables` — Tables 1, 2 and 3.
 - :mod:`repro.bench.figures` — Figures 13 through 20.
 - :mod:`repro.bench.report` — plain-text rendering of results.
-- :mod:`repro.bench.ledger` — the committed regression ledger:
-  normalized entries, noise-aware comparison, perf trajectory.
+- :mod:`repro.bench.ledger` — the committed regression ledger: one
+  smoke collector for every row family, noise-aware comparison, perf
+  trajectory.
 
 Scale: the paper runs each experiment ten times at 10,000 affectations.
 Every function here exposes ``samples``/``affectations``/``keys`` knobs;

@@ -1,18 +1,18 @@
-"""Bench regression ledger: a committed trajectory of H-Time figures.
+"""Bench regression ledger: the repo's one record of its speed claims.
 
-The repo's benchmarks write ad-hoc ``BENCH_*.json`` artifacts (batch
-comparison, inference engines); each has its own shape, so nothing can
-answer "did this PR make hashing slower?" without a human eyeballing
-two JSON files.  This module gives the figures a unified schema and a
-memory:
+The paper's own figures and tables are reproduced by ``benchmarks/``;
+every other speed claim the repo makes is a ledger row.  This module
+gives those figures one schema and a memory:
 
-- **Entries** (:class:`LedgerEntry`) flatten any report into
+- **Entries** (:class:`LedgerEntry`) carry
   ``section/subject/variant/metric`` ids — e.g.
-  ``batch/SSN/pext/scalar_ns_per_key`` or
-  ``infer/fixed/bigint/ns_per_key`` — each carrying a headline value
-  (ns/key, or ms per plan for the ``native_compile_ms`` rows; lower is
-  better), the per-repeat samples when the producer
-  kept them, and the machine/python fingerprint context.
+  ``batch/SSN/pext/scalar_ns_per_key``,
+  ``serve/scaling/shards4/ns_per_key`` or
+  ``perfect/ssn/gperf/lookup_ns_per_key`` — each with a headline value
+  (ns/key, or ms for the ``*_ms`` rows; lower is better), the
+  per-repeat samples, and the machine/python fingerprint context.
+- **One collector** (:func:`collect_smoke_entries`) measures every row
+  family — batch, native, serve, infer and perfect — in one call.
 - **The ledger** (``BENCH_LEDGER.json``) stores the current entry set
   plus a bounded history of prior snapshots, so the committed artifact
   is a perf *trajectory*, not a point.
@@ -28,18 +28,21 @@ memory:
 ``sepe bench --compare BENCH_LEDGER.json`` measures a fresh smoke
 sample and verdicts it against the committed baseline; the CI
 ``bench-regression-gate`` job fails on any ``regression`` verdict.
-Rebuild the committed ledger with ``python -m repro.bench.ledger``.
+Record a smoke sample into the ledger (merged by row id) with
+``python -m repro.bench.ledger --smoke``.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.bench.metrics import mann_whitney_u
+from repro.core.plan import HashFamily
 
 LEDGER_VERSION = 1
 
@@ -128,12 +131,11 @@ def fingerprints_comparable(
 
 @dataclass
 class LedgerEntry:
-    """One benchmarked figure, normalized out of whatever report shape.
+    """One benchmarked figure.
 
-    ``value`` is the headline number in ``unit`` (always a
-    lower-is-better ns/key figure today); ``samples`` holds per-repeat
-    measurements when the producer kept them, which is what makes
-    noise-aware verdicts possible downstream.
+    ``value`` is the headline number in ``unit`` (a lower-is-better
+    ns/key or ms figure); ``samples`` holds per-repeat measurements,
+    which is what makes noise-aware verdicts possible downstream.
     """
 
     id: str
@@ -164,178 +166,127 @@ class LedgerEntry:
         )
 
 
-def normalize_batch_report(report: Dict[str, Any]) -> List[LedgerEntry]:
-    """Flatten a ``BENCH_batch.json`` document into ledger entries.
+SMOKE_KEYS_PER_TYPE = 4000
+"""The ``keys_per_type`` the committed rows are recorded at.
 
-    ``native_ns_per_key`` rows are included whenever the report carries
-    them (hosts without a toolchain write None, which is skipped), so
-    ``sepe bench --compare`` gates native regressions exactly like the
-    Python tiers.
-    """
-    entries: List[LedgerEntry] = []
-    for row in report.get("rows", []):
-        stem = f"batch/{row['key_type']}/{row['family']}"
-        for metric in (
-            "scalar_ns_per_key",
-            "batch_ns_per_key",
-            "native_ns_per_key",
-        ):
-            value = row.get(metric)
-            if value is None:
-                continue
-            entries.append(
-                LedgerEntry(
-                    id=f"{stem}/{metric}",
-                    value=float(value),
-                    repeats=int(row.get("repeats", 0)),
-                    source="batch_report",
-                )
-            )
-    return entries
+The serve, infer and perfect rows have fixed sizes of their own (below);
+a smoke run with fewer keys per type shrinks them in proportion, so a
+tiny test run stays tiny, and a larger one never grows them.
+"""
 
+BATCH_FAMILIES = (
+    HashFamily.NAIVE,
+    HashFamily.OFFXOR,
+    HashFamily.AES,
+    HashFamily.PEXT,
+)
 
-def normalize_infer_report(report: Dict[str, Any]) -> List[LedgerEntry]:
-    """Flatten a ``BENCH_infer.json`` document into ledger entries."""
-    entries: List[LedgerEntry] = []
-    repeats = int(report.get("params", {}).get("repeats", 0))
-    for corpus in report.get("corpora", []):
-        for row in corpus.get("rows", []):
-            entries.append(
-                LedgerEntry(
-                    id=(
-                        f"infer/{corpus['name']}/{row['engine']}"
-                        "/ns_per_key"
-                    ),
-                    value=float(row["ns_per_key"]),
-                    repeats=repeats,
-                    source="infer_report",
-                )
-            )
-    return entries
+SERVE_SHARD_COUNTS = (1, 2, 4)
+SERVE_THREADS = 4
+SERVE_KEYS_PER_THREAD = 20_000
 
+INFER_KEYS = 20_000
+_HEX = b"0123456789abcdef"
 
-def normalize_serve_report(report: Dict[str, Any]) -> List[LedgerEntry]:
-    """Flatten a ``BENCH_serve.json`` document into ledger entries.
+RQ_PERFECT_SETS = ("SSN", "MAC")
+"""Paper RQ formats sampled as closed sets, labelled lower-case."""
 
-    Scaling rows become ``serve/scaling/shards{N}/ns_per_key`` (with
-    per-repeat samples, so the smoke compare can verdict them
-    noise-aware).  The drift replay contributes
-    ``serve/drift/replay/ns_per_key`` — streaming throughput *through*
-    a hot swap — and ``serve/drift/swap/swap_ms``, the measured
-    convergence latency of the verified swap.  The swap entry is
-    recorded for the trajectory but the smoke compare does not
-    re-measure it (a JIT-dominated one-shot figure would flap CI); a
-    ``missing`` verdict is informational, never a failure.
-    """
-    entries: List[LedgerEntry] = []
-    scaling = report.get("scaling", {})
-    for row in scaling.get("rows", []):
-        samples = [float(s) for s in row.get("samples_ns_per_key", [])]
-        entries.append(
-            LedgerEntry(
-                id=f"serve/scaling/shards{row['shards']}/ns_per_key",
-                value=float(row["ns_per_key"]),
-                samples=samples,
-                repeats=len(samples),
-                source="serve_report",
-            )
-        )
-    drift = report.get("drift", {})
-    if drift.get("ns_per_key"):
-        entries.append(
-            LedgerEntry(
-                id="serve/drift/replay/ns_per_key",
-                value=float(drift["ns_per_key"]),
-                source="serve_report",
-            )
-        )
-    for event in drift.get("swap_events", []):
-        entries.append(
-            LedgerEntry(
-                id="serve/drift/swap/swap_ms",
-                value=float(event["swap_ms"]),
-                unit="ms",
-                source="serve_report",
-            )
-        )
-        break  # one representative swap per report
-    return entries
-
-
-def normalize_perfect_report(report: Dict[str, Any]) -> List[LedgerEntry]:
-    """Flatten a ``BENCH_perfect.json`` document into ledger entries.
-
-    Each (key set, variant) cell contributes
-    ``perfect/<set>/<variant>/h_ns_per_key`` and
-    ``perfect/<set>/<variant>/lookup_ns_per_key`` with per-repeat
-    samples, so the certified fast path is regression-gated against the
-    gperf/FNV/paper-family baselines measured on the same closed set.
-    """
-    entries: List[LedgerEntry] = []
-    for key_set in report.get("key_sets", []):
-        for row in key_set.get("rows", []):
-            stem = f"perfect/{key_set['key_set']}/{row['variant']}"
-            for metric, sample_key in (
-                ("h_ns_per_key", "samples_h"),
-                ("lookup_ns_per_key", "samples_lookup"),
-            ):
-                samples = [float(s) for s in row.get(sample_key, [])]
-                entries.append(
-                    LedgerEntry(
-                        id=f"{stem}/{metric}",
-                        value=float(row[metric]),
-                        samples=samples,
-                        repeats=int(row.get("repeats", len(samples))),
-                        source="perfect_report",
-                    )
-                )
-    return entries
-
-
-def normalize_report(report: Dict[str, Any]) -> List[LedgerEntry]:
-    """Dispatch on a report's self-declared kind.
-
-    Raises:
-        ValueError: for documents that are none of a batch comparison
-            (``experiment: batch_vs_scalar_h_time``), an inference
-            comparison (``benchmark: infer_compare``), a serve replay
-            (``benchmark: serve_replay``), or a perfect-tier report
-            (``benchmark: perfect``).
-    """
-    if report.get("experiment") == "batch_vs_scalar_h_time":
-        return normalize_batch_report(report)
-    if report.get("benchmark") == "infer_compare":
-        return normalize_infer_report(report)
-    if report.get("benchmark") == "serve_replay":
-        return normalize_serve_report(report)
-    if report.get("benchmark") == "perfect":
-        return normalize_perfect_report(report)
-    raise ValueError(
-        "unrecognized bench report: expected a batch, infer, serve, or "
-        "perfect comparison"
-    )
+RQ_PERFECT_KEYS = 1000
 
 
 def collect_smoke_entries(
     key_types: Sequence[str] = ("SSN", "MAC"),
-    families: Optional[Sequence[Any]] = None,
-    keys_per_type: int = 4000,
+    families: Optional[Sequence[HashFamily]] = None,
+    keys_per_type: int = SMOKE_KEYS_PER_TYPE,
     repeats: int = 5,
     seed: int = 0,
 ) -> List[LedgerEntry]:
-    """Measure a fresh smoke sample in ledger-entry form.
+    """Measure every ledger row family in one fresh smoke sample.
 
-    The same cells as :func:`repro.bench.batch_compare.compare_scalar_batch`
-    — scalar and batched H-Time per (key type, family) — but each repeat
-    is timed *individually* so entries carry per-repeat sample arrays.
-    Where the native tier is available, each cell also carries its
-    native H-Time and compile ms, and one ``native/probe_ms`` row times
-    the toolchain probe.
+    Each row keeps its per-repeat samples, with the minimum as value:
+
+    - ``batch/<type>/<family>/{scalar,batch}_ns_per_key``: scalar and
+      batched H-Time per (key type, family); where the native tier is
+      available also ``native_ns_per_key`` and ``native_compile_ms``,
+      plus one ``native/probe_ms`` row for the toolchain probe.
+    - ``serve/scaling/shards{1,2,4}/ns_per_key``: the serve replay
+      (:func:`repro.serve.replay.measure_scaling`), 4 threads.
+    - ``infer/{fixed,variable}/{reference,infer_pattern}/ns_per_key``:
+      the reference quad join against
+      :func:`repro.core.inference.infer_pattern` on a keybuilder-shaped
+      corpus (:func:`_make_corpus`).
+    - ``perfect/<set>/<variant>/{h,lookup}_ns_per_key``: the certified
+      perfect hash against mini-gperf, FNV-1a and the paper families on
+      the built-in closed sets and the RQ ``ssn``/``mac`` samples (see
+      :func:`_perfect_entries`).
+
     ``repeats`` defaults to 5 because Mann–Whitney needs at least four
     observations per side before p can drop under 0.05; with fewer, the
     comparison silently degrades to ratio-only verdicts.
+
+    Raises:
+        PerfectSearchError: when a perfect key set is refused
+            certification.
     """
-    from repro.bench.batch_compare import DEFAULT_FAMILIES
+    repeats = max(repeats, 1)
+    shrink = min(1.0, keys_per_type / SMOKE_KEYS_PER_TYPE)
+
+    def scaled(size: int) -> int:
+        return max(1, int(size * shrink))
+
+    entries = _batch_entries(
+        key_types,
+        BATCH_FAMILIES if families is None else families,
+        keys_per_type,
+        repeats,
+        seed,
+    )
+    probe_ms = _probe_ms(repeats)
+    if probe_ms:
+        entries.append(_row("native/probe_ms", probe_ms, unit="ms"))
+    entries.extend(
+        _serve_entries(scaled(SERVE_KEYS_PER_THREAD), repeats, seed)
+    )
+    entries.extend(_infer_entries(scaled(INFER_KEYS), repeats, seed))
+    from repro.perfect import (
+        BUILTIN_KEY_SET_NAMES,
+        builtin_key_set,
+        rq_closed_set,
+    )
+
+    for name in BUILTIN_KEY_SET_NAMES:
+        entries.extend(
+            _perfect_entries(name, builtin_key_set(name), repeats)
+        )
+    for name in RQ_PERFECT_SETS:
+        keys = rq_closed_set(
+            name, count=scaled(RQ_PERFECT_KEYS), seed=seed
+        )
+        entries.extend(_perfect_entries(name.lower(), keys, repeats))
+    return entries
+
+
+def _row(
+    entry_id: str, samples: Sequence[float], unit: str = "ns_per_key"
+) -> LedgerEntry:
+    return LedgerEntry(
+        id=entry_id,
+        value=min(samples),
+        unit=unit,
+        samples=list(samples),
+        repeats=len(samples),
+        source="smoke",
+    )
+
+
+def _batch_entries(
+    key_types: Sequence[str],
+    families: Sequence[HashFamily],
+    keys_per_type: int,
+    repeats: int,
+    seed: int,
+) -> List[LedgerEntry]:
+    """The ``batch/*`` rows: scalar, batched and native H-Time per cell."""
     from repro.bench.runner import measure_h_time, measure_h_time_batch
     from repro.codegen.native import compile_plan_native
     from repro.core.synthesis import synthesize
@@ -343,8 +294,6 @@ def collect_smoke_entries(
     from repro.keygen.generator import generate_keys
     from repro.keygen.keyspec import key_spec
 
-    families = DEFAULT_FAMILIES if families is None else families
-    repeats = max(repeats, 1)
     entries: List[LedgerEntry] = []
     for key_type in key_types:
         spec = key_spec(key_type)
@@ -354,75 +303,29 @@ def collect_smoke_entries(
         scale = 1e9 / len(keys)
         for family in families:
             synthesized = synthesize(spec.regex, family)
-            scalar = [
-                measure_h_time(synthesized.function, keys, repeats=1) * scale
+            stem = f"batch/{spec.name}/{family.value}"
+            entries.append(_row(f"{stem}/scalar_ns_per_key", [
+                measure_h_time(synthesized.function, keys) * scale
                 for _ in range(repeats)
-            ]
-            batch = [
-                measure_h_time_batch(
-                    synthesized.batch_function, keys, repeats=1
-                )
+            ]))
+            entries.append(_row(f"{stem}/batch_ns_per_key", [
+                measure_h_time_batch(synthesized.batch_function, keys)
                 * scale
                 for _ in range(repeats)
-            ]
-            stem = f"batch/{spec.name}/{family.value}"
-            entries.append(
-                LedgerEntry(
-                    id=f"{stem}/scalar_ns_per_key",
-                    value=min(scalar),
-                    samples=scalar,
-                    repeats=repeats,
-                    source="smoke",
-                )
-            )
-            entries.append(
-                LedgerEntry(
-                    id=f"{stem}/batch_ns_per_key",
-                    value=min(batch),
-                    samples=batch,
-                    repeats=repeats,
-                    source="smoke",
-                )
-            )
+            ]))
             native_batch = synthesized.native_batch_function
-            if native_batch is not None:
-                native = [
-                    measure_h_time_batch(native_batch, keys, repeats=1)
-                    * scale
-                    for _ in range(repeats)
-                ]
-                # Each repeat compiles afresh, bypassing the compile
-                # cache: the row gates what a new or swapped route pays.
-                compile_ms = [
-                    compile_plan_native(synthesized.plan)[0].compile_ms
-                    for _ in range(repeats)
-                ]
-                for metric, samples, unit in (
-                    ("native_ns_per_key", native, "ns_per_key"),
-                    ("native_compile_ms", compile_ms, "ms"),
-                ):
-                    entries.append(
-                        LedgerEntry(
-                            id=f"{stem}/{metric}",
-                            value=min(samples),
-                            samples=samples,
-                            repeats=repeats,
-                            unit=unit,
-                            source="smoke",
-                        )
-                    )
-    probe_ms = _probe_ms(repeats)
-    if probe_ms:
-        entries.append(
-            LedgerEntry(
-                id="native/probe_ms",
-                value=min(probe_ms),
-                samples=probe_ms,
-                repeats=repeats,
-                unit="ms",
-                source="smoke",
-            )
-        )
+            if native_batch is None:
+                continue
+            entries.append(_row(f"{stem}/native_ns_per_key", [
+                measure_h_time_batch(native_batch, keys) * scale
+                for _ in range(repeats)
+            ]))
+            # Each repeat compiles afresh, bypassing the compile cache:
+            # the row gates what a new or swapped route pays.
+            entries.append(_row(f"{stem}/native_compile_ms", [
+                compile_plan_native(synthesized.plan)[0].compile_ms
+                for _ in range(repeats)
+            ], unit="ms"))
     return entries
 
 
@@ -447,67 +350,170 @@ def _probe_ms(repeats: int) -> List[float]:
     return samples
 
 
-def collect_serve_smoke_entries(
-    shard_counts: Sequence[int] = (1, 2, 4),
-    threads: int = 4,
-    keys_per_thread: int = 20_000,
-    repeats: int = 3,
-    seed: int = 0,
+def _serve_entries(
+    keys_per_thread: int, repeats: int, seed: int
 ) -> List[LedgerEntry]:
-    """Measure a small serve-replay scaling sample in ledger form.
-
-    The same ``serve/scaling/shards{N}/ns_per_key`` ids the committed
-    ``BENCH_serve.json`` normalizes to, so ``sepe bench --compare``
-    gates the serving hot path alongside the kernel tiers.  Only the
-    scaling rows are smoke-measured; the drift/swap figures stay
-    committed-artifact-only (see :func:`normalize_serve_report`).
-    """
-    from repro.core.plan import HashFamily
+    """The ``serve/scaling/shards{N}/ns_per_key`` rows (Pext routes)."""
     from repro.serve.replay import ReplayConfig, measure_scaling
 
     config = ReplayConfig(
-        threads=threads,
+        threads=SERVE_THREADS,
         keys_per_thread=keys_per_thread,
         family=HashFamily.PEXT,
         seed=seed,
     )
-    entries: List[LedgerEntry] = []
-    for row in measure_scaling(
-        config, shard_counts=shard_counts, repeats=repeats
-    ):
-        samples = [float(s) for s in row["samples_ns_per_key"]]
-        entries.append(
-            LedgerEntry(
-                id=f"serve/scaling/shards{row['shards']}/ns_per_key",
-                value=float(row["ns_per_key"]),
-                samples=samples,
-                repeats=len(samples),
-                source="smoke",
-            )
+    return [
+        _row(
+            f"serve/scaling/shards{row['shards']}/ns_per_key",
+            row["samples_ns_per_key"],
         )
-    return entries
+        for row in measure_scaling(
+            config, shard_counts=SERVE_SHARD_COUNTS, repeats=repeats
+        )
+    ]
 
 
-def collect_perfect_smoke_entries(
-    repeats: int = 3,
-) -> List[LedgerEntry]:
-    """Measure the perfect tier's built-in fixtures in ledger form.
+def _make_corpus(
+    num_keys: int, seed: int, variable: bool = False
+) -> List[bytes]:
+    """A deterministic keybuilder corpus with real constant structure.
 
-    Only the three shipped key sets are smoke-measured — they are small
-    and byte-identical on every host, so the ids line up exactly with
-    the committed ``BENCH_perfect.json``.  The RQ closed-sample sets
-    stay in ``BENCH_perfect.json`` only (re-sampling 1,000-key pools per
-    CI run would dominate the smoke budget) and have no ledger rows: a
-    row the smoke run never measures would read ``missing`` on every
-    compare and gate nothing.
+    16-byte keys carry a constant ``id-`` prefix and a constant ``:``
+    separator around 12 hex payload bytes, so the join produces a mix
+    of concrete and ⊤ quads — the shape the fold must handle, not a
+    degenerate all-⊤ corpus.  ``variable=True`` trims up to 4 trailing
+    bytes per key to exercise the ⊤-padded variable-length path.
     """
-    from repro.bench.perfect_compare import measure
+    rng = random.Random(seed)
+    keys = []
+    for _ in range(num_keys):
+        payload = bytes(rng.choice(_HEX) for _ in range(12))
+        key = b"id-" + payload[:6] + b":" + payload[6:]
+        if variable:
+            key = key[: len(key) - rng.randint(0, 4)]
+        keys.append(key)
+    return keys
 
-    report = measure(rq_count=0, repeats=repeats, rq_sets=())
-    entries = normalize_perfect_report(report)
-    for entry in entries:
-        entry.source = "smoke"
+
+def _infer_entries(
+    num_keys: int, repeats: int, seed: int
+) -> List[LedgerEntry]:
+    """The ``infer/*`` rows: reference join vs ``infer_pattern``.
+
+    The fixed corpus exercises the column reduction, the variable one
+    the ⊤-padded fold; that both engines agree is the ``infer-engines``
+    fuzz oracle's job, not this timing's.
+    """
+    from repro.core.inference import infer_pattern
+    from repro.core.quads import join_keys
+
+    entries: List[LedgerEntry] = []
+    for name, keys in (
+        ("fixed", _make_corpus(num_keys, seed=seed)),
+        (
+            "variable",
+            _make_corpus(num_keys, seed=seed + 1, variable=True),
+        ),
+    ):
+        scale = 1e9 / len(keys)
+        for engine, run in (
+            ("reference", join_keys),
+            ("infer_pattern", infer_pattern),
+        ):
+            samples = []
+            for _ in range(repeats):
+                started = time.perf_counter()
+                run(keys)
+                samples.append((time.perf_counter() - started) * scale)
+            entries.append(
+                _row(f"infer/{name}/{engine}/ns_per_key", samples)
+            )
     return entries
+
+
+def _perfect_entries(
+    label: str, keys: Sequence[bytes], repeats: int
+) -> List[LedgerEntry]:
+    """The ``perfect/<label>/*`` rows for one closed key set.
+
+    Every variant is raced on the same keys, with H-Time (scalar hash
+    loop) and lookup time (``UnorderedSet.find`` over every key of a
+    pre-built table) per key:
+
+    - ``perfect``: the certified plan of
+      :func:`repro.perfect.synthesize_perfect`, looked up on the
+      ``perfect=True`` fast path (one key comparison at the first hash
+      match, no chain walk);
+    - ``perfect-probe``: the same hash in an ordinary table, lookup
+      only, so the pair prices what ``assume_perfect`` saves;
+    - ``gperf``: the mini-gperf baseline trained on the same set;
+    - ``fnv``: FNV-1a;
+    - ``naive``/``offxor``/``aes``/``pext``: the paper families for the
+      set's inferred format (a family that refuses it is left out).
+
+    Raises:
+        PerfectSearchError: when the set is refused certification.
+    """
+    from repro.bench.runner import measure_h_time
+    from repro.containers import UnorderedSet
+    from repro.core.inference import infer_pattern
+    from repro.core.synthesis import synthesize
+    from repro.errors import SepeError
+    from repro.hashes.fnv import fnv1a_64
+    from repro.hashes.gperf import generate as gperf_generate
+    from repro.perfect import synthesize_perfect
+
+    keys = list(keys)
+    scale = 1e9 / len(keys)
+    perfect = synthesize_perfect(keys).container_function
+    variants = [
+        ("perfect", perfect, True),
+        ("perfect-probe", perfect, False),
+        ("gperf", gperf_generate(keys), False),
+        ("fnv", fnv1a_64, False),
+    ]
+    pattern = infer_pattern(keys)
+    for family in HashFamily:
+        try:
+            synthesized = synthesize(pattern, family)
+        except SepeError:
+            continue  # family refuses this format (e.g. AES width rules)
+        variants.append((family.value, synthesized.function, False))
+    entries: List[LedgerEntry] = []
+    for variant, function, fast_path in variants:
+        stem = f"perfect/{label}/{variant}"
+        if variant != "perfect-probe":  # same H-Time as "perfect"
+            entries.append(_row(f"{stem}/h_ns_per_key", [
+                measure_h_time(function, keys) * scale
+                for _ in range(repeats)
+            ]))
+        table = UnorderedSet(function, perfect=fast_path)
+        table.insert_many(keys)
+        find = table.find
+        samples = []
+        for _ in range(repeats):
+            started = time.perf_counter()
+            for key in keys:
+                find(key)
+            samples.append((time.perf_counter() - started) * scale)
+        entries.append(_row(f"{stem}/lookup_ns_per_key", samples))
+    return entries
+
+
+def perfect_beats_gperf(entries: Sequence[LedgerEntry]) -> List[str]:
+    """RQ sets whose certified lookup row beats the mini-gperf row.
+
+    The perfect tier's headline claim holds when this is non-empty; the
+    CI ``perfect-gate`` fails otherwise.
+    """
+    values = {entry.id: entry.value for entry in entries}
+    winners = []
+    for label in (name.lower() for name in RQ_PERFECT_SETS):
+        ours = values.get(f"perfect/{label}/perfect/lookup_ns_per_key")
+        theirs = values.get(f"perfect/{label}/gperf/lookup_ns_per_key")
+        if ours is not None and theirs is not None and ours < theirs:
+            winners.append(label)
+    return winners
 
 
 # -- the ledger document ----------------------------------------------
@@ -811,40 +817,24 @@ def _fmt_p(value: Optional[float]) -> str:
 
 
 def _main(argv: Optional[Sequence[str]] = None) -> int:
-    """Build or refresh a ledger: ``python -m repro.bench.ledger``."""
+    """Record a smoke sample: ``python -m repro.bench.ledger --smoke``."""
     import argparse
     import sys
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.ledger",
-        description="normalize bench reports into the regression ledger",
+        description="measure the smoke sample into the regression ledger",
     )
     parser.add_argument(
         "--out", default="BENCH_LEDGER.json", help="ledger file to update"
     )
     parser.add_argument(
-        "--reports",
-        nargs="*",
-        default=[],
-        metavar="FILE",
-        help="BENCH_*.json reports to normalize into the snapshot",
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
-        help="also measure the smoke sample (with per-repeat samples)",
+        help="measure the smoke sample (every row family, with "
+        "per-repeat samples)",
     )
-    parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="also measure the serve-replay scaling smoke sample",
-    )
-    parser.add_argument(
-        "--perfect",
-        action="store_true",
-        help="also measure the perfect-tier built-in fixtures",
-    )
-    parser.add_argument("--keys", type=int, default=4000)
+    parser.add_argument("--keys", type=int, default=SMOKE_KEYS_PER_TYPE)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -853,40 +843,15 @@ def _main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--note", default="")
     args = parser.parse_args(argv)
 
-    entries: List[LedgerEntry] = []
-    for path in args.reports:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                report = json.load(handle)
-            entries.extend(normalize_report(report))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as error:
-            print(f"error: {path}: {error}", file=sys.stderr)
-            return 2
-    if args.smoke:
-        entries.extend(
-            collect_smoke_entries(
-                key_types=args.key_types,
-                keys_per_type=args.keys,
-                repeats=args.repeats,
-                seed=args.seed,
-            )
-        )
-    if args.serve:
-        entries.extend(
-            collect_serve_smoke_entries(
-                repeats=args.repeats, seed=args.seed
-            )
-        )
-    if args.perfect:
-        entries.extend(
-            collect_perfect_smoke_entries(repeats=args.repeats)
-        )
-    if not entries:
-        print(
-            "error: nothing to record (pass --reports and/or --smoke)",
-            file=sys.stderr,
-        )
+    if not args.smoke:
+        print("error: nothing to record (pass --smoke)", file=sys.stderr)
         return 2
+    entries = collect_smoke_entries(
+        key_types=args.key_types,
+        keys_per_type=args.keys,
+        repeats=args.repeats,
+        seed=args.seed,
+    )
     ledger = load_ledger(args.out)
     if ledger is None:
         ledger = new_ledger()

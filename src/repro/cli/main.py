@@ -768,7 +768,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         ratio = scaling_ratio(rows)
         if ratio is not None:
             print(f"ratio {max(args.shard_counts)}v1: {ratio:.2f}x")
-        document = {"benchmark": "serve_replay", "scaling": {
+        document = {"scaling": {
             "config": config.describe(), "rows": rows,
             "ratio_widest_vs_one_shard": ratio,
         }}
@@ -922,11 +922,9 @@ def _run_bench(args: argparse.Namespace) -> int:
 
     if args.compare:
         return _run_bench_compare(args)
-    if args.batch:
-        return _run_bench_batch(args)
     if args.table is None:
         print(
-            "error: choose a table (1/2/3), --batch, or --compare",
+            "error: choose a table (1/2/3) or --compare",
             file=sys.stderr,
         )
         return 1
@@ -939,26 +937,6 @@ def _run_bench(args: argparse.Namespace) -> int:
     else:
         rows = tables.table3(key_types=args.key_types, samples=args.samples)
     print(render_table(rows, title=f"Table {args.table} (reduced scale)"))
-    return 0
-
-
-def _run_bench_batch(args: argparse.Namespace) -> int:
-    """Scalar-vs-batch H-Time comparison (``sepe bench --batch``)."""
-    from repro.bench.batch_compare import (
-        compare_scalar_batch,
-        render_comparison,
-        write_report,
-    )
-
-    report = compare_scalar_batch(
-        key_types=args.key_types,
-        keys_per_type=args.keys,
-        repeats=max(args.samples, 3),
-    )
-    print(render_comparison(report))
-    if args.batch_out:
-        write_report(report, args.batch_out)
-        print(f"wrote {args.batch_out}")
     return 0
 
 
@@ -987,21 +965,6 @@ def _run_bench_compare(args: argparse.Namespace) -> int:
         keys_per_type=args.keys,
         repeats=max(args.samples, 5),
     )
-    # Serve scaling rows ride along whenever the baseline recorded any,
-    # so the sharded hot path is regression-gated like the kernels.
-    if any(
-        entry_id.startswith("serve/scaling/")
-        for entry_id in baseline.get("entries", {})
-    ):
-        entries.extend(bench_ledger.collect_serve_smoke_entries())
-    # Likewise the perfect tier: whenever the baseline carries perfect/
-    # rows, re-measure the certified lookup paths so a regression in the
-    # perfect fast path fails the same gate.
-    if any(
-        entry_id.startswith("perfect/")
-        for entry_id in baseline.get("entries", {})
-    ):
-        entries.extend(bench_ledger.collect_perfect_smoke_entries())
     verdicts = bench_ledger.compare_ledger(
         baseline,
         entries,
@@ -1373,16 +1336,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--key-types", nargs="*", default=["SSN", "MAC"])
     bench.add_argument("--samples", type=int, default=2)
     bench.add_argument("--keys", type=int, default=20_000)
-    bench.add_argument(
-        "--batch",
-        action="store_true",
-        help="compare scalar vs batched H-Time instead of a paper table",
-    )
-    bench.add_argument(
-        "--batch-out",
-        metavar="FILE",
-        help="with --batch, also write the comparison as JSON to FILE",
-    )
     bench.add_argument(
         "--compare",
         metavar="LEDGER",

@@ -1,6 +1,7 @@
 """Traffic replay: the serve layer under realistic concurrent load.
 
-This is the measurement harness behind ``benchmarks/bench_serve.py``
+This is the measurement harness behind the ledger's
+``serve/scaling/*`` rows (:func:`repro.bench.ledger.collect_smoke_entries`)
 and the ``sepe serve`` CLI.  It drives millions of
 :mod:`repro.keygen` keys through a :class:`HashService` from several
 submitter threads, optionally injecting a mid-stream format change,

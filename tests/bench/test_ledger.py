@@ -14,9 +14,6 @@ from repro.bench.ledger import (
     ledger_entries,
     load_ledger,
     new_ledger,
-    normalize_batch_report,
-    normalize_infer_report,
-    normalize_report,
     regression_count,
     render_verdicts,
     trajectory,
@@ -58,94 +55,6 @@ class TestFingerprints:
         major, minor_v, *_ = base["python_version"].split(".")
         minor["python_version"] = f"{major}.{int(minor_v) + 1}.0"
         assert not fingerprints_comparable(base, minor)
-
-
-class TestNormalization:
-    def test_batch_report(self):
-        report = {
-            "experiment": "batch_vs_scalar_h_time",
-            "rows": [
-                {
-                    "key_type": "SSN",
-                    "family": "pext",
-                    "repeats": 5,
-                    "scalar_ns_per_key": 900.0,
-                    "batch_ns_per_key": 55.0,
-                }
-            ],
-        }
-        entries = normalize_batch_report(report)
-        ids = {entry.id for entry in entries}
-        assert ids == {
-            "batch/SSN/pext/scalar_ns_per_key",
-            "batch/SSN/pext/batch_ns_per_key",
-        }
-        assert all(entry.source == "batch_report" for entry in entries)
-
-    def test_infer_report(self):
-        report = {
-            "benchmark": "infer_compare",
-            "params": {"repeats": 3},
-            "corpora": [
-                {
-                    "name": "fixed",
-                    "rows": [{"engine": "bigint", "ns_per_key": 42.0}],
-                }
-            ],
-        }
-        entries = normalize_infer_report(report)
-        assert entries[0].id == "infer/fixed/bigint/ns_per_key"
-        assert entries[0].repeats == 3
-
-
-    def test_serve_report(self):
-        from repro.bench.ledger import normalize_serve_report
-
-        report = {
-            "benchmark": "serve_replay",
-            "scaling": {
-                "rows": [
-                    {
-                        "shards": 1,
-                        "ns_per_key": 760.0,
-                        "samples_ns_per_key": [760.0, 790.0, 810.0],
-                    },
-                    {
-                        "shards": 4,
-                        "ns_per_key": 287.0,
-                        "samples_ns_per_key": [287.0, 301.0, 295.0],
-                    },
-                ]
-            },
-            "drift": {
-                "ns_per_key": 750.0,
-                "swap_events": [
-                    {"swap_ms": 520.0},
-                    {"swap_ms": 999.0},  # only the first is recorded
-                ],
-            },
-        }
-        entries = normalize_serve_report(report)
-        by_id = {entry.id: entry for entry in entries}
-        assert set(by_id) == {
-            "serve/scaling/shards1/ns_per_key",
-            "serve/scaling/shards4/ns_per_key",
-            "serve/drift/replay/ns_per_key",
-            "serve/drift/swap/swap_ms",
-        }
-        assert by_id["serve/scaling/shards1/ns_per_key"].samples == [
-            760.0, 790.0, 810.0,
-        ]
-        assert by_id["serve/drift/swap/swap_ms"].unit == "ms"
-        assert by_id["serve/drift/swap/swap_ms"].value == 520.0
-        assert normalize_report(report) == entries
-
-    def test_dispatch_and_rejection(self):
-        assert normalize_report(
-            {"experiment": "batch_vs_scalar_h_time", "rows": []}
-        ) == []
-        with pytest.raises(ValueError, match="unrecognized"):
-            normalize_report({"something": "else"})
 
 
 class TestLedgerDocument:
@@ -190,30 +99,26 @@ class TestLedgerDocument:
         points = trajectory(ledger, "batch/SSN/aes/batch_ns_per_key")
         assert [value for _at, value in points] == [200.0, 120.0]
 
-    def test_cli_record_merges_into_committed_rows(self, tmp_path):
+    def test_cli_record_merges_into_committed_rows(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.bench import ledger as bench_ledger
+
         path = tmp_path / "LEDGER.json"
         ledger = new_ledger()
         update_ledger(
             ledger, [_entry("perfect/SSN/certified/ns_per_key", 5.0)]
         )
         write_ledger(ledger, str(path))
-        report = tmp_path / "batch.json"
-        report.write_text(
-            json.dumps(
-                {
-                    "experiment": "batch_vs_scalar_h_time",
-                    "rows": [
-                        {
-                            "key_type": "SSN",
-                            "family": "aes",
-                            "scalar_ns_per_key": 900.0,
-                            "batch_ns_per_key": 150.0,
-                        }
-                    ],
-                }
-            )
+        monkeypatch.setattr(
+            bench_ledger,
+            "collect_smoke_entries",
+            lambda **kwargs: [
+                _entry("batch/SSN/aes/scalar_ns_per_key", 900.0),
+                _entry("batch/SSN/aes/batch_ns_per_key", 150.0),
+            ],
         )
-        assert _main(["--out", str(path), "--reports", str(report)]) == 0
+        assert _main(["--out", str(path), "--smoke"]) == 0
         ids = {entry.id for entry in ledger_entries(load_ledger(str(path)))}
         assert ids == {
             "perfect/SSN/certified/ns_per_key",
@@ -357,178 +262,136 @@ class TestCompareLedger:
 
 
 class TestModuleMain:
-    def test_build_from_reports(self, tmp_path):
-        report_path = tmp_path / "BENCH_batch.json"
-        report_path.write_text(
-            json.dumps(
-                {
-                    "experiment": "batch_vs_scalar_h_time",
-                    "rows": [
-                        {
-                            "key_type": "SSN",
-                            "family": "pext",
-                            "repeats": 2,
-                            "scalar_ns_per_key": 900.0,
-                            "batch_ns_per_key": 55.0,
-                        }
-                    ],
-                }
-            )
+    def test_build_from_smoke(self, tmp_path, monkeypatch):
+        from repro.bench import ledger as bench_ledger
+
+        monkeypatch.setattr(
+            bench_ledger,
+            "collect_smoke_entries",
+            lambda **kwargs: [
+                _entry("batch/SSN/pext/scalar_ns_per_key", 900.0, TIGHT),
+                _entry("batch/SSN/pext/batch_ns_per_key", 55.0, TIGHT),
+            ],
         )
         out = tmp_path / "LEDGER.json"
-        assert _main(["--out", str(out), "--reports", str(report_path)]) == 0
+        assert _main(["--out", str(out), "--smoke"]) == 0
         ledger = load_ledger(str(out))
         assert len(ledger["entries"]) == 2
         # A second run demotes the first snapshot into history.
-        assert _main(["--out", str(out), "--reports", str(report_path)]) == 0
+        assert _main(["--out", str(out), "--smoke"]) == 0
         assert len(load_ledger(str(out))["history"]) == 1
 
     def test_nothing_to_record_errors(self, tmp_path):
         assert _main(["--out", str(tmp_path / "L.json")]) == 2
 
-    def test_unreadable_report_errors(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("nope")
-        out = tmp_path / "L.json"
-        assert _main(["--out", str(out), "--reports", str(bad)]) == 2
+
+@pytest.fixture(scope="module")
+def smoke_run():
+    """One tiny run of the collector: rows by id, plus how many native
+    compiles and toolchain probes it made."""
+    from repro.bench.ledger import collect_smoke_entries
+    from repro.codegen import native as native_mod
+
+    registry = native_mod.get_registry()
+    compiles = registry.counter("codegen.native.compiles")
+    probes = registry.counter("codegen.native.probe_runs")
+    compiles_before, probes_before = compiles.value, probes.value
+    entries = collect_smoke_entries(keys_per_type=64, repeats=2)
+    return {
+        "entries": {entry.id: entry for entry in entries},
+        "compiles": compiles.value - compiles_before,
+        "probes": probes.value - probes_before,
+    }
 
 
-class TestPerfectReport:
-    def test_perfect_report(self):
-        from repro.bench.ledger import normalize_perfect_report
+def _require_native():
+    from repro.codegen import native as native_mod
 
-        report = {
-            "benchmark": "perfect",
-            "key_sets": [
-                {
-                    "key_set": "http-methods",
-                    "rows": [
-                        {
-                            "variant": "perfect",
-                            "h_ns_per_key": 400.0,
-                            "lookup_ns_per_key": 650.0,
-                            "samples_h": [400.0, 410.0, 405.0],
-                            "samples_lookup": [650.0, 655.0, 660.0],
-                            "repeats": 3,
-                            "fast_path": True,
-                        },
-                        {
-                            "variant": "gperf",
-                            "h_ns_per_key": 260.0,
-                            "lookup_ns_per_key": 610.0,
-                            "samples_h": [260.0],
-                            "samples_lookup": [610.0],
-                            "repeats": 1,
-                            "fast_path": False,
-                        },
-                    ],
-                }
-            ],
-        }
-        entries = normalize_perfect_report(report)
-        by_id = {entry.id: entry for entry in entries}
-        assert set(by_id) == {
-            "perfect/http-methods/perfect/h_ns_per_key",
-            "perfect/http-methods/perfect/lookup_ns_per_key",
-            "perfect/http-methods/gperf/h_ns_per_key",
-            "perfect/http-methods/gperf/lookup_ns_per_key",
-        }
-        entry = by_id["perfect/http-methods/perfect/lookup_ns_per_key"]
-        assert entry.value == 650.0
-        assert entry.samples == [650.0, 655.0, 660.0]
-        assert entry.repeats == 3
-        # The dispatcher recognizes the report kind.
-        assert normalize_report(report) == entries
-
-    def test_collect_perfect_smoke_entries_measures_builtins(self):
-        from repro.bench.ledger import collect_perfect_smoke_entries
-
-        entries = collect_perfect_smoke_entries(repeats=1)
-        ids = {entry.id for entry in entries}
-        assert any(id.startswith("perfect/c-keywords/") for id in ids)
-        assert any(id.startswith("perfect/http-methods/") for id in ids)
-        assert any(id.startswith("perfect/enum-codec/") for id in ids)
-        # RQ samples are committed-artifact-only in the smoke pass.
-        assert not any("/ssn/" in id for id in ids)
-        assert all(entry.source == "smoke" for entry in entries)
+    if not native_mod.native_available():
+        pytest.skip("no working C++ toolchain on this host")
 
 
 class TestSmokeEntries:
-    @pytest.mark.native
-    def test_native_compile_rows_compile_afresh_per_repeat(self):
-        from repro.bench.ledger import collect_smoke_entries
+    def test_smoke_run_measures_every_committed_row(self, smoke_run):
+        """Every committed row is re-measured by the one collector, so
+        none can read ``missing`` on a compare and gate nothing."""
         from repro.codegen import native as native_mod
-        from repro.core.plan import HashFamily
 
-        if not native_mod.native_available():
-            pytest.skip("no working C++ toolchain on this host")
-        before = native_mod.get_registry().counter(
-            "codegen.native.compiles"
-        ).value
-        entries = {
-            entry.id: entry
-            for entry in collect_smoke_entries(
-                key_types=("SSN",),
-                families=(HashFamily.NAIVE,),
-                keys_per_type=64,
-                repeats=2,
-            )
+        committed = {
+            entry.id
+            for entry in ledger_entries(load_ledger(str(COMMITTED_LEDGER)))
         }
+        if not native_mod.native_available():
+            committed = {
+                entry_id
+                for entry_id in committed
+                if "native" not in entry_id
+            }
+        assert committed - set(smoke_run["entries"]) == set()
+        for entry in smoke_run["entries"].values():
+            assert entry.source == "smoke"
+            assert len(entry.samples) == entry.repeats == 2
+            assert entry.value == min(entry.samples)
+
+    def test_every_row_family_is_measured(self, smoke_run):
+        families = {
+            entry_id.split("/")[0] for entry_id in smoke_run["entries"]
+        }
+        assert {"batch", "serve", "infer", "perfect"} <= families
+        labels = ("c-keywords", "http-methods", "enum-codec", "ssn", "mac")
+        for label in labels:
+            assert (
+                f"perfect/{label}/perfect-probe/lookup_ns_per_key"
+                in smoke_run["entries"]
+            )
+
+    @pytest.mark.native
+    def test_native_compile_rows_compile_afresh_per_repeat(self, smoke_run):
+        _require_native()
+        entries = smoke_run["entries"]
         row = entries["batch/SSN/naive/native_compile_ms"]
         assert len(row.samples) == 2
         assert all(sample > 0 for sample in row.samples)
         assert row.value == min(row.samples)
         assert "batch/SSN/naive/native_ns_per_key" in entries
-        compiles = native_mod.get_registry().counter(
-            "codegen.native.compiles"
-        ).value
-        assert compiles - before >= 2
+        assert smoke_run["compiles"] >= 2
 
     @pytest.mark.native
-    def test_probe_row_probes_afresh_per_repeat(self):
-        from repro.bench.ledger import collect_smoke_entries
-        from repro.codegen import native as native_mod
-        from repro.core.plan import HashFamily
-
-        if not native_mod.native_available():
-            pytest.skip("no working C++ toolchain on this host")
-        counter = native_mod.get_registry().counter(
-            "codegen.native.probe_runs"
-        )
-        before = counter.value
-        entries = {
-            entry.id: entry
-            for entry in collect_smoke_entries(
-                key_types=("SSN",),
-                families=(HashFamily.NAIVE,),
-                keys_per_type=64,
-                repeats=2,
-            )
-        }
-        row = entries["native/probe_ms"]
+    def test_probe_row_probes_afresh_per_repeat(self, smoke_run):
+        _require_native()
+        row = smoke_run["entries"]["native/probe_ms"]
         assert row.unit == "ms"
         assert len(row.samples) == 2
         assert all(sample > 0 for sample in row.samples)
         assert row.value == min(row.samples)
-        assert counter.value - before >= 2
+        assert smoke_run["probes"] >= 2
 
     @pytest.mark.native
-    def test_every_ms_row_carries_unit_ms(self):
-        from repro.bench.ledger import collect_smoke_entries
-        from repro.codegen import native as native_mod
-        from repro.core.plan import HashFamily
-
-        if not native_mod.native_available():
-            pytest.skip("no working C++ toolchain on this host")
-        entries = collect_smoke_entries(
-            key_types=("SSN",),
-            families=(HashFamily.PEXT,),
-            keys_per_type=64,
-            repeats=1,
-        )
-        ms_rows = {e.id: e.unit for e in entries if e.id.endswith("_ms")}
+    def test_every_ms_row_carries_unit_ms(self, smoke_run):
+        _require_native()
+        ms_rows = {
+            entry_id: entry.unit
+            for entry_id, entry in smoke_run["entries"].items()
+            if entry_id.endswith("_ms")
+        }
         assert "batch/SSN/pext/native_compile_ms" in ms_rows
         assert set(ms_rows.values()) == {"ms"}
+
+    def test_perfect_beats_gperf_reads_the_rq_lookup_rows(self):
+        from repro.bench.ledger import perfect_beats_gperf
+
+        rows = [
+            _entry("perfect/ssn/perfect/lookup_ns_per_key", 500.0),
+            _entry("perfect/ssn/gperf/lookup_ns_per_key", 3000.0),
+            _entry("perfect/mac/perfect/lookup_ns_per_key", 900.0),
+            _entry("perfect/mac/gperf/lookup_ns_per_key", 800.0),
+            # A built-in set never counts toward the RQ claim.
+            _entry("perfect/c-keywords/perfect/lookup_ns_per_key", 1.0),
+            _entry("perfect/c-keywords/gperf/lookup_ns_per_key", 9.0),
+        ]
+        assert perfect_beats_gperf(rows) == ["ssn"]
+        assert perfect_beats_gperf(rows[2:]) == []
+        assert perfect_beats_gperf([]) == []
 
     def test_committed_ms_rows_carry_unit_ms(self):
         ledger = load_ledger(str(COMMITTED_LEDGER))

@@ -157,35 +157,11 @@ class TestObs:
 
 
 class TestBenchBatch:
-    def test_bench_batch_tiny(self, capsys, tmp_path):
-        import json
-
-        out_path = str(tmp_path / "batch.json")
-        assert run(
-            [
-                "bench",
-                "--batch",
-                "--key-types",
-                "SSN",
-                "--keys",
-                "2000",
-                "--samples",
-                "2",
-                "--batch-out",
-                out_path,
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert "best batch speedup" in out
-        with open(out_path) as handle:
-            report = json.load(handle)
-        assert report["experiment"] == "batch_vs_scalar_h_time"
-        assert len(report["rows"]) == 4  # one per family
-
     def test_bench_without_table_or_batch_errors(self, capsys):
         assert run(["bench"]) == 1
-        assert "--batch" in capsys.readouterr().err
+        assert "--compare" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            run(["bench", "--batch"])
 
 
 class TestObsCompileCache:
@@ -341,9 +317,15 @@ class TestBenchCompareServeRows:
 
         from repro.bench import ledger as bench_ledger
 
-        entries = bench_ledger.collect_serve_smoke_entries(
-            shard_counts=(1,), threads=1, keys_per_thread=2000, repeats=1
-        )
+        entries = [
+            bench_ledger.LedgerEntry(
+                id="serve/scaling/shards1/ns_per_key",
+                value=900.0,
+                samples=[900.0, 910.0, 905.0],
+                repeats=3,
+                source="smoke",
+            )
+        ]
         ledger = bench_ledger.new_ledger()
         bench_ledger.update_ledger(ledger, entries)
         path = tmp_path / "ledger.json"
@@ -351,11 +333,6 @@ class TestBenchCompareServeRows:
         monkeypatch.setattr(
             bench_ledger,
             "collect_smoke_entries",
-            lambda **kwargs: [],
-        )
-        monkeypatch.setattr(
-            bench_ledger,
-            "collect_serve_smoke_entries",
             lambda **kwargs: entries,
         )
         assert run(["bench", "--compare", str(path)]) == 0
@@ -433,12 +410,7 @@ class TestBenchComparePerfectRows:
         path = tmp_path / "ledger.json"
         bench_ledger.write_ledger(ledger, path)
         monkeypatch.setattr(
-            bench_ledger, "collect_smoke_entries", lambda **kwargs: []
-        )
-        monkeypatch.setattr(
-            bench_ledger,
-            "collect_perfect_smoke_entries",
-            lambda **kwargs: entries,
+            bench_ledger, "collect_smoke_entries", lambda **kwargs: entries
         )
         assert run(["bench", "--compare", str(path)]) == 0
         out = capsys.readouterr().out
