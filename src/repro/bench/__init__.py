@@ -24,18 +24,6 @@ and document the paper-scale values.
 from repro.bench.code_size import measure_code_size
 from repro.bench.experiment import ExperimentSpec, experiment_grid
 from repro.bench.full_run import run_all
-from repro.bench.ledger import (
-    LedgerEntry,
-    Verdict,
-    compare_entries,
-    compare_ledger,
-    collect_smoke_entries,
-    fingerprint,
-    load_ledger,
-    render_verdicts,
-    update_ledger,
-    write_ledger,
-)
 from repro.bench.memory import container_footprint
 from repro.bench.significance import p_value_matrix
 from repro.bench.metrics import (
@@ -50,6 +38,32 @@ from repro.bench.runner import (
     run_experiment,
 )
 from repro.bench.suite import SYNTHETIC_NAMES, make_hash_suite
+
+_LEDGER_NAMES = frozenset(
+    {
+        "LedgerEntry",
+        "Verdict",
+        "compare_entries",
+        "compare_ledger",
+        "collect_smoke_entries",
+        "fingerprint",
+        "load_ledger",
+        "render_verdicts",
+        "update_ledger",
+        "write_ledger",
+    }
+)
+
+
+def __getattr__(name: str):
+    # The ledger loads on first use, not with the package: importing it
+    # here would put it in ``sys.modules`` before ``python -m
+    # repro.bench.ledger`` runs it as ``__main__``.
+    if name in _LEDGER_NAMES:
+        from repro.bench import ledger
+
+        return getattr(ledger, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ExperimentSpec",

@@ -193,6 +193,19 @@ RQ_PERFECT_SETS = ("SSN", "MAC")
 
 RQ_PERFECT_KEYS = 1000
 
+DISPATCH_FORMATS = (
+    ("SSN", HashFamily.PEXT),
+    ("IPV6", HashFamily.AES),
+    ("URL1", HashFamily.OFFXOR),
+    ("INTS", HashFamily.NAIVE),
+)
+"""The ``dispatch/numpy/*`` formats: perfbench batch-dispatch's four."""
+
+DISPATCH_BATCH_KEYS = 4096
+DISPATCH_FALLBACK_SHARE = 0.01
+DISPATCH_FALLBACK_LENGTH = 24
+"""No dispatch format has this length, so these keys fall back."""
+
 
 def collect_smoke_entries(
     key_types: Sequence[str] = ("SSN", "MAC"),
@@ -215,6 +228,10 @@ def collect_smoke_entries(
       the reference quad join against
       :func:`repro.core.inference.infer_pattern` on a keybuilder-shaped
       corpus (:func:`_make_corpus`).
+    - ``dispatch/numpy/{homogeneous,mixed}/ns_per_key`` and, where the
+      native tier is available, ``dispatch/native/homogeneous/
+      ns_per_key``: ``FormatDispatcher`` batches, the router's own cost
+      included (see :func:`_dispatch_entries`).
     - ``perfect/<set>/<variant>/{h,lookup}_ns_per_key``: the certified
       perfect hash against mini-gperf, FNV-1a and the paper families on
       the built-in closed sets and the RQ ``ssn``/``mac`` samples (see
@@ -248,6 +265,9 @@ def collect_smoke_entries(
         _serve_entries(scaled(SERVE_KEYS_PER_THREAD), repeats, seed)
     )
     entries.extend(_infer_entries(scaled(INFER_KEYS), repeats, seed))
+    entries.extend(
+        _dispatch_entries(scaled(DISPATCH_BATCH_KEYS), repeats, seed)
+    )
     from repro.perfect import (
         BUILTIN_KEY_SET_NAMES,
         builtin_key_set,
@@ -371,6 +391,73 @@ def _serve_entries(
             config, shard_counts=SERVE_SHARD_COUNTS, repeats=repeats
         )
     ]
+
+
+def _dispatch_entries(
+    batch_keys: int, repeats: int, seed: int
+) -> List[LedgerEntry]:
+    """The ``dispatch/*`` rows: ``FormatDispatcher`` on whole batches.
+
+    ``numpy`` rows pin ``prefer_native=False`` over
+    :data:`DISPATCH_FORMATS`: ``homogeneous`` hashes one batch per
+    format through ``hash_many``, ``mixed`` one batch of all four plus
+    :data:`DISPATCH_FALLBACK_SHARE` keys no format owns.  The ``native``
+    row hashes one SSN batch through a Pext route's native tier with
+    ``hash_many_array``.  A warm-up call per batch precedes each row, so
+    the key scan unit's first-call compile is not measured.
+    """
+    from repro.bench.runner import measure_h_time_batch
+    from repro.core.dispatch import FormatDispatcher
+    from repro.keygen.distributions import Distribution
+    from repro.keygen.generator import generate_keys
+    from repro.keygen.keyspec import key_spec
+
+    rng = random.Random(seed)
+
+    def keys(name: str) -> List[bytes]:
+        return generate_keys(
+            name, batch_keys, Distribution.UNIFORM,
+            seed=rng.randrange(1 << 30),
+        )
+
+    def ns_per_key(hash_batch, batches) -> List[float]:
+        for batch in batches:
+            hash_batch(batch)
+        total = sum(len(batch) for batch in batches)
+        return [
+            sum(measure_h_time_batch(hash_batch, batch) for batch in batches)
+            * 1e9 / total
+            for _ in range(repeats)
+        ]
+
+    dispatcher = FormatDispatcher(prefer_native=False)
+    for name, family in DISPATCH_FORMATS:
+        dispatcher.register(key_spec(name).regex, family)
+    homogeneous = [keys(name) for name, _family in DISPATCH_FORMATS]
+    pools = [iter(batch) for batch in homogeneous]
+    mixed: List[bytes] = []
+    alphabet = b"0123456789abcdefghijklmnopqrstuvwxyz"
+    while len(mixed) < batch_keys:
+        if rng.random() < DISPATCH_FALLBACK_SHARE:
+            mixed.append(bytes(rng.choices(
+                alphabet, k=DISPATCH_FALLBACK_LENGTH
+            )))
+        else:
+            mixed.append(next(rng.choice(pools)))
+    entries = [
+        _row("dispatch/numpy/homogeneous/ns_per_key",
+             ns_per_key(dispatcher.hash_many, homogeneous)),
+        _row("dispatch/numpy/mixed/ns_per_key",
+             ns_per_key(dispatcher.hash_many, [mixed])),
+    ]
+    native = FormatDispatcher(prefer_native=True)
+    synthesized = native.register(key_spec("SSN").regex, HashFamily.PEXT)
+    if synthesized.native_module is not None:
+        entries.append(_row(
+            "dispatch/native/homogeneous/ns_per_key",
+            ns_per_key(native.hash_many_array, [keys("SSN")]),
+        ))
+    return entries
 
 
 def _make_corpus(

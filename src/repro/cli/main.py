@@ -932,7 +932,8 @@ def _run_bench(args: argparse.Namespace) -> int:
         rows = tables.table1(key_types=args.key_types, samples=args.samples)
     elif args.table == 2:
         rows = tables.table2(
-            key_types=args.key_types, keys_per_type=args.keys
+            key_types=args.key_types,
+            keys_per_type=args.keys if args.keys is not None else 20_000,
         )
     else:
         rows = tables.table3(key_types=args.key_types, samples=args.samples)
@@ -955,14 +956,18 @@ def _run_bench_compare(args: argparse.Namespace) -> int:
             f"error: cannot read ledger {args.compare}", file=sys.stderr
         )
         return 2
+    keys = (
+        args.keys if args.keys is not None
+        else bench_ledger.SMOKE_KEYS_PER_TYPE
+    )
     print(
-        f"measuring smoke sample ({args.keys} keys x "
+        f"measuring smoke sample ({keys} keys x "
         f"{max(args.samples, 5)} repeats per cell)...",
         file=sys.stderr,
     )
     entries = bench_ledger.collect_smoke_entries(
         key_types=args.key_types,
-        keys_per_type=args.keys,
+        keys_per_type=keys,
         repeats=max(args.samples, 5),
     )
     verdicts = bench_ledger.compare_ledger(
@@ -1335,7 +1340,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--key-types", nargs="*", default=["SSN", "MAC"])
     bench.add_argument("--samples", type=int, default=2)
-    bench.add_argument("--keys", type=int, default=20_000)
+    bench.add_argument(
+        "--keys",
+        type=int,
+        default=None,
+        help="keys per type (default: 20000 for a table; with --compare, "
+        "the ledger's recording size, 4000)",
+    )
     bench.add_argument(
         "--compare",
         metavar="LEDGER",

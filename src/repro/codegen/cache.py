@@ -47,12 +47,12 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.codegen.batch import emit_python_module
-from repro.codegen.ir import build_ir, optimize
+from repro.codegen.ir import IRFunction, build_ir, optimize
 from repro.codegen.python_backend import LOWERING_VERSION, compile_source
 from repro.core.plan import SynthesisPlan
 from repro.errors import NativeUnavailableError
@@ -119,6 +119,8 @@ class CompiledArtifact:
     scalar entry point, with ``.hash_many`` for the batched one — and
     ``source`` is the C++ translation unit (empty when the artifact was
     reloaded from a cached ``.so`` whose companion source is gone).
+    ``ir`` is the optimized IR a ``python`` module was lowered from, or
+    None when its source came from the on-disk tier.
     """
 
     fingerprint: str
@@ -126,6 +128,7 @@ class CompiledArtifact:
     kind: str  # "python" | "native"
     source: str
     function: Callable
+    ir: Optional[IRFunction] = field(default=None, repr=False, compare=False)
 
 
 class CompileCache:
@@ -269,6 +272,7 @@ class CompileCache:
         self, plan: SynthesisPlan, name: str, fingerprint: str
     ) -> CompiledArtifact:
         source = self._read_disk(fingerprint, name)
+        func = None
         if source is not None:
             self._disk_hits.inc()
         else:
@@ -284,6 +288,7 @@ class CompileCache:
             kind="python",
             source=source,
             function=function,
+            ir=func,
         )
 
     def _native_miss(

@@ -30,6 +30,14 @@ key it cannot read in place (not ``bytes``, or shorter than the kernel
 reads) sends the batch through :func:`_kernel_key` and once more
 through the entry.
 
+One more unit belongs to no plan: the key scan of the columnar batch
+loop (:func:`~repro.codegen.cpp_backend.emit_scan_unit`).
+:func:`scan_unit` compiles it with the same toolchain and link on the
+first call, loads it through :class:`ctypes.PyDLL` as :class:`ScanUnit`,
+and keeps it for the process (:func:`reset_native_state` forgets it).
+Its two exports record every key's length and copy the keys into one
+block, reading the list through the same weak C API declarations.
+
 Toolchain discovery (:func:`detect_toolchain`) is deliberately paranoid:
 
 - candidates are probed in order ``$CXX``, ``c++``, ``clang++``,
@@ -98,7 +106,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.codegen.cpp_backend import (
     NATIVE_SYMBOL,
     NATIVE_UNIT_VERSION,
+    SCAN_SYMBOL,
     emit_cpp_native,
+    emit_scan_unit,
     _JIT_ARM,
     native_min_length,
     plan_isa_features,
@@ -120,6 +130,7 @@ except ImportError:  # pragma: no cover - exercised via flag in tests
 
 __all__ = [
     "NativeModule",
+    "ScanUnit",
     "Toolchain",
     "compile_plan_native",
     "compile_shared_object",
@@ -130,6 +141,7 @@ __all__ = [
     "native_enabled",
     "native_target",
     "reset_native_state",
+    "scan_unit",
 ]
 
 _COMPILE_TIMEOUT_S = 120.0
@@ -168,6 +180,9 @@ _MASK64 = (1 << 64) - 1
 
 _ZERO_HASH = array("Q", [0])
 """One zero ``uint64``; ``_ZERO_HASH * count`` is an output buffer."""
+
+_ZERO_BYTE = array("B", [0])
+"""One zero byte; ``_ZERO_BYTE * count`` is a length or key buffer."""
 
 
 @dataclass(frozen=True)
@@ -469,6 +484,112 @@ class NativeModule:
         )
 
 
+class ScanUnit:
+    """The loaded key scan unit of the columnar batch loop.
+
+    :func:`repro.core.routes.hash_columnar` reads a batch's key lengths
+    with :meth:`lengths` and, when a NumPy lane body or the fallback's
+    row kernel will read rows, copies the keys into one block with
+    :meth:`gather`.  Both are one foreign call that reads the key list
+    in place, with the GIL held (:func:`~repro.codegen.cpp_backend
+    .emit_scan_unit`).  Either returns None where the Python scan must
+    take the batch instead.
+
+    Attributes:
+        path: the ``.so`` on disk, in a temp dir this object owns.
+        compile_ms: wall-clock compile latency in milliseconds.
+    """
+
+    def __init__(
+        self,
+        so_path: Path,
+        compile_ms: float = 0.0,
+        _tempdir: Optional[tempfile.TemporaryDirectory] = None,
+    ):
+        self.path = Path(so_path)
+        self.compile_ms = compile_ms
+        self._tempdir = _tempdir
+        try:
+            lib = ctypes.PyDLL(str(self.path))
+            lengths = lib[f"{SCAN_SYMBOL}_lengths"]
+            gather = lib[f"{SCAN_SYMBOL}_gather"]
+        except (OSError, AttributeError) as exc:
+            raise NativeUnavailableError(
+                f"cannot load scan unit {self.path}: {exc}"
+            ) from exc
+        lengths.argtypes = [
+            ctypes.py_object,
+            ctypes.c_size_t,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+        ]
+        lengths.restype = ctypes.c_size_t
+        gather.argtypes = [
+            ctypes.py_object,
+            ctypes.c_void_p,
+            ctypes.c_size_t,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_size_t,
+        ]
+        gather.restype = ctypes.c_size_t
+        shape = _ZERO_HASH * 2
+        if lengths([], 0, None, shape.buffer_info()[0]) != 0:
+            raise NativeUnavailableError(
+                f"scan unit {self.path} cannot reach the Python C API"
+            )
+        self._lib = lib
+        self._lengths = lengths
+        self._gather = gather
+
+    def lengths(self, keys: list):
+        """Every key's length: ``(lens, total, same)``, or None.
+
+        ``lens`` is an ``array("B")`` of one length per key, ``total``
+        their sum and ``same`` whether all keys have one length.  None
+        when a key is not ``bytes`` or is 256 bytes or longer.
+        """
+        count = len(keys)
+        lens = _ZERO_BYTE * count
+        shape = _ZERO_HASH * 2
+        if self._lengths(
+            keys, count, lens.buffer_info()[0], shape.buffer_info()[0]
+        ) != count:
+            return None
+        return lens, shape[0], bool(shape[1])
+
+    def gather(self, keys: list, order, lens: array, total: int):
+        """The keys joined into one ``array("B")`` of ``total`` bytes, in
+        ``order`` (a NumPy ``intp`` index array, or None for the list's
+        own order), or None.
+
+        None when a key's size is no longer the ``lens`` entry
+        :meth:`lengths` recorded: the list changed between the calls.
+
+        Raises:
+            ValueError: for an ``order`` that is not a contiguous
+                ``intp`` array of one index per ``lens`` entry.
+        """
+        count = len(lens)
+        if order is not None and (
+            order.dtype != _numpy.intp
+            or order.shape != (count,)
+            or not order.flags.c_contiguous
+        ):
+            raise ValueError("order must be a contiguous intp[count] array")
+        block = _ZERO_BYTE * total
+        if self._gather(
+            keys,
+            None if order is None else order.ctypes.data,
+            count,
+            lens.buffer_info()[0],
+            block.buffer_info()[0],
+            total,
+        ) != count:
+            return None
+        return block
+
+
 # -- toolchain detection ----------------------------------------------------
 
 _toolchain_lock = threading.Lock()
@@ -745,14 +866,17 @@ def native_available() -> bool:
 
 
 def reset_native_state() -> None:
-    """Forget the probed toolchain and the warn-once latch (tests)."""
+    """Forget the probed toolchain, the loaded scan unit and the
+    warn-once latch (tests, and the benchmark's cold start)."""
     global _toolchain_probed, _toolchain, _toolchain_reason
-    global _fallback_warned
+    global _fallback_warned, _scan
     with _toolchain_lock:
         _toolchain_probed = False
         _toolchain = None
         _toolchain_reason = None
         _fallback_warned = False
+    with _scan_lock:
+        _scan = None
 
 
 def warn_native_fallback(reason: str) -> None:
@@ -827,6 +951,51 @@ def compile_shared_object(
         "codegen.native.compile_ms", COMPILE_MS_BUCKETS
     ).observe(elapsed_ms)
     return elapsed_ms
+
+
+_scan_lock = threading.Lock()
+_scan = None
+"""The loaded :class:`ScanUnit`; False once this host cannot have one."""
+
+
+def scan_unit() -> Optional[ScanUnit]:
+    """The key scan unit, compiled and loaded on the first call.
+
+    None under ``SEPE_NATIVE=0``, on a host without a working toolchain,
+    and after a failed compile or load.  A failure is counted and warned
+    about once (:func:`warn_native_fallback`) and never retried until
+    :func:`reset_native_state`.
+    """
+    global _scan
+    if not native_enabled():
+        return None
+    unit = _scan
+    if unit is None:
+        with _scan_lock:
+            if _scan is None:
+                _scan = _load_scan_unit()
+            unit = _scan
+    return unit or None
+
+
+def _load_scan_unit():
+    """Compile and load the scan unit: the unit, or False."""
+    try:
+        toolchain = detect_toolchain()
+    except NativeUnavailableError:
+        return False  # counted by the probe, as ``unavailable``
+    tempdir = tempfile.TemporaryDirectory(prefix="sepe-scan-")
+    out_path = Path(tempdir.name) / "scan.so"
+    try:
+        with span("codegen.native.compile", unit="scan"):
+            elapsed_ms = compile_shared_object(
+                emit_scan_unit(), out_path, toolchain
+            )
+            return ScanUnit(out_path, elapsed_ms, _tempdir=tempdir)
+    except NativeUnavailableError as exc:
+        tempdir.cleanup()
+        warn_native_fallback(f"key scan unit: {exc}")
+        return False
 
 
 def load_native_module(

@@ -28,7 +28,14 @@ already-compiled functions.
 by key length once, hash each length run a route owns in one call (the
 run's key list for a native route, a row view of one joined block for
 the NumPy tier), resolve the rest key by key, and scatter everything
-into one ``uint64`` array.
+into one ``uint64`` array.  Where the host has a C++ toolchain, the
+lengths and the joined block come from one per-host C unit that reads
+the key list itself (:func:`repro.codegen.native.scan_unit`, compiled
+on the first batch); elsewhere, and for a batch that unit cannot read,
+from the Python scan :func:`length_runs`.  The block is written only
+when some run is hashed from rows, and a run's key list is built only
+where something reads keys: an all-native one-length batch is handed to
+the native list entry as it came.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.codegen.batch import VECTOR_MIN_KEYS
+from repro.codegen.native import scan_unit
 from repro.core.pattern import KeyPattern
 from repro.core.plan import HashFamily
 from repro.core.synthesis import FormatSource, SynthesizedHash, synthesize
@@ -125,30 +133,35 @@ class RouteState:
     def family(self) -> HashFamily:
         return self.synthesized.family
 
-    def hash_run(self, keys: Sequence[bytes], rows=None):
+    def reads_rows(self, count: int) -> bool:
+        """Whether :meth:`hash_run` hashes a run of ``count`` keys from
+        its row view: the NumPy tier with a lane body, and a run of at
+        least :data:`~repro.codegen.batch.VECTOR_MIN_KEYS` keys."""
+        return (
+            self.batch_tier == "numpy"
+            and count >= VECTOR_MIN_KEYS
+            and self.synthesized.lane_function is not None
+        )
+
+    def hash_run(self, keys: Optional[Sequence[bytes]] = None, rows=None):
         """Hash one run of this route's keys through its batch tier.
 
-        ``rows`` is the run's ``uint8[k, L]`` row view when the caller
-        holds one.  The native tier reads the key list itself through
-        ``hash_many_array``; otherwise a run of at least
-        :data:`~repro.codegen.batch.VECTOR_MIN_KEYS` rows goes to the
-        NumPy lane body when the plan has one, and anything else to
-        the format's ``hash_many`` as a key list.  ``hash_many`` is
-        looked up per call, never captured, so a wrapper installed on
-        the artifact sees every kernel call.  Returns a ``uint64`` array
-        or a list of ints, aligned with ``keys``.
+        Pass the run's ``uint8[k, L]`` row view as ``rows`` when
+        :meth:`reads_rows` says so — it goes to the NumPy lane body —
+        and otherwise the run's key list as ``keys``.  The native tier
+        reads the key list itself through ``hash_many_array``; the
+        NumPy tier hashes it with the format's ``hash_many``.
+        ``hash_many`` is looked up per call, never captured, so a
+        wrapper installed on the artifact sees every kernel call.
+        Returns a ``uint64`` array or a list of ints, aligned with the
+        run.
         """
+        if rows is not None:
+            return self.synthesized.hash_many(rows)
         if self.batch_tier == "native":
             # ``scalar`` is the native module when it serves.
             return self.scalar.hash_many_array(keys)
-        synthesized = self.synthesized
-        if (
-            rows is not None
-            and len(keys) >= VECTOR_MIN_KEYS
-            and synthesized.lane_function is not None
-        ):
-            return synthesized.hash_many(rows)
-        return synthesized.hash_many(keys)
+        return self.synthesized.hash_many(keys)
 
     def __repr__(self) -> str:
         return (
@@ -335,18 +348,26 @@ def length_runs(keys: Sequence[bytes]):
         if lengths.count(lengths[:1]) == count:
             return keys, None, [(lengths[0], 0, count)]
         lens = _np.frombuffer(lengths, dtype=_np.uint8)
-    order = _np.argsort(lens, kind="stable")
-    ordered = lens[order]
-    cuts = (_np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
-    bounds = [0, *cuts, count]
-    runs = [
-        (int(ordered[start]), start, stop)
-        for start, stop in zip(bounds, bounds[1:])
-    ]
+    order, runs = _sorted_runs(lens)
     # Gathering through an object array beats a Python-level gather.
     gathered = _np.empty(count, dtype=object)
     gathered[:] = keys
     return gathered[order].tolist(), order, runs
+
+
+def _sorted_runs(lens):
+    """``(order, runs)`` of :func:`length_runs` for the NumPy array of
+    a mixed batch's key lengths: a radix sort, then one run per
+    distinct length."""
+    order = _np.argsort(lens, kind="stable")
+    ordered = lens[order]
+    cuts = (_np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    bounds = [0, *cuts, len(lens)]
+    runs = [
+        (int(ordered[start]), start, stop)
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+    return order, runs
 
 
 def unsort(values, order):
@@ -418,6 +439,48 @@ def group_by_resolution(keys: Sequence[bytes], resolve: Callable):
     return list(groups.values()), unresolved
 
 
+def _native_scan(keys, fast, fallback):
+    """The batch's length runs from the native scan unit, or None.
+
+    Returns ``(keys, order, runs, block)``: ``keys`` as a list, ``order``
+    and ``runs`` as :func:`length_runs` returns them, and ``block`` the
+    length-sorted keys joined into one ``uint8`` block, or None when no
+    run is hashed from rows.  None — the Python scan then takes the
+    batch — under ``SEPE_NATIVE=0``, without the unit, when a key is
+    not ``bytes`` or is 256 bytes or longer, and when the list changed
+    between the scan and the gather.
+    """
+    unit = scan_unit()
+    if unit is None:
+        return None
+    if not isinstance(keys, list):
+        keys = list(keys)
+    scanned = unit.lengths(keys)
+    if scanned is None:
+        return None
+    lens, total, same = scanned
+    count = len(keys)
+    if not count:
+        return keys, None, [], None
+    if same:
+        order, runs = None, [(lens[0], 0, count)]
+    else:
+        order, runs = _sorted_runs(_np.frombuffer(lens, dtype=_np.uint8))
+    fallback_rows = getattr(fallback, "lanes", None) is not None
+    for length, start, stop in runs:
+        route = fast.get(length)
+        if (
+            route.reads_rows(stop - start)
+            if route is not None
+            else fallback_rows and stop - start >= VECTOR_MIN_KEYS
+        ):
+            block = unit.gather(keys, order, lens, total)
+            if block is None:
+                return None
+            return keys, order, runs, block
+    return keys, order, runs, None
+
+
 def hash_columnar(
     table: RouteTable,
     keys: Sequence[bytes],
@@ -427,53 +490,84 @@ def hash_columnar(
 ):
     """Hash a batch through ``table`` into one ``uint64`` array.
 
-    The batch is stable-sorted by key length once (:func:`length_runs`;
-    a batch of one length needs no sort) and the sorted keys are joined
-    into one block.  A run whose length ``table.fast`` owns is hashed
-    by one :meth:`RouteState.hash_run` call on the run's keys and
-    their zero-copy ``uint8[k, L]`` row view of that block.  Every other
-    run — and every run when ``checked`` (no length trust) — resolves
-    key by key through :meth:`RouteTable.resolve_checked`, one
-    ``hash_run`` per resolved route, and :func:`hash_fallback` hashes
-    the keys no route accepts from the run's rows.  Results land in
-    batch order.  After each hashing call ``on_run`` receives the route
-    (None for the fallback), its key count and the call's wall time,
-    for the caller's own accounting.
+    The batch is stable-sorted by key length once (a batch of one
+    length needs no sort).  Two bodies scan it:
+
+    - the native scan unit (:func:`repro.codegen.native.scan_unit`),
+      compiled on the first call: one C pass over the key list records
+      every key's length, and a second copies the length-sorted keys
+      into one block, only when some run is hashed from rows;
+    - the Python scan (:func:`length_runs`, then one ``b"".join``),
+      under ``SEPE_NATIVE=0``, without a toolchain, for a batch with a
+      key that is not ``bytes`` or is 256 bytes or longer, and when the
+      list changed between the two C calls.
+
+    A run whose length ``table.fast`` owns is hashed by one
+    :meth:`RouteState.hash_run` call: on its zero-copy ``uint8[k, L]``
+    row view of the block when :meth:`RouteState.reads_rows`, otherwise
+    on its key list — the batch itself when it is one run, else built
+    from the sort order only here.  Every other run — and every run
+    when ``checked`` (no length trust) — resolves key by key through
+    :meth:`RouteTable.resolve_checked`, one ``hash_run`` per resolved
+    route, and :func:`hash_fallback` hashes the keys no route accepts
+    from the run's rows.  Results land in batch order.  After each
+    hashing call ``on_run`` receives the route (None for the fallback),
+    its key count and the call's wall time, for the caller's own
+    accounting.
 
     Needs NumPy.
     """
-    count = len(keys)
-    ordered, order, runs = length_runs(keys)
-    block = b"".join(ordered)
-    out = _np.empty(count, dtype=_np.uint64)
     fast = {} if checked else table.fast
+    scanned = _native_scan(keys, fast, fallback)
+    if scanned is None:
+        ordered, order, runs = length_runs(keys)
+        block = b"".join(ordered)
+    else:
+        keys, order, runs, block = scanned
+        ordered = keys if order is None else None
+    out = _np.empty(len(keys), dtype=_np.uint64)
+    if block is not None:
+        block = _np.frombuffer(block, dtype=_np.uint8)
     perf = time.perf_counter_ns
     offset = 0
+    rows = None
     for length, start, stop in runs:
         size = stop - start
-        run = ordered[start:stop]
-        rows = row_view(block, offset, size, length)
+        if block is not None:
+            end = offset + size * length
+            rows = block[offset:end].reshape(size, length)
+            offset = end
         route = fast.get(length)
+        if route is not None and rows is not None and route.reads_rows(size):
+            started = perf()
+            out[start:stop] = route.hash_run(rows=rows)
+            on_run(route, size, perf() - started)
+            continue
+        if ordered is not None:
+            run = ordered if size == len(ordered) else ordered[start:stop]
+        else:
+            run = [keys[i] for i in order[start:stop].tolist()]
         if route is not None:
             started = perf()
-            out[start:stop] = route.hash_run(run, rows)
+            out[start:stop] = route.hash_run(run)
             on_run(route, size, perf() - started)
-        else:
-            window = out[start:stop]
-            groups, unresolved = group_by_resolution(
-                run, table.resolve_checked
+            continue
+        window = out[start:stop]
+        groups, unresolved = group_by_resolution(run, table.resolve_checked)
+        for route, indices, grouped in groups:
+            started = perf()
+            window[indices] = route.hash_run(grouped)
+            on_run(route, len(indices), perf() - started)
+        if len(unresolved) == size:  # no key of the run resolved
+            started = perf()
+            window[:] = hash_fallback(fallback, run, rows)
+            on_run(None, size, perf() - started)
+        elif unresolved:
+            started = perf()
+            window[unresolved] = hash_fallback(
+                fallback,
+                [run[i] for i in unresolved],
+                None if rows is None else rows[unresolved],
             )
-            for route, indices, grouped in groups:
-                started = perf()
-                window[indices] = route.hash_run(grouped)
-                on_run(route, len(indices), perf() - started)
-            if unresolved:
-                started = perf()
-                window[unresolved] = hash_fallback(
-                    fallback,
-                    [run[i] for i in unresolved],
-                    rows[unresolved],
-                )
-                on_run(None, len(unresolved), perf() - started)
-        offset += size * length
+            on_run(None, len(unresolved), perf() - started)
     return unsort(out, order)

@@ -34,6 +34,7 @@ from typing import (
 from repro.codegen.batch import BatchHashCallable, scalar_source
 from repro.codegen.cache import get_compile_cache
 from repro.codegen.cpp_backend import emit_cpp
+from repro.codegen.ir import IRFunction
 from repro.codegen.python_backend import HashCallable
 from repro.core.analysis import (
     analyze_fixed_loads,
@@ -96,6 +97,8 @@ class SynthesizedHash:
             (the compiled module also holds its batch entry).
         synthesis_seconds: wall-clock time spent synthesizing (pattern
             analysis through Python compilation), measured for RQ6.
+        ir: the optimized IR the Python module was lowered from, or None
+            when the compile cache's on-disk tier supplied the source.
     """
 
     family: HashFamily
@@ -112,6 +115,7 @@ class SynthesizedHash:
         default=None, repr=False, compare=False
     )
     _native_state: str = field(default="", repr=False, compare=False)
+    ir: Optional[IRFunction] = field(default=None, repr=False, compare=False)
 
     def __repr__(self) -> str:
         length = (
@@ -262,12 +266,15 @@ class SynthesizedHash:
         return emit_cpp(self.plan, target=target)
 
 
-def compile_python(plan: SynthesisPlan, name: str) -> Tuple[str, HashCallable]:
-    """``(python_source, function)`` for ``plan`` from the process
-    compile cache: the scalar function's source, and the function
-    itself carrying the batch entry as ``.many``."""
+def compile_python(
+    plan: SynthesisPlan, name: str
+) -> Tuple[str, HashCallable, Optional[IRFunction]]:
+    """``(python_source, function, ir)`` for ``plan`` from the process
+    compile cache: the scalar function's source, the function itself
+    carrying the batch entry as ``.many``, and the optimized IR it was
+    lowered from (None when the on-disk tier supplied the source)."""
     artifact = get_compile_cache().python(plan, name=name)
-    return scalar_source(artifact.source), artifact.function
+    return scalar_source(artifact.source), artifact.function, artifact.ir
 
 
 def _resolve_pattern(source: FormatSource) -> KeyPattern:
@@ -525,7 +532,7 @@ def synthesize(
         function_name = name or f"sepe_{family.value}_hash"
         # The compile cache skips build_ir → optimize → emit → exec
         # entirely when this plan was already lowered under this name.
-        python_source, compiled = compile_python(plan, function_name)
+        python_source, compiled, ir = compile_python(plan, function_name)
     elapsed = time.perf_counter() - started
     return SynthesizedHash(
         family=family,
@@ -536,6 +543,7 @@ def synthesize(
         _callable=compiled,
         name=function_name,
         verification=report,
+        ir=ir,
     )
 
 
@@ -603,7 +611,7 @@ def synthesize_short_key(
     )
     function_name = f"sepe_{family.value}_short_hash"
     with span("synthesize.short_key", family=family.value):
-        python_source, compiled = compile_python(plan, function_name)
+        python_source, compiled, ir = compile_python(plan, function_name)
     elapsed = time.perf_counter() - started
     return SynthesizedHash(
         family=family,
@@ -613,4 +621,5 @@ def synthesize_short_key(
         synthesis_seconds=elapsed,
         _callable=compiled,
         name=function_name,
+        ir=ir,
     )

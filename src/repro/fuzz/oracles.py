@@ -635,8 +635,13 @@ def check_dispatcher(ctx: CaseContext) -> Optional[str]:
         if dispatcher(key) != synthesized(key):
             return f"dispatched hash differs from direct hash for {key!r}"
     keys = list(ctx.keys)
-    if dispatcher.hash_many(keys) != [synthesized(key) for key in keys]:
+    expected = [synthesized(key) for key in keys]
+    if dispatcher.hash_many(keys) != expected:
         return "dispatcher.hash_many misaligned with per-key routing"
+    # A key that is not ``bytes`` sends the batch through the Python
+    # scan; the call above took the native one where the host has it.
+    if dispatcher.hash_many([bytearray(keys[0]), *keys[1:]]) != expected:
+        return "Python-scan dispatcher.hash_many misaligned with routing"
     if ctx.pattern.is_fixed_length:
         stranger = b"\x00" * (ctx.pattern.body_length + 1)
         if dispatcher(stranger) != stl_hash_bytes(stranger):

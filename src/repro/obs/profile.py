@@ -198,7 +198,12 @@ def profile_plan(
     walls: List[float] = []
     cpus: List[float] = []
     values = None
-    lowered = lane_stages(optimize(build_ir(synthesized.plan)))
+    # The IR synthesis already optimized; rebuilding it would run the
+    # dataflow verifier again, outside the synthesis span.
+    ir = synthesized.ir
+    if ir is None:
+        ir = optimize(build_ir(synthesized.plan))
+    lowered = lane_stages(ir)
     if lowered is not None:
         source, labels = _render_profiled(
             *lowered, synthesized.plan.key_length

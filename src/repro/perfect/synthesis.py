@@ -398,7 +398,7 @@ def synthesize_perfect(
             registry.counter("perfect.refused").inc()
             raise
         function_name = name or "sepe_perfect_hash"
-        python_source, compiled = compile_python(plan, function_name)
+        python_source, compiled, ir = compile_python(plan, function_name)
         certificate = certify(
             plan,
             key_list,
@@ -433,6 +433,7 @@ def synthesize_perfect(
         name=function_name,
         verification=report,
         certificate=certificate,
+        ir=ir,
     )
 
 

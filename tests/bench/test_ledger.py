@@ -262,6 +262,37 @@ class TestCompareLedger:
 
 
 class TestModuleMain:
+    def test_runs_as_main_without_a_runtime_warning(self):
+        """``repro.bench`` does not import the ledger eagerly, so running
+        it with ``-m`` finds no earlier copy in ``sys.modules``."""
+        import os
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.bench.ledger", "--help",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert "--smoke" in result.stdout
+
+    def test_package_still_exports_the_ledger_api(self):
+        import repro.bench as bench
+        from repro.bench import ledger
+
+        assert bench.collect_smoke_entries is ledger.collect_smoke_entries
+        with pytest.raises(AttributeError):
+            bench.no_such_name
+
     def test_build_from_smoke(self, tmp_path, monkeypatch):
         from repro.bench import ledger as bench_ledger
 

@@ -340,6 +340,36 @@ class TestBenchCompareServeRows:
         assert "serve/scaling/shards1/ns_per_key" in out
 
 
+class TestBenchCompareKeys:
+    """A bare ``--compare`` measures at the size the ledger rows were
+    recorded at; the paper tables keep their own default."""
+
+    def _compare(self, tmp_path, monkeypatch, argv):
+        from repro.bench import ledger as bench_ledger
+
+        path = tmp_path / "ledger.json"
+        bench_ledger.write_ledger(bench_ledger.new_ledger(), path)
+        seen = {}
+
+        def collect(**kwargs):
+            seen.update(kwargs)
+            return []
+
+        monkeypatch.setattr(bench_ledger, "collect_smoke_entries", collect)
+        assert run(["bench", "--compare", str(path), *argv]) == 0
+        return seen["keys_per_type"]
+
+    def test_default_is_the_recording_size(self, tmp_path, monkeypatch):
+        from repro.bench.ledger import SMOKE_KEYS_PER_TYPE
+
+        assert self._compare(tmp_path, monkeypatch, []) == (
+            SMOKE_KEYS_PER_TYPE
+        )
+
+    def test_explicit_keys_win(self, tmp_path, monkeypatch):
+        assert self._compare(tmp_path, monkeypatch, ["--keys", "64"]) == 64
+
+
 class TestPerfect:
     def test_builtin_all_certifies(self, capsys):
         assert run(["perfect", "--builtin", "all"]) == 0

@@ -179,6 +179,31 @@ class TestProfileReports:
         assert report.opcodes["(scalar map)"].count == 1
         assert 0.95 <= report.coverage <= 1.001
 
+    @needs_numpy
+    def test_profile_reuses_the_synthesized_ir(self):
+        """``sepe profile``'s pipeline section is the synthesis tree
+        alone: the profiler lowers the IR synthesis already optimized,
+        so no second ``verify.dataflow`` runs as a root span."""
+        synthesized = synthesize(SSN, HashFamily.PEXT)
+        assert synthesized.ir is not None
+        with capture_spans() as sink:
+            profile_plan(synthesized, _keys(synthesized, count=100))
+        assert "verify.dataflow" not in {r.name for r in sink.records()}
+
+    @needs_numpy
+    def test_cli_pipeline_section_has_no_stray_dataflow_root(self, capsys):
+        from repro.cli.main import run
+
+        assert run(["profile", SSN, "--keys", "200"]) == 0
+        out = capsys.readouterr().out
+        section = out.split("pipeline stage self-times:\n", 1)[1]
+        roots = [
+            line.split()[0]
+            for line in section.splitlines()
+            if line and not line.startswith(" ")
+        ]
+        assert roots == ["synthesize"]
+
 
 def _record(span_id, parent_id, name, started, wall, cpu=None):
     return SpanRecord(
