@@ -185,6 +185,10 @@ SERVE_SHARD_COUNTS = (1, 2, 4)
 SERVE_THREADS = 4
 SERVE_KEYS_PER_THREAD = 20_000
 
+SERVE_SETUP_FORMATS = ("SSN", "MAC", "URL1")
+"""The routes of the ``serve/setup/cold_ms`` row: serve-stream's."""
+SERVE_SETUP_SHARDS = 2
+
 INFER_KEYS = 20_000
 _HEX = b"0123456789abcdef"
 
@@ -222,6 +226,9 @@ def collect_smoke_entries(
       batched H-Time per (key type, family); where the native tier is
       available also ``native_ns_per_key`` and ``native_compile_ms``,
       plus one ``native/probe_ms`` row for the toolchain probe.
+    - ``serve/setup/cold_ms``: a cold ``HashService`` set-up with three
+      Pext routes, native where a toolchain exists
+      (:func:`_serve_setup_ms`).
     - ``serve/scaling/shards{1,2,4}/ns_per_key``: the serve replay
       (:func:`repro.serve.replay.measure_scaling`), 4 threads.
     - ``infer/{fixed,variable}/{reference,infer_pattern}/ns_per_key``:
@@ -261,6 +268,9 @@ def collect_smoke_entries(
     probe_ms = _probe_ms(repeats)
     if probe_ms:
         entries.append(_row("native/probe_ms", probe_ms, unit="ms"))
+    entries.append(
+        _row("serve/setup/cold_ms", _serve_setup_ms(repeats), unit="ms")
+    )
     entries.extend(
         _serve_entries(scaled(SERVE_KEYS_PER_THREAD), repeats, seed)
     )
@@ -366,6 +376,42 @@ def _probe_ms(repeats: int) -> List[float]:
             detect_toolchain(refresh=True)
         except NativeUnavailableError:
             return []
+        samples.append((time.perf_counter() - started) * 1e3)
+    return samples
+
+
+def _serve_setup_ms(repeats: int) -> List[float]:
+    """Wall-clock ms of ``repeats`` cold native ``HashService`` set-ups.
+
+    Each repeat clears the compile cache and forgets the probe
+    (``reset_native_state()``), then builds a
+    ``HashService(shards=2)`` and registers the
+    :data:`SERVE_SETUP_FORMATS` as Pext routes: synthesis, the probe and
+    every plan compile, as perfbench serve-stream's set-up pays them.
+    On a host without a toolchain the routes degrade, and the row times
+    that set-up instead (the fingerprint's ``native_compiler`` tells the
+    two apart).
+    """
+    import gc
+
+    from repro.codegen.cache import get_compile_cache
+    from repro.codegen.native import reset_native_state
+    from repro.keygen.keyspec import key_spec
+    from repro.serve.service import HashService
+
+    samples: List[float] = []
+    for _ in range(repeats):
+        get_compile_cache().clear()
+        reset_native_state()
+        gc.collect()
+        started = time.perf_counter()
+        service = HashService(
+            shards=SERVE_SETUP_SHARDS,
+            family=HashFamily.PEXT,
+            prefer_native=True,
+        )
+        for name in SERVE_SETUP_FORMATS:
+            service.register(key_spec(name).regex, label=name)
         samples.append((time.perf_counter() - started) * 1e3)
     return samples
 

@@ -298,11 +298,15 @@ class CompileCache:
         # machinery that pure-Python callers never need.
         from repro.codegen import native as native_mod
 
-        try:
-            toolchain = native_mod.detect_toolchain()
-        except NativeUnavailableError as exc:
-            raise _ToolchainUnavailable(str(exc)) from exc
-        so_path = self._native_disk_path(fingerprint, name, toolchain)
+        toolchain = so_path = None
+        if self._source_dir is not None:
+            # The persisted object's name needs the probed toolchain;
+            # without a disk tier the compile runs beside the probe.
+            try:
+                toolchain = native_mod.detect_toolchain()
+            except NativeUnavailableError as exc:
+                raise _ToolchainUnavailable(str(exc)) from exc
+            so_path = self._native_disk_path(fingerprint, name, toolchain)
         if so_path is not None and so_path.exists():
             try:
                 module = native_mod.load_native_module(
@@ -338,6 +342,10 @@ class CompileCache:
             module, source = native_mod.compile_plan_native(
                 plan, toolchain=toolchain, out_path=None, symbol=name
             )
+        except NativeUnavailableError as exc:
+            if toolchain is None and not native_mod.native_available():
+                raise _ToolchainUnavailable(str(exc)) from exc
+            raise
         return CompiledArtifact(
             fingerprint=fingerprint,
             name=name,
@@ -348,8 +356,8 @@ class CompileCache:
 
     def _native_disk_path(
         self, fingerprint: str, name: str, toolchain
-    ) -> Optional[Path]:
-        """Toolchain-tagged ``.so`` path, or None without a disk tier.
+    ) -> Path:
+        """Toolchain-tagged ``.so`` path in the disk tier.
 
         The filename embeds a digest of
         :meth:`~repro.codegen.native.Toolchain.artifact_key`: compiler
@@ -359,8 +367,6 @@ class CompileCache:
         between hosts recompiles instead of dlopening an object that
         may use instructions this CPU lacks.
         """
-        if self._source_dir is None:
-            return None
         tag = hashlib.sha256(
             toolchain.artifact_key().encode("utf-8")
         ).hexdigest()[:12]

@@ -24,11 +24,14 @@ A batch costs one foreign call: the list entry reads each key's bytes
 in place from the Python list, with the GIL held, and writes the hashes
 into one ``array("Q")`` that :meth:`NativeModule.hash_many` turns into
 ints and :meth:`NativeModule.hash_many_array` views as a NumPy array.
-It then releases the GIL and takes it back, so a thread waiting for the
-GIL gets it once per batch rather than at the next switch interval.  A
-key it cannot read in place (not ``bytes``, or shorter than the kernel
-reads) sends the batch through :func:`_kernel_key` and once more
-through the entry.
+It then releases the GIL and takes it straight back.  That does not
+hand the GIL to a waiting thread once per batch: on serve-stream under
+tracing, the reconciler waited so long for it that one reconcile drain
+took 8,479 ms, and a swap's 23 ms compile 4,848 ms wall.  The call
+stays because without it untraced serve-stream ``call_p99_ms`` rose
+from 0.27–0.29 to 0.69–0.75 ms.  A key it cannot read in place (not
+``bytes``, or shorter than the kernel reads) sends the batch through
+:func:`_kernel_key` and once more through the entry.
 
 One more unit belongs to no plan: the key scan of the columnar batch
 loop (:func:`~repro.codegen.cpp_backend.emit_scan_unit`).
@@ -67,7 +70,16 @@ Toolchain discovery (:func:`detect_toolchain`) is deliberately paranoid:
 
 The probe is not cached on disk: the CPU can change under the same
 compiler, and the probe is what stands between a ``-march=native``
-object and a SIGILL.
+object and a SIGILL.  So the probe gates the load, not the compile.
+The first compile of a cold process (:func:`compile_shared_object`,
+without a toolchain) starts the probe on a thread and compiles at once
+with the flags a working host's probe returns: the first candidate
+compiler, ``-O2 -fPIC -std=c++17 -march=native``.  It keeps the object
+only if the probe returns that command and those flags and proves the
+unit's ISA features, and recompiles with the probed toolchain (or
+degrades) otherwise; nothing is loaded before the probe has returned.
+A compile cache with an on-disk tier probes first instead: the
+persisted object's name needs the probed toolchain.
 
 Every degradation path — no compiler, compile error, unsupported
 target/feature — raises :class:`repro.errors.NativeUnavailableError`.
@@ -76,13 +88,20 @@ fall back to the NumPy batch kernels or the interpreter; the event is
 counted under ``codegen.native.fallbacks`` and warned about exactly
 once per process.  Nothing here is allowed to take the pipeline down.
 
-Observability: ``codegen.native.probe`` and ``codegen.native.compile``
-spans, ``codegen.native.probe_runs`` (compile-and-runs the probe made),
-``codegen.native.compiles`` / ``compile_failures`` /
-``unavailable`` / ``fallbacks`` counters, and a
-``codegen.native.compile_ms`` latency histogram (per-plan compile cost,
-a median of 49–53 ms with g++ 12 at ``-O2 -march=native`` on a 2-vCPU
-x86 VM, against 71–74 ms linked with the default libraries).
+Every compile and probe compile also passes ``-pipe`` (the assembly
+goes to the assembler through a pipe, not a temporary file), a
+front-end flag kept out of ``Toolchain.flags``: it changes no machine code, so
+artifact keys and cached objects stay valid.
+
+Observability: ``codegen.native.probe`` (on the probe's own thread
+when it runs beside a compile) and ``codegen.native.compile`` spans,
+``codegen.native.probe_runs`` (compile-and-runs the probe made),
+``codegen.native.compiles`` / ``compile_failures`` / ``discards``
+(objects compiled beside the probe and not kept) / ``unavailable`` /
+``fallbacks`` counters, and a ``codegen.native.compile_ms`` latency
+histogram.  Measured with g++ 12 at ``-O2 -march=native`` on a 2-vCPU
+x86 VM (medians of 15): a plan compile takes 31–34 ms and the probe
+42 ms, and up to 58 and 72 ms in slower host phases.
 """
 
 from __future__ import annotations
@@ -175,6 +194,12 @@ _PROBE_LINK_FLAGS: Tuple[str, ...] = (
     ("-nodefaultlibs",) if _LEAN_LINK else ()
 )
 _LIBC: Tuple[str, ...] = ("-lc",) if _LEAN_LINK else ()
+
+# Compiler front-end flags every compile and probe compile passes, also
+# kept out of ``Toolchain.flags``: ``-pipe`` hands the assembly to the
+# assembler through a pipe instead of a temporary file, and changes no
+# machine code.
+_FRONT_END_FLAGS: Tuple[str, ...] = ("-pipe",)
 
 _MASK64 = (1 << 64) - 1
 
@@ -376,8 +401,9 @@ class NativeModule:
     the key list through the Python C API itself: one foreign call per
     batch, with no join and no pointer arrays.  Both exports are bound
     through one :class:`ctypes.PyDLL` load, so a call holds the GIL: the
-    list entry reads the keys in place, and hands the GIL to a waiting
-    thread once per batch.
+    list entry reads the keys in place, then releases the GIL and takes
+    it straight back (a waiting thread rarely gets it there; see the
+    module docstring).
 
     Attributes:
         path: the ``.so`` on disk (may live in a temp dir owned by this
@@ -653,7 +679,7 @@ def _probe_run(
     try:
         compiled = _run(
             [
-                command, "-O2", *flags, *_PROBE_LINK_FLAGS,
+                command, "-O2", *flags, *_FRONT_END_FLAGS, *_PROBE_LINK_FLAGS,
                 str(src), "-o", str(exe), *_LIBC,
             ],
             _PROBE_TIMEOUT_S,
@@ -865,9 +891,52 @@ def native_available() -> bool:
         return False
 
 
+_probe_lock = threading.Lock()
+_probe_thread: Optional[threading.Thread] = None
+
+
+def _start_probe() -> Optional[threading.Thread]:
+    """The thread running a cold process's toolchain probe, started on
+    the first call; None once a probe has run, or under ``SEPE_NATIVE=0``.
+
+    The thread runs :func:`native_available`, so the probe itself is
+    :func:`detect_toolchain`'s, under its lock: callers that start
+    compiling while it runs share this one thread and one probe, and a
+    :func:`reset_native_state` waits for it to finish before forgetting
+    its result.
+    """
+    global _probe_thread
+    if not native_enabled():
+        return None
+    with _probe_lock:
+        if _toolchain_probed:
+            return None
+        if _probe_thread is None or not _probe_thread.is_alive():
+            _probe_thread = threading.Thread(
+                target=native_available,
+                name="sepe-native-probe",
+                daemon=True,
+            )
+            _probe_thread.start()
+        return _probe_thread
+
+
+def _expected_toolchain() -> Optional[Tuple[str, Tuple[str, ...]]]:
+    """``(command, flags)`` the probe returns on a working host: the
+    first candidate compiler under ``-march=native``; None when the
+    probe is bound to fail (no target, no candidate)."""
+    candidates = _candidate_compilers()
+    if native_target() is None or not candidates:
+        return None
+    return candidates[0], (*_BASE_FLAGS, "-march=native")
+
+
 def reset_native_state() -> None:
     """Forget the probed toolchain, the loaded scan unit and the
-    warn-once latch (tests, and the benchmark's cold start)."""
+    warn-once latch (tests, and the benchmark's cold start).
+
+    A probe in flight finishes first (it holds the toolchain lock), so
+    its late result cannot undo the reset."""
     global _toolchain_probed, _toolchain, _toolchain_reason
     global _fallback_warned, _scan
     with _toolchain_lock:
@@ -900,30 +969,91 @@ def compile_shared_object(
     out_path: Path,
     toolchain: Optional[Toolchain] = None,
     libc: bool = True,
-) -> float:
+    features: Iterable[str] = (),
+) -> Tuple[float, Toolchain]:
     """Compile ``source`` into the shared object ``out_path``.
 
     ``libc=False`` links no library at all, for a unit that calls
     nothing outside itself (a fixed-length plan's, whose loads all have
     constant sizes); any call it does make fails the link.
+    ``features`` are the ISA features the unit's code needs.
 
-    Returns the wall-clock compile latency in milliseconds (also
-    observed into the ``codegen.native.compile_ms`` histogram).
+    Without a ``toolchain`` the probed one compiles.  In a cold process
+    (no probe has run yet) the probe runs on its own thread
+    (:func:`_start_probe`) while this compiles with the command and
+    flags the probe returns on a working host
+    (:func:`_expected_toolchain`).  The object is kept only if the probe
+    returns that same command and those flags and proves ``features``;
+    otherwise it is recompiled with the probed toolchain, or refused.
+    The probe gates the load, not the compile: this returns, and so a
+    caller can load the object, only after the probe has.
+
+    Returns ``(ms, toolchain)``: the wall-clock latency of the compile
+    that built the object (also observed into the
+    ``codegen.native.compile_ms`` histogram) and the probed toolchain
+    that built it.  A compile beside the probe whose object is not kept
+    counts ``codegen.native.discards`` instead.
 
     Raises:
-        NativeUnavailableError: on any compiler or link failure, an
-            unresolved symbol included, with the tail of stderr in the
-            message.
+        NativeUnavailableError: no toolchain (:func:`detect_toolchain`),
+            a feature in ``features`` it lacks, or any compiler or link
+            failure, an unresolved symbol included, with the tail of
+            stderr in the message.
     """
-    toolchain = toolchain if toolchain is not None else detect_toolchain()
     registry = get_registry()
     out_path = Path(out_path)
+    probe = _start_probe() if toolchain is None else None
+    guess = _expected_toolchain() if probe is not None else None
+    early = _compile(*guess, source, out_path, libc) if guess else None
+    if probe is not None:
+        probe.join()
+    try:
+        if toolchain is None:
+            toolchain = detect_toolchain()
+        if not toolchain.supports(features):
+            missing = ", ".join(sorted(set(features) - toolchain.features))
+            raise NativeUnavailableError(
+                f"host toolchain lacks required ISA features: {missing}"
+            )
+    except NativeUnavailableError:
+        if early:
+            registry.counter("codegen.native.discards").inc()
+            out_path.unlink(missing_ok=True)
+        raise
+    if early and guess == (toolchain.command, toolchain.flags):
+        elapsed_ms, error = early
+    else:
+        if early:
+            registry.counter("codegen.native.discards").inc()
+        elapsed_ms, error = _compile(
+            toolchain.command, toolchain.flags, source, out_path, libc
+        )
+    if error is not None:
+        registry.counter("codegen.native.compile_failures").inc()
+        raise NativeUnavailableError(error)
+    registry.counter("codegen.native.compiles").inc()
+    registry.histogram(
+        "codegen.native.compile_ms", COMPILE_MS_BUCKETS
+    ).observe(elapsed_ms)
+    return elapsed_ms, toolchain
+
+
+def _compile(
+    command: str,
+    flags: Sequence[str],
+    source: str,
+    out_path: Path,
+    libc: bool,
+) -> Tuple[float, Optional[str]]:
+    """Write ``source`` beside ``out_path`` and compile it there once:
+    the compile's wall-clock ms, and None or why it failed."""
     src_path = out_path.with_suffix(".cpp")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     src_path.write_text(source, encoding="utf-8")
     cmd = [
-        toolchain.command,
-        *toolchain.flags,
+        command,
+        *flags,
+        *_FRONT_END_FLAGS,
         *_SHARED_LINK_FLAGS,
         str(src_path),
         "-o",
@@ -934,23 +1064,15 @@ def compile_shared_object(
     try:
         result = _run(cmd, _COMPILE_TIMEOUT_S)
     except (OSError, subprocess.SubprocessError) as exc:
-        registry.counter("codegen.native.compile_failures").inc()
-        raise NativeUnavailableError(
-            f"native compile failed to launch: {exc}"
-        ) from exc
+        return 0.0, f"native compile failed to launch: {exc}"
     elapsed_ms = (time.perf_counter() - started) * 1e3
     if result.returncode != 0:
-        registry.counter("codegen.native.compile_failures").inc()
         stderr = result.stderr.decode("utf-8", "replace").strip()
         tail = "\n".join(stderr.splitlines()[-8:])
-        raise NativeUnavailableError(
+        return elapsed_ms, (
             f"native compile failed (exit {result.returncode}):\n{tail}"
         )
-    registry.counter("codegen.native.compiles").inc()
-    registry.histogram(
-        "codegen.native.compile_ms", COMPILE_MS_BUCKETS
-    ).observe(elapsed_ms)
-    return elapsed_ms
+    return elapsed_ms, None
 
 
 _scan_lock = threading.Lock()
@@ -980,21 +1102,17 @@ def scan_unit() -> Optional[ScanUnit]:
 
 def _load_scan_unit():
     """Compile and load the scan unit: the unit, or False."""
-    try:
-        toolchain = detect_toolchain()
-    except NativeUnavailableError:
-        return False  # counted by the probe, as ``unavailable``
     tempdir = tempfile.TemporaryDirectory(prefix="sepe-scan-")
     out_path = Path(tempdir.name) / "scan.so"
     try:
         with span("codegen.native.compile", unit="scan"):
-            elapsed_ms = compile_shared_object(
-                emit_scan_unit(), out_path, toolchain
-            )
+            elapsed_ms, _ = compile_shared_object(emit_scan_unit(), out_path)
             return ScanUnit(out_path, elapsed_ms, _tempdir=tempdir)
     except NativeUnavailableError as exc:
         tempdir.cleanup()
-        warn_native_fallback(f"key scan unit: {exc}")
+        if native_available():
+            warn_native_fallback(f"key scan unit: {exc}")
+        # else: no toolchain, counted by the probe as ``unavailable``
         return False
 
 
@@ -1034,47 +1152,52 @@ def compile_plan_native(
     Returns ``(module, source)`` so callers (the compile cache) can
     persist the translation unit alongside the artifact.  When
     ``out_path`` is None the shared object lives in a private temp
-    directory whose lifetime is tied to the returned module.
+    directory whose lifetime is tied to the returned module.  Without a
+    ``toolchain``, the first compile of a cold process runs beside the
+    toolchain probe (:func:`compile_shared_object`).
 
     Raises:
         NativeUnavailableError: no toolchain, missing ISA feature
             (e.g. an Aes plan on a host without AES instructions, or
             the Pext family on aarch64), or a compile/load failure.
     """
-    toolchain = toolchain if toolchain is not None else detect_toolchain()
-    needed = plan_isa_features(plan)
-    if not toolchain.supports(needed):
-        missing = ", ".join(sorted(needed - toolchain.features))
-        raise NativeUnavailableError(
-            f"host toolchain lacks required ISA features: {missing}"
-        )
+    target = toolchain.target if toolchain is not None else native_target()
+    if target is None:
+        detect_toolchain()  # raises: the machine is unsupported
     try:
-        source = emit_cpp_native(
-            plan, target=toolchain.target, symbol=symbol
-        )
+        source = emit_cpp_native(plan, target=target, symbol=symbol)
     except SynthesisError as exc:
         raise NativeUnavailableError(
-            f"plan cannot target {toolchain.target}: {exc}"
+            f"plan cannot target {target}: {exc}"
         ) from exc
     with span(
         "codegen.native.compile",
         family=plan.family.value,
-        target=toolchain.target,
+        target=target,
     ):
         tempdir: Optional[tempfile.TemporaryDirectory] = None
         if out_path is None:
             tempdir = tempfile.TemporaryDirectory(prefix="sepe-native-")
             out_path = Path(tempdir.name) / "plan.so"
-        elapsed_ms = compile_shared_object(
-            source, out_path, toolchain, libc=not plan.is_fixed_length
-        )
-        module = NativeModule(
-            Path(out_path),
-            symbol=symbol,
-            compiler=toolchain.identity,
-            compile_ms=elapsed_ms,
-            key_length=plan.key_length,
-            min_length=native_min_length(plan),
-            _tempdir=tempdir,
-        )
+        try:
+            elapsed_ms, toolchain = compile_shared_object(
+                source,
+                out_path,
+                toolchain,
+                libc=not plan.is_fixed_length,
+                features=plan_isa_features(plan),
+            )
+            module = NativeModule(
+                Path(out_path),
+                symbol=symbol,
+                compiler=toolchain.identity,
+                compile_ms=elapsed_ms,
+                key_length=plan.key_length,
+                min_length=native_min_length(plan),
+                _tempdir=tempdir,
+            )
+        except NativeUnavailableError:
+            if tempdir is not None:
+                tempdir.cleanup()
+            raise
     return module, source

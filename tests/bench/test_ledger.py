@@ -387,6 +387,39 @@ class TestSmokeEntries:
         assert "batch/SSN/naive/native_ns_per_key" in entries
         assert smoke_run["compiles"] >= 2
 
+    def test_serve_setup_row_is_measured(self, smoke_run):
+        row = smoke_run["entries"]["serve/setup/cold_ms"]
+        assert row.unit == "ms"
+        assert all(sample > 0 for sample in row.samples)
+
+    @pytest.mark.native
+    def test_serve_setup_starts_cold_per_repeat(self):
+        """Each repeat of ``serve/setup/cold_ms`` pays the probe and the
+        three plan compiles again."""
+        from repro.bench.ledger import SERVE_SETUP_FORMATS, _serve_setup_ms
+        from repro.codegen import native as native_mod
+
+        _require_native()
+        registry = native_mod.get_registry()
+        compiles = registry.counter("codegen.native.compiles")
+        unavailable = registry.counter("codegen.native.unavailable")
+        before = compiles.value, unavailable.value
+        starts = []
+        real_start = native_mod._start_probe
+
+        def start_probe():
+            thread = real_start()
+            starts.append(thread)
+            return thread
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native_mod, "_start_probe", start_probe)
+            assert len(_serve_setup_ms(2)) == 2
+        assert compiles.value - before[0] == 2 * len(SERVE_SETUP_FORMATS)
+        assert unavailable.value == before[1]
+        # One probe thread per cold set-up, started by its first compile.
+        assert len({thread for thread in starts if thread}) == 2
+
     @pytest.mark.native
     def test_probe_row_probes_afresh_per_repeat(self, smoke_run):
         _require_native()

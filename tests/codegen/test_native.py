@@ -440,8 +440,8 @@ def test_list_entry_matches_interpreter(family, regex):
 @requires_compiler
 def test_threads_share_one_module():
     """Threads hash different batches through one module at once, the
-    list entry handing the GIL over once per batch; each thread must
-    get exactly its own values."""
+    list entry releasing and retaking the GIL after each batch; each
+    thread must get exactly its own values."""
     threads_count = 4
     synthesized = synthesize(SSN, HashFamily.OFFXOR)
     module = synthesized.native_module
