@@ -241,8 +241,9 @@ def collect_smoke_entries(
       included (see :func:`_dispatch_entries`).
     - ``perfect/<set>/<variant>/{h,lookup}_ns_per_key``: the certified
       perfect hash against mini-gperf, FNV-1a and the paper families on
-      the built-in closed sets and the RQ ``ssn``/``mac`` samples (see
-      :func:`_perfect_entries`).
+      the built-in closed sets and the RQ ``ssn``/``mac`` samples, and
+      ``perfect/<set>/synthesize_ms``, the perfect synthesis itself
+      (see :func:`_perfect_entries`).
 
     ``repeats`` defaults to 5 because Mann–Whitney needs at least four
     observations per side before p can drop under 0.05; with fewer, the
@@ -569,6 +570,9 @@ def _perfect_entries(
 ) -> List[LedgerEntry]:
     """The ``perfect/<label>/*`` rows for one closed key set.
 
+    ``perfect/<label>/synthesize_ms`` times
+    :func:`repro.perfect.synthesize_perfect` on the set (search, packing,
+    certification; the compile cache is warm after the first repeat).
     Every variant is raced on the same keys, with H-Time (scalar hash
     loop) and lookup time (``UnorderedSet.find`` over every key of a
     pre-built table) per key:
@@ -598,7 +602,12 @@ def _perfect_entries(
 
     keys = list(keys)
     scale = 1e9 / len(keys)
-    perfect = synthesize_perfect(keys).container_function
+    synthesize_ms = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        synthesized = synthesize_perfect(keys)
+        synthesize_ms.append((time.perf_counter() - started) * 1e3)
+    perfect = synthesized.container_function
     variants = [
         ("perfect", perfect, True),
         ("perfect-probe", perfect, False),
@@ -612,7 +621,9 @@ def _perfect_entries(
         except SepeError:
             continue  # family refuses this format (e.g. AES width rules)
         variants.append((family.value, synthesized.function, False))
-    entries: List[LedgerEntry] = []
+    entries = [
+        _row(f"perfect/{label}/synthesize_ms", synthesize_ms, unit="ms")
+    ]
     for variant, function, fast_path in variants:
         stem = f"perfect/{label}/{variant}"
         if variant != "perfect-probe":  # same H-Time as "perfect"

@@ -251,7 +251,7 @@ def _run_obs(args: argparse.Namespace) -> int:
         "codegen.native.fallbacks"
     ).value
     if native_fallbacks:
-        print(f"  native fallbacks this process: {native_fallbacks}")
+        print(f"native fallbacks this process: {native_fallbacks}")
     perfect_counters = {
         name: get_registry().counter(name).value
         for name in (

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict
 
-from repro.codegen.python_backend import HashCallable, compile_plan
+from repro.codegen.python_backend import HashCallable
 from repro.core.plan import (
     CombineOp,
     HashFamily,
@@ -134,5 +134,13 @@ def loads(payload: str) -> SynthesisPlan:
 
 
 def compile_serialized(payload: str, name: str = "sepe_hash") -> HashCallable:
-    """JSON in, executable hash function out — the consumer-side call."""
-    return compile_plan(loads(payload), name=name)
+    """JSON in, executable hash function out — the consumer-side call.
+
+    The restored plan goes through the process compile cache, so a plan
+    this process has already compiled under ``name`` is not lowered
+    again.
+    """
+    # Lazy import: repro.core.synthesis sits on top of repro.codegen.
+    from repro.core.synthesis import compile_python
+
+    return compile_python(loads(payload), name)[1]

@@ -30,6 +30,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.analysis import analyze_fixed_loads, analyze_variable_loads
 from repro.core.inference import infer_pattern
 from repro.core.masks import extraction_masks, fold_rotations
@@ -61,6 +63,8 @@ from repro.perfect.search import (
     MAX_HASH_BITS,
     SearchBudget,
     SearchOutcome,
+    bit_matrix,
+    group_splits,
     select_distinguishing_bits,
 )
 from repro.verify.bit_report import bit_report
@@ -292,21 +296,22 @@ def _collisions(plan: SynthesisPlan, keys: Sequence[bytes]) -> List[List[int]]:
 
 
 def _repair_bits(
-    keys: Sequence[bytes],
+    matrix: np.ndarray,
     colliding: List[List[int]],
     pool: Sequence[int],
     used: Sequence[int],
 ) -> Optional[int]:
-    """One unused pool bit that splits at least one colliding group."""
+    """The first unused pool bit that splits at least one colliding
+    group; ``matrix`` is :func:`~repro.perfect.search.bit_matrix` of the
+    keys over ``pool``."""
+    members = np.concatenate(colliding)
+    sizes = np.array([len(group) for group in colliding])
+    starts = np.cumsum(sizes) - sizes
+    splits = group_splits(matrix[members], starts).any(axis=0)
     used_set = set(used)
-    for bit in pool:
-        if bit in used_set:
-            continue
-        byte, offset = divmod(bit, 8)
-        for group in colliding:
-            values = {(keys[i][byte] >> offset) & 1 for i in group}
-            if len(values) > 1:
-                return bit
+    for column in np.flatnonzero(splits):
+        if pool[column] not in used_set:
+            return pool[column]
     return None
 
 
@@ -480,6 +485,7 @@ def _search_plan(
         if outcome is not None:
             plan = _packed_plan(pattern, regex, outcome.bits, final_mix)
             bits = list(outcome.bits)
+            matrix = None
             # Variable-length plans xor an unselected tail fold into the
             # packed lanes, which can alias across keys: repair by
             # adding split bits until the concrete evaluation is clean.
@@ -491,7 +497,9 @@ def _search_plan(
                     )
                 if len(bits) >= min(MAX_HASH_BITS, len(pool)):
                     break
-                bit = _repair_bits(keys, colliding, pool, bits)
+                if matrix is None:
+                    matrix = bit_matrix(keys, pool)
+                bit = _repair_bits(matrix, colliding, pool, bits)
                 if bit is None:
                     break
                 bits.append(bit)

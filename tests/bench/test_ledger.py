@@ -376,6 +376,13 @@ class TestSmokeEntries:
                 in smoke_run["entries"]
             )
 
+    def test_perfect_synthesis_rows_are_measured(self, smoke_run):
+        labels = ("c-keywords", "http-methods", "enum-codec", "ssn", "mac")
+        for label in labels:
+            row = smoke_run["entries"][f"perfect/{label}/synthesize_ms"]
+            assert row.unit == "ms"
+            assert all(sample > 0 for sample in row.samples)
+
     @pytest.mark.native
     def test_native_compile_rows_compile_afresh_per_repeat(self, smoke_run):
         _require_native()

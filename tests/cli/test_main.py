@@ -179,6 +179,25 @@ class TestObsCompileCache:
         }
         assert "python" in kinds and kinds <= {"python", "native"}
 
+    def test_native_fallbacks_line_is_outside_the_kind_block(self, capsys):
+        from repro.obs import get_registry
+
+        # The counter is process-wide: earlier tests may have raised it,
+        # this one makes sure the line is printed.
+        get_registry().counter("codegen.native.fallbacks").inc()
+        assert run(["obs", r"\d{3}-\d{2}-\d{4}"]) == 0
+        out = capsys.readouterr().out
+        cache_report = out[out.index("compile cache:"):].splitlines()[1:]
+        block = list(
+            itertools.takewhile(
+                lambda line: line.startswith("  "), cache_report
+            )
+        )
+        assert not any("native fallbacks" in line for line in block)
+        assert cache_report[len(block)].startswith(
+            "native fallbacks this process: "
+        )
+
 
 class TestVerify:
     def test_verify_all_families_ok(self, capsys):

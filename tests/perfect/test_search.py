@@ -78,6 +78,11 @@ class TestBudget:
         assert not budget.charge(1)
         assert budget.exhausted
 
+    def test_pool_wider_than_a_word_refused(self):
+        SearchBudget(max_pool=64)
+        with pytest.raises(ValueError, match="max_pool"):
+            SearchBudget(max_pool=65)
+
     def test_minimal_count_property(self):
         outcome = SearchOutcome(
             bits=(1, 2, 3),
