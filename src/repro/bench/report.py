@@ -8,40 +8,11 @@ output and EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.bench.metrics import summarize
 
 Number = Union[int, float]
-
-
-def fingerprint_block(
-    repeats: Optional[int] = None,
-    keys: Optional[int] = None,
-) -> str:
-    """Measurement-context footer for benchmark output.
-
-    Every rendered report should state *where* its numbers came from —
-    machine architecture, interpreter, and the repeat/key counts — so a
-    figure pasted into an issue or EXPERIMENTS.md carries its own
-    comparability caveat.  Uses the same fingerprint the regression
-    ledger gates on (:func:`repro.bench.ledger.fingerprint`).
-    """
-    from repro.bench.ledger import fingerprint
-
-    context = fingerprint()
-    parts = [
-        f"machine: {context['machine']}/{context['system']}",
-        f"python: {context['python_implementation']} "
-        f"{context['python_version']}",
-    ]
-    if context.get("processor"):
-        parts.insert(1, f"cpu: {context['processor']}")
-    if repeats is not None:
-        parts.append(f"repeats: {repeats}")
-    if keys is not None:
-        parts.append(f"keys: {keys:,}")
-    return "[" + "  |  ".join(parts) + "]"
 
 
 def _format_value(value: object) -> str:

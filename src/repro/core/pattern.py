@@ -68,16 +68,12 @@ class BytePattern:
         return (byte & self.const_mask) == self.const_value
 
     def possible_bytes(self) -> List[int]:
-        """Enumerate every byte value consistent with the template."""
-        free_bits = [bit for bit in range(8) if not (self.const_mask >> bit) & 1]
-        values = []
-        for combo in range(1 << len(free_bits)):
-            byte = self.const_value
-            for index, bit in enumerate(free_bits):
-                if (combo >> index) & 1:
-                    byte |= 1 << bit
-            values.append(byte)
-        return sorted(values)
+        """Every byte value consistent with the template, ascending."""
+        return [
+            byte
+            for byte in range(256)
+            if byte & self.const_mask == self.const_value
+        ]
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,18 @@ its ``perfect`` flag, which the ``perfect-claim`` lint audits.
 Fallback ladder, each rung certified or refused:
 
 1. disjoint shift-packed lanes over the selected bits (fixed length:
-   structurally injective on the set; variable length: tail-fold xor
-   may alias, repaired by adding split bits);
+   injective on the set by construction, so no collision check runs;
+   variable length: tail-fold xor may alias, so each round evaluates
+   the plan on every key and adds split bits until it is clean);
 2. rotation-folded lanes over all live bits with searched rotation
    assignments (the "mixer" search) when packing cannot work;
 3. refusal (:class:`~repro.errors.PerfectSearchError`) — never an
    uncertified "perfect" hash.
+
+On a fixed-length set, :func:`~repro.perfect.certificate.certify` is
+the one pass that runs the interpreter over the keys: before it, the
+format check reads the keys as one ``uint8[keys, L]`` array and the
+search reads one bit matrix.
 """
 
 from __future__ import annotations
@@ -148,7 +154,20 @@ def _resolve_format(
             f"format must be a regex string or KeyPattern, "
             f"got {type(source).__name__}"
         )
-    for key in keys:
+    length = pattern.body_length
+    suspects: Sequence[bytes] = keys
+    if pattern.is_fixed_length and {len(key) for key in keys} == {length}:
+        # One uint8[keys, L] view against the per-column template;
+        # only keys it flags go through the per-key match below.
+        templates = pattern.byte_patterns()
+        masks = np.array([t.const_mask for t in templates], dtype=np.uint8)
+        values = np.array([t.const_value for t in templates], dtype=np.uint8)
+        rows = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(
+            len(keys), length
+        )
+        offending = ((rows & masks) != values).any(axis=1)
+        suspects = [keys[index] for index in np.flatnonzero(offending)]
+    for key in suspects:
         if not pattern.matches(key):
             raise SynthesisError(
                 f"key {key!r} does not match the format "
@@ -484,6 +503,11 @@ def _search_plan(
             outcome = None
         if outcome is not None:
             plan = _packed_plan(pattern, regex, outcome.bits, final_mix)
+            if pattern.is_fixed_length:
+                # The selected bits separate every key and the lanes
+                # extract each of them exactly once, so the plan is
+                # injective on the set; certify's pass checks it.
+                return plan, outcome
             bits = list(outcome.bits)
             matrix = None
             # Variable-length plans xor an unselected tail fold into the

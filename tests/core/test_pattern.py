@@ -50,6 +50,33 @@ class TestBytePattern:
         byte = BytePattern(mask, mask & 0x5A)
         assert all(byte.matches(value) for value in byte.possible_bytes())
 
+    def test_possible_bytes_matches_bit_enumeration(self):
+        # Reference: set each combination of the free bits on top of the
+        # constant value.  Every valid (mask, value) pair is checked:
+        # each bit is free, constant 0 or constant 1 (3 ** 8 pairs).
+        def enumerate_free_bits(mask: int, value: int):
+            free = [bit for bit in range(8) if not (mask >> bit) & 1]
+            values = []
+            for combo in range(1 << len(free)):
+                byte = value
+                for index, bit in enumerate(free):
+                    if (combo >> index) & 1:
+                        byte |= 1 << bit
+                values.append(byte)
+            return sorted(values)
+
+        pairs = [
+            (mask, value)
+            for mask in range(256)
+            for value in range(256)
+            if value & ~mask == 0
+        ]
+        assert len(pairs) == 3 ** 8
+        for mask, value in pairs:
+            assert BytePattern(mask, value).possible_bytes() == (
+                enumerate_free_bits(mask, value)
+            )
+
 
 class TestKeyPatternConstruction:
     def test_fixed_factory(self):

@@ -137,6 +137,104 @@ class TestRefusals:
         assert perfect.certificate.certified
 
 
+class TestFormatCheck:
+    FORMAT = r"\d{3}-\d{2}-\d{4}"
+
+    def _keys_with(self, bad: bytes):
+        keys = rq_closed_set("SSN", count=50, seed=3)
+        keys.insert(25, bad)
+        keys.insert(40, b"999-99-99X9")  # a second offender, later
+        return keys
+
+    def _message(self, key: bytes) -> str:
+        from repro.core.regex_expand import pattern_from_regex
+        from repro.core.regex_render import render_regex
+
+        regex = render_regex(pattern_from_regex(self.FORMAT))
+        return (
+            f"key {key!r} does not match the format {regex!r}; a perfect "
+            f"hash is only meaningful over conforming keys"
+        )
+
+    @pytest.mark.parametrize(
+        "bad", [b"123-45-678X", b"123-45-67890", b"123-45-678"]
+    )
+    def test_names_the_first_offending_key(self, bad):
+        # An off-format byte, a key too long and a key too short: each
+        # is named, not the later offender.
+        with pytest.raises(SynthesisError) as raised:
+            synthesize_perfect(self._keys_with(bad), format=self.FORMAT)
+        assert str(raised.value) == self._message(bad)
+
+
+def _variable_length_sets():
+    import random
+
+    rng = random.Random(83)
+    repaired = sorted({
+        (
+            "k"
+            + "".join(rng.choice("ab") for _ in range(7))
+            + "".join(
+                rng.choice("0123456789abcdef")
+                for _ in range(rng.randrange(0, 12))
+            )
+        ).encode()
+        for _ in range(rng.randrange(4, 60))
+    })
+    rng = random.Random(5)
+    tailed = sorted({
+        (
+            "id-"
+            + "".join(rng.choice("0123456789") for _ in range(6))
+            + "".join(rng.choice("xyz") for _ in range(rng.randrange(0, 5)))
+        ).encode()
+        for _ in range(40)
+    })
+    return {"repaired": repaired, "tailed": tailed}
+
+
+class TestInterpreterPasses:
+    """Fixed-length sets are interpreted once per key (the certify
+    pass); variable-length sets keep the repair loop's checks."""
+
+    @pytest.fixture
+    def interpreted(self, monkeypatch):
+        from repro.codegen import interp
+
+        calls = []
+        original = interp._interpret
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(interp, "_interpret", counting)
+        return calls
+
+    @pytest.mark.parametrize("spec", ["MAC", "SSN"])
+    def test_fixed_length_set_is_interpreted_once(self, interpreted, spec):
+        keys = rq_closed_set(spec, count=1000, seed=0)
+        assert synthesize_perfect(keys).certificate.certified
+        assert len(interpreted) == len(keys)
+
+    @pytest.mark.parametrize(
+        "name, passes",
+        # Interpreter passes over the set before this change: the
+        # repaired set's three repair rounds plus the first check, then
+        # certify; the tailed set's one clean check, then certify.
+        [("repaired", 5), ("tailed", 2)],
+    )
+    def test_variable_length_sets_keep_their_checks(
+        self, interpreted, name, passes
+    ):
+        keys = _variable_length_sets()[name]
+        perfect = synthesize_perfect(keys)
+        assert not perfect.pattern.is_fixed_length
+        assert perfect.certificate.certified
+        assert len(interpreted) <= passes * len(keys)
+
+
 class TestObservability:
     def test_counters_advance(self):
         from repro.obs.metrics import get_registry
