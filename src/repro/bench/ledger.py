@@ -386,9 +386,10 @@ def _serve_setup_ms(repeats: int) -> List[float]:
 
     Each repeat clears the compile cache and forgets the probe
     (``reset_native_state()``), then builds a
-    ``HashService(shards=2)`` and registers the
-    :data:`SERVE_SETUP_FORMATS` as Pext routes: synthesis, the probe and
-    every plan compile, as perfbench serve-stream's set-up pays them.
+    ``HashService(shards=2)``, registers the
+    :data:`SERVE_SETUP_FORMATS` as Pext routes and goes live
+    (``service.ready()``): synthesis, the probe and the one compile of
+    every route's plan, as perfbench serve-stream's set-up pays them.
     On a host without a toolchain the routes degrade, and the row times
     that set-up instead (the fingerprint's ``native_compiler`` tells the
     two apart).
@@ -413,6 +414,7 @@ def _serve_setup_ms(repeats: int) -> List[float]:
         )
         for name in SERVE_SETUP_FORMATS:
             service.register(key_spec(name).regex, label=name)
+        service.ready()
         samples.append((time.perf_counter() - started) * 1e3)
     return samples
 

@@ -11,7 +11,9 @@ JSON rendering of every codegen-relevant plan field).
 Two tiers:
 
 - an in-memory LRU of :class:`CompiledArtifact` (source + callable),
-  keyed by ``(fingerprint, function name, python|native)`` — a warm
+  keyed by ``(fingerprint, function name, python|native)`` (the
+  native kind has no name: its exports are named from the
+  fingerprint) — a warm
   hit performs **zero** ``exec`` calls (pinned by
   ``tests.codegen.test_cache`` via the ``codegen.python.exec_calls``
   counter) and, for the native kind, zero compiler invocations.  The
@@ -27,13 +29,17 @@ Two tiers:
   native shared objects as ``.so`` files tagged with the toolchain's
   artifact key — compiler, flags, features, JIT unit version and host
   CPU (a restart skips the C++ compiler entirely and goes straight to
-  ``dlopen``).
+  ``dlopen``).  A unit compiled for several plans is recorded under
+  each member's entry.
 
 The ``native`` kind delegates compilation to
-:mod:`repro.codegen.native` and adds a *negative cache*: a plan whose
-native compile failed once raises
+:mod:`repro.codegen.native`.  :meth:`CompileCache.native_batch` compiles
+every plan it misses as one unit (one compiler run, one load), and
+:meth:`CompileCache.native` is its one-plan case.  It adds a *negative
+cache*: a plan whose native compile failed once raises
 :class:`~repro.errors.NativeUnavailableError` immediately on retry
-instead of re-invoking the compiler for a known-bad unit.
+instead of re-invoking the compiler for a known-bad unit; a unit that
+fails is retried plan by plan, so the negative cache stays per plan.
 
 Hit/miss/eviction counters live in :mod:`repro.obs.metrics` under
 ``codegen.cache.*`` and surface through ``sepe obs``; per-kind
@@ -45,11 +51,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.codegen.batch import emit_python_module
 from repro.codegen.ir import IRFunction, build_ir, optimize
@@ -190,10 +198,9 @@ class CompileCache:
         """
         return self._get(plan, name, "python")
 
-    def native(
-        self, plan: SynthesisPlan, name: str = "sepe_native"
-    ) -> CompiledArtifact:
-        """The JIT-compiled native module for ``plan``.
+    def native(self, plan: SynthesisPlan) -> CompiledArtifact:
+        """The JIT-compiled native module for ``plan``: the one-plan case
+        of :meth:`native_batch`.
 
         The artifact's ``function`` is a
         :class:`repro.codegen.native.NativeModule`: call it for one key,
@@ -206,7 +213,65 @@ class CompileCache:
                 feature, or a compile failure — including a failure
                 remembered by the negative cache from an earlier call.
         """
-        return self._get(plan, name, "native")
+        (result,) = self.native_batch([plan])
+        if isinstance(result, NativeUnavailableError):
+            raise result
+        return result
+
+    def native_batch(
+        self, plans: Sequence[SynthesisPlan]
+    ) -> List[Union[CompiledArtifact, NativeUnavailableError]]:
+        """The native modules of ``plans``, every miss compiled as one
+        unit.
+
+        Returns one entry per plan, in order: its artifact, or the
+        :class:`~repro.errors.NativeUnavailableError` that refused it.
+        Memory hits, negative-cache hits and disk hits are served plan by
+        plan as :meth:`native` serves them; the remaining plans are
+        compiled into one unit (:func:`repro.codegen.native
+        .compile_plans_native`), one compiler run and one load, and each
+        plan's artifact is a view of that unit.  With a ``source_dir``
+        the unit is recorded under every member's entry (a hard link, or
+        a copy where linking fails), so a later lookup of any of them
+        loads it without the compiler.  Failures stay per plan: a plan
+        whose ISA features the probed toolchain lacks is negative-cached
+        and the rest still compile together, and when the unit fails to
+        compile each plan is retried alone, so only the plans that fail
+        alone enter the negative cache.  A host without a toolchain
+        refuses every plan and caches none of the refusals.
+        """
+        fingerprints = [plan_fingerprint(plan) for plan in plans]
+        results: Dict[str, Union[CompiledArtifact, NativeUnavailableError]]
+        results = {}
+        misses: Dict[str, SynthesisPlan] = {}
+        with self._lock:
+            for fingerprint, plan in zip(fingerprints, plans):
+                if fingerprint in results or fingerprint in misses:
+                    continue
+                key = (fingerprint, "", "native")
+                artifact = self._entries.get(key)
+                if artifact is not None:
+                    self._entries.move_to_end(key)
+                    self._hits.inc()
+                    self._kind_inc("native", "hits")
+                    results[fingerprint] = artifact
+                    continue
+                reason = self._native_bad.get(fingerprint)
+                if reason is not None:
+                    self._kind_inc("native", "negative_hits")
+                    results[fingerprint] = NativeUnavailableError(reason)
+                    continue
+                self._misses.inc()
+                self._kind_inc("native", "misses")
+                misses[fingerprint] = plan
+            if misses:
+                for fingerprint, result in self._native_misses(
+                    misses
+                ).items():
+                    results[fingerprint] = result
+                    if isinstance(result, CompiledArtifact):
+                        self._store((fingerprint, "", "native"), result)
+        return [results[fingerprint] for fingerprint in fingerprints]
 
     def _kind_inc(self, kind: str, event: str) -> None:
         stats = self._kind_stats.setdefault(
@@ -233,40 +298,18 @@ class CompileCache:
                 self._hits.inc()
                 self._kind_inc(kind, "hits")
                 return artifact
-            if kind == "native":
-                reason = self._native_bad.get(fingerprint)
-                if reason is not None:
-                    self._kind_inc(kind, "negative_hits")
-                    raise NativeUnavailableError(reason)
             self._misses.inc()
             self._kind_inc(kind, "misses")
-            if kind == "native":
-                try:
-                    artifact = self._native_miss(plan, name, fingerprint)
-                except _ToolchainUnavailable:
-                    # Host-level: no (enabled) toolchain at all.  The
-                    # probe result is already memoized module-wide in
-                    # repro.codegen.native, and the condition can clear
-                    # within one process (SEPE_NATIVE flipped, probe
-                    # refresh) — so do not poison this plan's negative
-                    # cache over it.
-                    self._kind_inc(kind, "failures")
-                    raise
-                except NativeUnavailableError as exc:
-                    # Plan-level: missing ISA feature or a compile
-                    # error.  Deterministic for this fingerprint on
-                    # this host, so cache the refusal.
-                    self._native_bad[fingerprint] = str(exc)
-                    self._native_failures.inc()
-                    self._kind_inc(kind, "failures")
-                    raise
-            else:
-                artifact = self._compile_miss(plan, name, fingerprint)
-            self._entries[key] = artifact
-            while len(self._entries) > self._maxsize:
-                self._entries.popitem(last=False)
-                self._evictions.inc()
+            artifact = self._compile_miss(plan, name, fingerprint)
+            self._store(key, artifact)
             return artifact
+
+    def _store(self, key: Tuple[str, str, str], artifact) -> None:
+        """Enter ``artifact`` (lock held), evicting beyond the cap."""
+        self._entries[key] = artifact
+        while len(self._entries) > self._maxsize:
+            self._entries.popitem(last=False)
+            self._evictions.inc()
 
     def _compile_miss(
         self, plan: SynthesisPlan, name: str, fingerprint: str
@@ -291,72 +334,190 @@ class CompileCache:
             ir=func,
         )
 
-    def _native_miss(
-        self, plan: SynthesisPlan, name: str, fingerprint: str
-    ) -> CompiledArtifact:
+    def _native_misses(
+        self, misses: Dict[str, SynthesisPlan]
+    ) -> Dict[str, Union[CompiledArtifact, NativeUnavailableError]]:
+        """Serve ``misses`` (fingerprint -> plan; lock held) from the
+        disk tier where it holds them, and compile the rest as one
+        unit."""
         # Imported lazily: the native tier pulls in ctypes/subprocess
         # machinery that pure-Python callers never need.
         from repro.codegen import native as native_mod
 
-        toolchain = so_path = None
+        results: Dict[str, Union[CompiledArtifact, NativeUnavailableError]]
+        results = {}
+        toolchain = None
         if self._source_dir is not None:
             # The persisted object's name needs the probed toolchain;
             # without a disk tier the compile runs beside the probe.
             try:
                 toolchain = native_mod.detect_toolchain()
             except NativeUnavailableError as exc:
-                raise _ToolchainUnavailable(str(exc)) from exc
-            so_path = self._native_disk_path(fingerprint, name, toolchain)
-        if so_path is not None and so_path.exists():
-            try:
-                module = native_mod.load_native_module(
-                    so_path,
-                    symbol=name,
-                    compiler=toolchain.identity,
-                    key_length=plan.key_length,
-                    min_length=native_mod.native_min_length(plan),
+                return self._host_refused(misses, exc)
+            misses = dict(misses)
+            for fingerprint, plan in list(misses.items()):
+                artifact = self._native_disk_hit(
+                    fingerprint, plan, toolchain
                 )
-            except NativeUnavailableError:
-                pass  # Stale/corrupt artifact: recompile below.
-            else:
-                self._disk_hits.inc()
-                self._kind_inc("native", "disk_hits")
-                source = self._read_native_source(so_path)
-                return CompiledArtifact(
-                    fingerprint=fingerprint,
-                    name=name,
-                    kind="native",
-                    source=source,
-                    function=module,
-                )
+                if artifact is not None:
+                    results[fingerprint] = artifact
+                    del misses[fingerprint]
+        if misses:
+            results.update(self._native_compile(misses, toolchain))
+        return results
+
+    def _native_disk_hit(
+        self, fingerprint: str, plan: SynthesisPlan, toolchain
+    ) -> Optional[CompiledArtifact]:
+        """The plan's view of a unit persisted under its entry, or None."""
+        from repro.codegen import native as native_mod
+
+        so_path = self._native_disk_path(fingerprint, toolchain)
+        if not so_path.exists():
+            return None
         try:
-            module, source = native_mod.compile_plan_native(
-                plan,
-                toolchain=toolchain,
-                out_path=so_path,
-                symbol=name,
+            module = native_mod.load_native_module(
+                so_path, plan, compiler=toolchain.identity
             )
-        except OSError:
-            # Unwritable source_dir: retry into a private temp dir so a
-            # broken disk tier cannot take the native tier down with it.
-            module, source = native_mod.compile_plan_native(
-                plan, toolchain=toolchain, out_path=None, symbol=name
-            )
-        except NativeUnavailableError as exc:
-            if toolchain is None and not native_mod.native_available():
-                raise _ToolchainUnavailable(str(exc)) from exc
-            raise
+        except NativeUnavailableError:
+            return None  # Stale/corrupt artifact: recompile.
+        self._disk_hits.inc()
+        self._kind_inc("native", "disk_hits")
         return CompiledArtifact(
             fingerprint=fingerprint,
-            name=name,
+            name=module.symbol,
             kind="native",
-            source=source,
+            source=self._read_native_source(so_path),
             function=module,
         )
 
-    def _native_disk_path(
-        self, fingerprint: str, name: str, toolchain
-    ) -> Path:
+    def _native_compile(
+        self, misses: Dict[str, SynthesisPlan], toolchain
+    ) -> Dict[str, Union[CompiledArtifact, NativeUnavailableError]]:
+        """Compile ``misses`` as one unit.  Where the toolchain is
+        probed already, the plans it cannot run are left out first; a
+        refused unit goes to :meth:`_native_refused`."""
+        from repro.codegen import native as native_mod
+
+        known = toolchain or native_mod.probed_toolchain()
+        if known is not None and len(misses) > 1 and any(
+            not known.supports(native_mod.plan_isa_features(plan))
+            for plan in misses.values()
+        ):
+            # Leave the plans the host cannot run out of the unit.
+            return self._native_refused(misses, known, None)
+        paths = (
+            [
+                self._native_disk_path(fingerprint, toolchain)
+                for fingerprint in misses
+            ]
+            if self._source_dir is not None and toolchain is not None
+            else [None]
+        )
+        plans = list(misses.values())
+        try:
+            try:
+                modules, source = native_mod.compile_plans_native(
+                    plans, toolchain=toolchain, out_path=paths[0]
+                )
+            except OSError:
+                # Unwritable source_dir: retry into a private temp dir
+                # so a broken disk tier cannot take the native tier down
+                # with it.
+                paths = [None]
+                modules, source = native_mod.compile_plans_native(
+                    plans, toolchain=toolchain, out_path=None
+                )
+        except NativeUnavailableError as exc:
+            return self._native_refused(misses, toolchain, exc)
+        for path in paths[1:]:
+            _record_unit(paths[0], path)
+        return {
+            fingerprint: CompiledArtifact(
+                fingerprint=fingerprint,
+                name=module.symbol,
+                kind="native",
+                source=source,
+                function=module,
+            )
+            for fingerprint, module in zip(misses, modules)
+        }
+
+    def _native_refused(
+        self,
+        misses: Dict[str, SynthesisPlan],
+        toolchain,
+        error: Optional[NativeUnavailableError],
+    ) -> Dict[str, Union[CompiledArtifact, NativeUnavailableError]]:
+        """Sort a refused unit's plans (``error`` None: not compiled yet,
+        the plans ``toolchain`` cannot run are to be split off).
+
+        No toolchain at all refuses every plan, uncached.  A plan whose
+        ISA features the toolchain lacks, and a plan compiled alone that
+        failed, enter the negative cache.  The other plans of a unit that
+        failed are compiled again: together when only the plans the host
+        cannot run were split off, else each alone.
+        """
+        from repro.codegen import native as native_mod
+
+        if toolchain is None:
+            try:
+                # Probed by the failed compile: no second probe.
+                toolchain = native_mod.detect_toolchain()
+            except NativeUnavailableError as exc:
+                return self._host_refused(misses, exc)
+        if len(misses) == 1 and error is not None:
+            ((fingerprint, _),) = misses.items()
+            return {fingerprint: self._refuse(fingerprint, error)}
+        results: Dict[
+            str, Union[CompiledArtifact, NativeUnavailableError]
+        ] = {}
+        rest: Dict[str, SynthesisPlan] = {}
+        for fingerprint, plan in misses.items():
+            missing = native_mod.plan_isa_features(plan) - toolchain.features
+            if missing:
+                results[fingerprint] = self._refuse(
+                    fingerprint,
+                    NativeUnavailableError(
+                        "host toolchain lacks required ISA features: "
+                        + ", ".join(sorted(missing))
+                    ),
+                )
+            else:
+                rest[fingerprint] = plan
+        if results and rest:
+            results.update(self._native_compile(rest, toolchain))
+        else:
+            for fingerprint, plan in rest.items():
+                results.update(
+                    self._native_compile({fingerprint: plan}, toolchain)
+                )
+        return results
+
+    def _refuse(
+        self, fingerprint: str, error: NativeUnavailableError
+    ) -> NativeUnavailableError:
+        """Negative-cache a plan-level refusal: deterministic for this
+        fingerprint on this host, so the compiler is not asked again."""
+        self._native_bad[fingerprint] = str(error)
+        self._native_failures.inc()
+        self._kind_inc("native", "failures")
+        return error
+
+    def _host_refused(
+        self, misses: Dict[str, SynthesisPlan], error: NativeUnavailableError
+    ) -> Dict[str, NativeUnavailableError]:
+        """Refuse every plan for a host-level cause: no (enabled)
+        toolchain.  The probe result is already memoized module-wide in
+        :mod:`repro.codegen.native`, and the condition can clear within
+        one process (``SEPE_NATIVE`` flipped, probe refresh), so no
+        plan's negative cache is poisoned over it."""
+        refused = _ToolchainUnavailable(str(error))
+        for _ in misses:
+            self._kind_inc("native", "failures")
+        return {fingerprint: refused for fingerprint in misses}
+
+    def _native_disk_path(self, fingerprint: str, toolchain) -> Path:
         """Toolchain-tagged ``.so`` path in the disk tier.
 
         The filename embeds a digest of
@@ -370,7 +531,7 @@ class CompileCache:
         tag = hashlib.sha256(
             toolchain.artifact_key().encode("utf-8")
         ).hexdigest()[:12]
-        return self._source_dir / f"{fingerprint}.native.{name}.{tag}.so"
+        return self._source_dir / f"{fingerprint}.native.{tag}.so"
 
     @staticmethod
     def _read_native_source(so_path: Path) -> str:
@@ -447,6 +608,22 @@ class CompileCache:
                     for kind, stats in self._kind_stats.items()
                 },
             }
+
+
+def _record_unit(unit: Path, entry: Path) -> None:
+    """Record the shared object ``unit`` and its source under another
+    member plan's disk entry ``entry``: a hard link, or a copy where
+    linking fails.  Best-effort, like the rest of the disk tier."""
+    for suffix in (".so", ".cpp"):
+        source, target = unit.with_suffix(suffix), entry.with_suffix(suffix)
+        try:
+            target.unlink(missing_ok=True)
+            try:
+                os.link(source, target)
+            except OSError:
+                shutil.copyfile(source, target)
+        except OSError:
+            pass
 
 
 _DEFAULT_CACHE = CompileCache()

@@ -5,9 +5,10 @@ Python — the generated scalar functions, the NumPy lane kernels, the
 interpreter.  The paper's numbers come from *compiled* specialized hash
 functions, so this tier closes that gap: it takes the JIT translation
 unit from :func:`repro.codegen.cpp_backend.emit_cpp_native` (the hash
-core plus ``extern "C"`` scalar and list entry points, behind a
-header-light prelude that calls the ``pext``/``aesenc`` compiler
-builtins instead of including ``<immintrin.h>``), shells out to the
+cores of one or several plans, each with its own ``extern "C"`` scalar
+and list entry points, behind one header-light prelude that calls the
+``pext``/``aesenc`` compiler builtins instead of including
+``<immintrin.h>``), shells out to the
 system C++ compiler (``c++ -O2 -fPIC -shared -nodefaultlibs -Wl,-z,defs``
 on Linux), and loads the shared object back through
 :class:`ctypes.PyDLL`.  The unit needs no C++ runtime, libm or libgcc,
@@ -32,6 +33,16 @@ stays because without it untraced serve-stream ``call_p99_ms`` rose
 from 0.27–0.29 to 0.69–0.75 ms.  A key it cannot read in place (not
 ``bytes``, or shorter than the kernel reads) sends the batch through
 :func:`_kernel_key` and once more through the entry.
+
+:func:`compile_plans_native` compiles the plans it is given as one
+unit: one :func:`compile_shared_object` call with the union of their ISA
+features, then one :class:`NativeModule` view per plan on the one path
+(the loader maps the object once).  Most of a compile is fixed cost —
+an empty unit costs 21 ms with g++ 12 and the first function in it
+about 10 ms more — so three plans cost 61–64 ms in one unit against
+34–37 ms each alone.  A :class:`~repro.serve.HashService` compiles every
+route registered before it goes live this way, and
+:func:`compile_plan_native` is the one-plan case.
 
 One more unit belongs to no plan: the key scan of the columnar batch
 loop (:func:`~repro.codegen.cpp_backend.emit_scan_unit`).
@@ -123,13 +134,13 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.codegen.cpp_backend import (
-    NATIVE_SYMBOL,
     NATIVE_UNIT_VERSION,
     SCAN_SYMBOL,
     emit_cpp_native,
     emit_scan_unit,
     _JIT_ARM,
     native_min_length,
+    native_symbol,
     plan_isa_features,
     x86_jit_prelude,
 )
@@ -152,6 +163,7 @@ __all__ = [
     "ScanUnit",
     "Toolchain",
     "compile_plan_native",
+    "compile_plans_native",
     "compile_shared_object",
     "detect_toolchain",
     "host_cpu_identity",
@@ -159,6 +171,7 @@ __all__ = [
     "native_available",
     "native_enabled",
     "native_target",
+    "probed_toolchain",
     "reset_native_state",
     "scan_unit",
 ]
@@ -393,7 +406,7 @@ def _kernel_key(key, minimum: int) -> bytes:
 
 
 class NativeModule:
-    """A loaded specialized-hash shared object.
+    """A view of one plan's exports in a loaded JIT shared object.
 
     Calling the module hashes one key through the ``extern "C"`` scalar
     entry point.  :meth:`hash_many` and :meth:`hash_many_array` hash a
@@ -403,15 +416,19 @@ class NativeModule:
     through one :class:`ctypes.PyDLL` load, so a call holds the GIL: the
     list entry reads the keys in place, then releases the GIL and takes
     it straight back (a waiting thread rarely gets it there; see the
-    module docstring).
+    module docstring).  The views of the plans of one unit share its
+    path: the loader maps the object once.
 
     Attributes:
-        path: the ``.so`` on disk (may live in a temp dir owned by this
-            object; the mapping stays valid for the object's lifetime).
+        path: the ``.so`` on disk (may live in a temp dir the views of
+            its unit share; the mapping stays valid for their lifetime).
+        symbol: the stem of the plan's exports
+            (:func:`~repro.codegen.cpp_backend.native_symbol`).
         compiler: identity string of the toolchain that produced it
             (empty when loaded from a cached artifact without metadata).
-        compile_ms: wall-clock compile latency in milliseconds, 0.0 for
-            a disk-cache load that skipped the compiler.
+        compile_ms: wall-clock latency of the compile that built the
+            unit, in milliseconds (every view of one unit reads the
+            same), 0.0 for a disk-cache load that skipped the compiler.
         key_length: the plan's fixed key length, or None.
         min_length: the bytes the kernel reads whatever the key's
             length; a shorter key is zero-filled to it first.
@@ -420,7 +437,7 @@ class NativeModule:
     def __init__(
         self,
         so_path: Path,
-        symbol: str = NATIVE_SYMBOL,
+        symbol: str,
         compiler: str = "",
         compile_ms: float = 0.0,
         key_length: Optional[int] = None,
@@ -506,7 +523,7 @@ class NativeModule:
     def __repr__(self) -> str:
         return (
             f"NativeModule(path={str(self.path)!r}, "
-            f"compiler={self.compiler!r})"
+            f"symbol={self.symbol!r}, compiler={self.compiler!r})"
         )
 
 
@@ -891,6 +908,13 @@ def native_available() -> bool:
         return False
 
 
+def probed_toolchain() -> Optional[Toolchain]:
+    """The toolchain a finished probe returned, without probing: None
+    before the first probe, after a failed one and under
+    ``SEPE_NATIVE=0``."""
+    return _toolchain if native_enabled() else None
+
+
 _probe_lock = threading.Lock()
 _probe_thread: Optional[threading.Thread] = None
 
@@ -1118,61 +1142,70 @@ def _load_scan_unit():
 
 def load_native_module(
     so_path: Path,
-    symbol: str = NATIVE_SYMBOL,
+    plan: SynthesisPlan,
     compiler: str = "",
     compile_ms: float = 0.0,
-    key_length: Optional[int] = None,
-    min_length: Optional[int] = None,
+    _tempdir: Optional[tempfile.TemporaryDirectory] = None,
 ) -> NativeModule:
-    """dlopen an existing shared object and bind its entry points.
+    """dlopen a JIT shared object that holds ``plan`` and bind the
+    plan's entry points (:func:`~repro.codegen.cpp_backend
+    .native_symbol`).
 
-    Pass the plan's ``key_length`` and
-    :func:`~repro.codegen.cpp_backend.native_min_length` when reloading
-    a cached ``.so``: they say how far the kernel reads, so short keys
-    are zero-filled before the call.
+    The view reads the plan's ``key_length`` and
+    :func:`~repro.codegen.cpp_backend.native_min_length`: they say how
+    far the kernel reads, so short keys are zero-filled before the call.
     """
     return NativeModule(
         Path(so_path),
-        symbol=symbol,
+        symbol=native_symbol(plan),
         compiler=compiler,
         compile_ms=compile_ms,
-        key_length=key_length,
-        min_length=min_length,
+        key_length=plan.key_length,
+        min_length=native_min_length(plan),
+        _tempdir=_tempdir,
     )
 
 
-def compile_plan_native(
-    plan: SynthesisPlan,
+def compile_plans_native(
+    plans: Sequence[SynthesisPlan],
     toolchain: Optional[Toolchain] = None,
     out_path: Optional[Path] = None,
-    symbol: str = NATIVE_SYMBOL,
-) -> Tuple[NativeModule, str]:
-    """Emit, compile and load the native module for ``plan``.
+) -> Tuple[List[NativeModule], str]:
+    """Emit, compile and load one native unit for all of ``plans``.
 
-    Returns ``(module, source)`` so callers (the compile cache) can
-    persist the translation unit alongside the artifact.  When
-    ``out_path`` is None the shared object lives in a private temp
-    directory whose lifetime is tied to the returned module.  Without a
-    ``toolchain``, the first compile of a cold process runs beside the
-    toolchain probe (:func:`compile_shared_object`).
+    One :func:`~repro.codegen.cpp_backend.emit_cpp_native` unit, one
+    :func:`compile_shared_object` call with the union of the plans' ISA
+    features (linked against libc only when a plan is variable-length),
+    then one :class:`NativeModule` view per plan on the one path, in
+    ``plans`` order.  Returns ``(modules, source)`` so callers (the
+    compile cache) can persist the translation unit alongside the
+    artifact.  When ``out_path`` is None the shared object lives in a
+    private temp directory that the views share and keep alive.
+    Without a ``toolchain``, the first compile of a cold process runs
+    beside the toolchain probe (:func:`compile_shared_object`).
 
     Raises:
-        NativeUnavailableError: no toolchain, missing ISA feature
-            (e.g. an Aes plan on a host without AES instructions, or
-            the Pext family on aarch64), or a compile/load failure.
+        NativeUnavailableError: no toolchain, a plan needing an ISA
+            feature the host lacks (e.g. an Aes plan on a host without
+            AES instructions, or the Pext family on aarch64), or a
+            compile/load failure: the whole unit fails together.
+        ValueError: for an empty ``plans``.
     """
+    plans = list(plans)
     target = toolchain.target if toolchain is not None else native_target()
     if target is None:
         detect_toolchain()  # raises: the machine is unsupported
     try:
-        source = emit_cpp_native(plan, target=target, symbol=symbol)
+        source = emit_cpp_native(plans, target=target)
     except SynthesisError as exc:
         raise NativeUnavailableError(
             f"plan cannot target {target}: {exc}"
         ) from exc
+    features = frozenset().union(*map(plan_isa_features, plans))
     with span(
         "codegen.native.compile",
-        family=plan.family.value,
+        plans=len(plans),
+        families=",".join(sorted({plan.family.value for plan in plans})),
         target=target,
     ):
         tempdir: Optional[tempfile.TemporaryDirectory] = None
@@ -1184,20 +1217,36 @@ def compile_plan_native(
                 source,
                 out_path,
                 toolchain,
-                libc=not plan.is_fixed_length,
-                features=plan_isa_features(plan),
+                libc=not all(plan.is_fixed_length for plan in plans),
+                features=features,
             )
-            module = NativeModule(
-                Path(out_path),
-                symbol=symbol,
-                compiler=toolchain.identity,
-                compile_ms=elapsed_ms,
-                key_length=plan.key_length,
-                min_length=native_min_length(plan),
-                _tempdir=tempdir,
-            )
+            modules = [
+                load_native_module(
+                    out_path,
+                    plan,
+                    compiler=toolchain.identity,
+                    compile_ms=elapsed_ms,
+                    _tempdir=tempdir,
+                )
+                for plan in plans
+            ]
         except NativeUnavailableError:
             if tempdir is not None:
                 tempdir.cleanup()
             raise
+    return modules, source
+
+
+def compile_plan_native(
+    plan: SynthesisPlan,
+    toolchain: Optional[Toolchain] = None,
+    out_path: Optional[Path] = None,
+) -> Tuple[NativeModule, str]:
+    """Emit, compile and load the native module for ``plan`` alone: the
+    one-plan case of :func:`compile_plans_native`.
+
+    Raises:
+        NativeUnavailableError: as :func:`compile_plans_native`.
+    """
+    (module,), source = compile_plans_native([plan], toolchain, out_path)
     return module, source

@@ -289,13 +289,15 @@ class RouteTable:
                 return route
         return None
 
-    def with_route(self, new_state: RouteState) -> "RouteTable":
-        """A new table with the same-id route replaced (the hot swap)."""
-        if self.get(new_state.route_id) is None:
-            raise KeyError(f"no route {new_state.route_id!r} to replace")
+    def with_route(self, *new_states: RouteState) -> "RouteTable":
+        """A new table with each same-id route replaced (the hot swap;
+        several states replace several routes in one snapshot)."""
+        by_id = {state.route_id: state for state in new_states}
+        for route_id in by_id:
+            if self.get(route_id) is None:
+                raise KeyError(f"no route {route_id!r} to replace")
         replaced = tuple(
-            new_state if route.route_id == new_state.route_id else route
-            for route in self.routes
+            by_id.get(route.route_id, route) for route in self.routes
         )
         return RouteTable(replaced, version=self.version + 1)
 

@@ -219,18 +219,7 @@ class SynthesizedHash:
         if self._native_state == "disabled":
             self._native_state = ""
         if self._native_module is None:
-            from repro.codegen.native import warn_native_fallback
-
-            try:
-                artifact = get_compile_cache().native(
-                    self.plan, name="sepe_native"
-                )
-            except NativeUnavailableError as exc:
-                self._native_state = "unavailable"
-                warn_native_fallback(str(exc))
-                return None
-            self._native_module = artifact.function
-            self._native_state = "loaded"
+            load_native([self])
         return self._native_module
 
     @property
@@ -264,6 +253,41 @@ class SynthesizedHash:
     def cpp_source(self, target: str = "x86") -> str:
         """Emit the C++ the paper's tool would ship for this plan."""
         return emit_cpp(self.plan, target=target)
+
+
+def load_native(hashes: Sequence[SynthesizedHash]) -> None:
+    """Load the native modules of ``hashes``, every plan not compiled
+    yet built into one unit.
+
+    One :meth:`~repro.codegen.cache.CompileCache.native_batch` lookup
+    in the process compile cache for the hashes whose module is not
+    loaded and not refused; each hash's :attr:`~SynthesizedHash
+    .native_module` then returns its view of the unit, or None.  A
+    refused plan is counted and warned about as
+    :attr:`~SynthesizedHash.native_module` does; under ``SEPE_NATIVE=0``
+    nothing is compiled, and each hash counts its fallback on its first
+    :attr:`~SynthesizedHash.native_module` access.
+    """
+    from repro.codegen.native import native_enabled, warn_native_fallback
+
+    pending = [
+        synthesized
+        for synthesized in hashes
+        if synthesized._native_module is None
+        and synthesized._native_state == ""
+    ]
+    if not pending or not native_enabled():
+        return
+    results = get_compile_cache().native_batch(
+        [synthesized.plan for synthesized in pending]
+    )
+    for synthesized, result in zip(pending, results):
+        if isinstance(result, NativeUnavailableError):
+            synthesized._native_state = "unavailable"
+            warn_native_fallback(str(result))
+        else:
+            synthesized._native_module = result.function
+            synthesized._native_state = "loaded"
 
 
 def compile_python(

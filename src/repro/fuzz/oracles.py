@@ -423,15 +423,24 @@ _NATIVE_SKIP_REASON: Optional[str] = None
 
 @_oracle("cpp-native-vs-interp", GROUP_DIFFERENTIAL)
 def check_cpp_native_vs_interp(ctx: CaseContext) -> Optional[str]:
-    """JIT-compiled native entry points agree with the IR interpreter."""
+    """JIT-compiled native entry points agree with the IR interpreter.
+
+    The case's plans are compiled two to a unit, as a service compiles
+    the routes it registers before going live, so every view is read
+    from a unit that holds another plan too.
+    """
     global _NATIVE_SKIP_REASON
     if not ctx.synthesizable:
         return None
-    from repro.codegen.native import detect_toolchain
+    from repro.codegen.native import (
+        compile_plans_native,
+        detect_toolchain,
+        plan_isa_features,
+    )
     from repro.errors import NativeUnavailableError
 
     try:
-        detect_toolchain()
+        toolchain = detect_toolchain()
     except NativeUnavailableError as exc:
         # No usable compiler on this host: skip, but leave a visible
         # trail (counter + module-level reason) so a run of all-skips
@@ -442,48 +451,67 @@ def check_cpp_native_vs_interp(ctx: CaseContext) -> Optional[str]:
 
         get_registry().counter("fuzz.native_skips").inc()
         return None
-    keys = list(ctx.keys)
-    for family in HashFamily:
-        synthesized = ctx.synthesized(family)
-        module = synthesized.native_module
-        if module is None:
-            # Toolchain exists but this plan would not compile (e.g. a
-            # feature probe failed); the degradation path is exercised
-            # elsewhere — a differential skip is not evidence.
+    # A plan needing a feature this host lacks degrades (exercised
+    # elsewhere); a differential skip is not evidence.
+    runnable = [
+        family
+        for family in HashFamily
+        if toolchain.supports(plan_isa_features(ctx.synthesized(family).plan))
+    ]
+    for start in range(0, len(runnable), 2):
+        pair = runnable[start : start + 2]
+        if len(pair) == 1 and len(runnable) > 1:
+            pair.append(runnable[0])
+        try:
+            modules, _ = compile_plans_native(
+                [ctx.synthesized(family).plan for family in pair],
+                toolchain=toolchain,
+            )
+        except NativeUnavailableError:
             continue
-        func = ctx.ir(family)
-        expected = [interpret(func, key) for key in keys]
-        probes = list(zip(keys, expected))
-        length = synthesized.plan.key_length
-        if length is not None:
-            # A fixed-length kernel reads ``length`` bytes: an empty and
-            # a truncated key must zero-fill, not read past their end.
-            for key in [b"", *(key[: length - 1] for key in keys[:1])]:
-                probes.append((key, interpret(func, key)))
-        for key, want in probes:
-            got = module(key)
-            if got != want:
-                return (
-                    f"{family.value}: native scalar {got:#x} != "
-                    f"interpreted {want:#x} for key {key!r}"
-                )
-        batches = [(keys, expected)]
-        if length is not None:
-            ragged = _ragged_batch(keys, length)
-            batches.append((ragged, [interpret(func, key) for key in ragged]))
-        for batch, wanted in batches:
-            batched = module.hash_many(batch)
-            if batched != wanted:
-                index = next(
-                    i
-                    for i, (a, b) in enumerate(zip(batched, wanted))
-                    if a != b
-                )
-                return (
-                    f"{family.value}: native hash_many[{index}] = "
-                    f"{batched[index]:#x} != interpreted "
-                    f"{wanted[index]:#x} for key {batch[index]!r}"
-                )
+        for family, module in zip(pair, modules):
+            failure = _native_mismatch(ctx, family, module)
+            if failure is not None:
+                return failure
+    return None
+
+
+def _native_mismatch(ctx: CaseContext, family: HashFamily, module):
+    """How ``module``'s scalar or list entry disagrees with the
+    interpreter on the case's keys, or None."""
+    keys = list(ctx.keys)
+    synthesized = ctx.synthesized(family)
+    func = ctx.ir(family)
+    expected = [interpret(func, key) for key in keys]
+    probes = list(zip(keys, expected))
+    length = synthesized.plan.key_length
+    if length is not None:
+        # A fixed-length kernel reads ``length`` bytes: an empty and
+        # a truncated key must zero-fill, not read past their end.
+        for key in [b"", *(key[: length - 1] for key in keys[:1])]:
+            probes.append((key, interpret(func, key)))
+    for key, want in probes:
+        got = module(key)
+        if got != want:
+            return (
+                f"{family.value}: native scalar {got:#x} != "
+                f"interpreted {want:#x} for key {key!r}"
+            )
+    batches = [(keys, expected)]
+    if length is not None:
+        ragged = _ragged_batch(keys, length)
+        batches.append((ragged, [interpret(func, key) for key in ragged]))
+    for batch, wanted in batches:
+        batched = module.hash_many(batch)
+        if batched != wanted:
+            index = next(
+                i for i, (a, b) in enumerate(zip(batched, wanted)) if a != b
+            )
+            return (
+                f"{family.value}: native hash_many[{index}] = "
+                f"{batched[index]:#x} != interpreted "
+                f"{wanted[index]:#x} for key {batch[index]!r}"
+            )
     return None
 
 

@@ -479,11 +479,21 @@ def _search_plan(
             extra = [
                 (len(key), _tail_fold(key, tail_start)) for key in keys
             ]
-        if not pool:
-            # Nothing to select: a single key, or keys that differ only
-            # in their variable-length tails.  The structural baseline
-            # plan (which folds the tail) is the only candidate; the
-            # exhaustive certification pass decides.
+        reasons: List[str] = []
+        outcome = None
+        if pool:
+            try:
+                outcome = select_distinguishing_bits(
+                    keys, pool, extra=extra, budget=budget
+                )
+            except PerfectSearchError as error:
+                reasons.append(str(error))
+        if not pool or (outcome is not None and not outcome.bits):
+            # Nothing to select (keys that differ only in their
+            # variable-length tails), or nothing selected: a single key,
+            # or keys their tail symbols already separate.  The
+            # structural baseline plan (which folds the tail) is the
+            # only candidate; the exhaustive certification pass decides.
             plan = replace(baseline, final_mix=final_mix, perfect=True)
             outcome = SearchOutcome((), "structural", 0, 0, False)
             if _collisions(plan, keys):
@@ -493,14 +503,6 @@ def _search_plan(
                     "plan vocabulary"
                 )
             return plan, outcome
-        reasons: List[str] = []
-        try:
-            outcome = select_distinguishing_bits(
-                keys, pool, extra=extra, budget=budget
-            )
-        except PerfectSearchError as error:
-            reasons.append(str(error))
-            outcome = None
         if outcome is not None:
             plan = _packed_plan(pattern, regex, outcome.bits, final_mix)
             if pattern.is_fixed_length:

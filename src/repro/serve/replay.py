@@ -217,8 +217,10 @@ def run_replay(
 ) -> Dict[str, object]:
     """Run one replay; returns a plain-dict report.
 
-    The service is constructed fresh (routes registered, native tier
-    pre-compiled), the reconciler started when drift injection is on,
+    The service is constructed fresh (routes registered, then gone live
+    with :meth:`~repro.serve.service.HashService.ready`, so every route
+    is on its native tier when the producers start), the reconciler
+    started when drift injection is on,
     and all threads released together — so the measured window covers
     submission and flushing only, not synthesis.  After the stream
     drains, one final deterministic reconcile pass catches a drift
@@ -238,6 +240,9 @@ def run_replay(
     )
     for name in config.key_types:
         service.register(key_spec(name).regex, label=name)
+    # Go live before the barrier: the routes' one native compile is
+    # set-up, never paid by a producer binding its lane.
+    service.ready()
     reconciler = None
     if config.drift:
         reconciler = service.start(

@@ -19,6 +19,18 @@ Traffic interfaces:
 - :meth:`hash` / :meth:`hash_many` / :meth:`hash_many_array` —
   synchronous, for request/response callers.
 
+Go-live: a route registered before the service goes live is installed
+at once on its NumPy (or Python) tier and queued.  Going live — the
+first of :meth:`ready`, :meth:`start` and the first thread binding a
+lane — compiles every queued plan as one native unit (one compiler run,
+one load and, in a cold process, one toolchain probe; see
+:func:`repro.codegen.native.compile_plans_native`) and installs the
+native states in one table snapshot, under the admin lock, before it
+returns.  Tiers agree bit for bit, so that upgrade changes no hash
+value: each native state keeps its route's id and generation, and it is
+not counted as a swap.  A route registered after go-live compiles at
+once.
+
 Hot swaps: the reconciler (or any caller of :meth:`swap_route`) builds
 a fresh :class:`RouteState` — plan re-synthesized under
 ``verify="strict"``, callables pre-compiled — and the service installs
@@ -46,7 +58,7 @@ from typing import (
 from repro.core.inference import KeyLike, infer_pattern
 from repro.core.plan import HashFamily
 from repro.core.routes import RouteState, RouteTable, build_route_state
-from repro.core.synthesis import FormatSource, SynthesizedHash
+from repro.core.synthesis import FormatSource, SynthesizedHash, load_native
 from repro.hashes.murmur_stl import stl_hash_bytes
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -135,6 +147,10 @@ class HashService:
         self._tls = threading.local()
         self._assigned = 0
         self._route_serial = 0
+        # Routes registered before go-live, on their NumPy tier until
+        # :meth:`_go_live` compiles them as one native unit.
+        self._live = False
+        self._queued: List[RouteState] = []
         self._started_monotonic = time.monotonic()
         self._reconciler = None
         self._swap_counter = self.registry.counter("serve.swaps")
@@ -156,7 +172,12 @@ class HashService:
         """Register a format; synthesizes unless given an artifact.
 
         Safe to call while traffic is flowing: the new table installs
-        by reference swap like a hot swap does.
+        by reference swap like a hot swap does.  Before the service goes
+        live (:meth:`ready`) the route is installed on its NumPy (or
+        Python) tier and queued, and the returned state is that tier's:
+        going live compiles every queued plan as one native unit and
+        installs the native states.  After go-live the route's native
+        module is compiled here, before the route is installed.
 
         Raises:
             SynthesisError: for unsupported formats (sub-word keys go
@@ -170,11 +191,13 @@ class HashService:
                 route_id,
                 source,
                 family=family or self.family,
-                prefer_native=self.prefer_native,
+                prefer_native=self.prefer_native and self._live,
                 verify=self.verify,
                 label=label,
             )
             self._install_table(self._table.added(state))
+            if self.prefer_native and not self._live:
+                self._queued.append(state)
             return state
 
     def register_examples(
@@ -185,6 +208,46 @@ class HashService:
     ) -> RouteState:
         """Register a format inferred from example keys (Figure 5a)."""
         return self.register(infer_pattern(keys), family=family, label=label)
+
+    def ready(self) -> None:
+        """Go live: compile every route registered so far into one native
+        unit and install the native states before returning.
+
+        One compiler run, one load and, in a cold process, one toolchain
+        probe serve all of them (:func:`repro.core.synthesis
+        .load_native`).  Each native state keeps its route's
+        ``route_id`` and ``generation``: the upgrade changes no hash
+        value, so it is not a swap (``serve.swaps`` does not count it).
+        A route whose plan the native tier refuses stays on its NumPy
+        tier, with the fallback counted.  :meth:`start` and the first
+        thread to bind a lane go live too; after go-live,
+        :meth:`register` compiles at once, and calling this again does
+        nothing.
+        """
+        with self._admin_lock:
+            self._go_live()
+
+    def _go_live(self) -> None:
+        """:meth:`ready` with the admin lock held."""
+        if self._live:
+            return
+        self._live = True
+        queued, self._queued = self._queued, []
+        load_native([state.synthesized for state in queued])
+        upgrades = [
+            RouteState(
+                state.route_id,
+                state.synthesized,
+                generation=state.generation,
+                label=state.label,
+            )
+            for state in queued
+            # A route swapped since it was queued keeps its successor.
+            if self._table.get(state.route_id) is state
+        ]
+        upgrades = [state for state in upgrades if state.native]
+        if upgrades:
+            self._install_table(self._table.with_route(*upgrades))
 
     def _install_table(self, table: RouteTable) -> None:
         """Point every shard at a new snapshot (admin lock held).
@@ -226,6 +289,7 @@ class HashService:
 
     def _bind_caller(self) -> Shard:
         with self._admin_lock:
+            self._go_live()
             index = self._assigned
             self._assigned += 1
             if index < self._lanes:
@@ -308,7 +372,8 @@ class HashService:
         drift_min_keys: int = 64,
         affinity_threshold: float = 0.5,
     ):
-        """Start the background reconciler; returns it.
+        """Go live (:meth:`ready`), then start the background reconciler;
+        returns it.
 
         Raises:
             RuntimeError: when already started.
@@ -318,6 +383,7 @@ class HashService:
         with self._admin_lock:
             if self._reconciler is not None:
                 raise RuntimeError("reconciler already running")
+            self._go_live()
             reconciler = Reconciler(
                 self,
                 interval=interval,

@@ -241,9 +241,7 @@ class TestNativeArtifactTag:
         )
         fields.update(overrides)
         cache = CompileCache(registry=MetricsRegistry(), source_dir=tmp_path)
-        return cache._native_disk_path(
-            "f" * 64, "sepe_native", Toolchain(**fields)
-        )
+        return cache._native_disk_path("f" * 64, Toolchain(**fields))
 
     def test_same_toolchain_same_path(self, tmp_path):
         assert self._path(tmp_path) == self._path(tmp_path)

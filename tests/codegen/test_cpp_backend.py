@@ -9,6 +9,7 @@ from repro.codegen.cpp_backend import (
     emit_cpp,
     emit_cpp_native,
     emit_skip_table_cpp,
+    native_symbol,
     plan_isa_features,
     x86_jit_prelude,
 )
@@ -186,13 +187,13 @@ class TestJitUnit:
 
     @pytest.mark.parametrize("family,regex,target", SHIPPED_CASES)
     def test_no_heavy_headers_and_no_functor(self, family, regex, target):
-        source = emit_cpp_native(
-            synthesize(regex, HashFamily(family)).plan, target
-        )
+        plan = synthesize(regex, HashFamily(family)).plan
+        source = emit_cpp_native([plan], target)
+        symbol = native_symbol(plan)
         assert "#include <string>" not in source
         assert "struct synthesized" not in source
-        assert 'extern "C" uint64_t sepe_native_hash(' in source
-        assert 'extern "C" size_t sepe_native_hash_list(' in source
+        assert f'extern "C" uint64_t {symbol}_hash(' in source
+        assert f'extern "C" size_t {symbol}_hash_list(' in source
         if target == "x86":
             assert "immintrin" not in source
             assert "_mm_" not in source and "_pext_u64" not in source
@@ -210,7 +211,7 @@ class TestJitUnit:
             return body[: body.index("\n}\n")]
 
         shipped, jit = core(emit_cpp(plan, target)), core(
-            emit_cpp_native(plan, target)
+            emit_cpp_native([plan], target)
         )
         spellings = [
             ("_pext_u64", "sepe_pext"),
@@ -223,18 +224,20 @@ class TestJitUnit:
             assert shipped.count(ours) == jit.count(theirs)
 
     def test_prelude_helpers_follow_plan_features(self):
-        word = emit_cpp_native(make_plan())
+        word = emit_cpp_native([make_plan()])
         assert "__builtin_ia32" not in word
         pext = emit_cpp_native(
-            make_plan(
-                family=HashFamily.PEXT,
-                loads=(LoadOp(0, mask=0x0F0F), LoadOp(8)),
-            )
+            [
+                make_plan(
+                    family=HashFamily.PEXT,
+                    loads=(LoadOp(0, mask=0x0F0F), LoadOp(8)),
+                )
+            ]
         )
         assert "__builtin_ia32_pext_di" in pext
         assert "__builtin_ia32_aesenc128" not in pext
         aes = emit_cpp_native(
-            make_plan(family=HashFamily.AES, combine=CombineOp.AESENC)
+            [make_plan(family=HashFamily.AES, combine=CombineOp.AESENC)]
         )
         assert "__builtin_ia32_aesenc128" in aes
         assert "__builtin_ia32_pext_di" not in aes
@@ -242,7 +245,7 @@ class TestJitUnit:
     def test_prelude_is_the_probe_prelude(self):
         plan = make_plan(family=HashFamily.AES, combine=CombineOp.AESENC)
         assert plan_isa_features(plan) == {"aes"}
-        assert x86_jit_prelude({"aes"}) in emit_cpp_native(plan)
+        assert x86_jit_prelude({"aes"}) in emit_cpp_native([plan])
         assert "#include <" not in x86_jit_prelude({"aes", "pext"}).replace(
             "#include <cstddef>\n#include <cstdint>\n#include <cstring>\n",
             "",
@@ -253,4 +256,4 @@ class TestJitUnit:
             family=HashFamily.PEXT, loads=(LoadOp(0, mask=0x0F0F),)
         )
         with pytest.raises(SynthesisError):
-            emit_cpp_native(plan, "aarch64")
+            emit_cpp_native([plan], "aarch64")

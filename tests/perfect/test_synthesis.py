@@ -136,6 +136,18 @@ class TestRefusals:
                                       "PUT\x00\x00\x00\x00\x00"])
         assert perfect.certificate.certified
 
+    @pytest.mark.parametrize("format", [None, r"\d{3}-\d{2}-\d{4}"])
+    def test_one_key_set_certifies(self, format):
+        """One key needs no selected bit, with its format inferred or
+        given: the structural plan certifies."""
+        key = b"123-45-6789"
+        perfect = synthesize_perfect([key], format=format)
+        assert perfect.certificate.certified
+        assert perfect.certificate.strategy == "structural"
+        assert perfect.certificate.selected_bits == ()
+        func = optimize(build_ir(perfect.plan, name="f"))
+        assert perfect(key) == interpret(func, key)
+
 
 class TestFormatCheck:
     FORMAT = r"\d{3}-\d{2}-\d{4}"

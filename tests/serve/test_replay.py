@@ -126,6 +126,43 @@ class TestRunReplay:
         assert report["delivered"] == report["submitted"]
         assert report["hash_errors"] == 0
 
+    @pytest.mark.native
+    def test_every_route_is_native_when_producers_start(self, monkeypatch):
+        """The replay goes live before its barrier: the producers find
+        every route on its native tier and never pay the compile."""
+        from repro.codegen import native as native_mod
+        from repro.serve import replay
+
+        if not native_mod.native_available():
+            pytest.skip("no working C++ toolchain on this host")
+        if not native_mod.detect_toolchain().supports({"pext"}):
+            pytest.skip("host toolchain lacks pext")
+        compiles = native_mod.get_registry().counter(
+            "codegen.native.compiles"
+        )
+        seen = []
+        real_worker = replay._submit_worker
+
+        def worker(service, *args):
+            seen.append(
+                (
+                    [route.native for route in service.table.routes],
+                    compiles.value,
+                )
+            )
+            real_worker(service, *args)
+
+        monkeypatch.setattr(replay, "_submit_worker", worker)
+        config = ReplayConfig(**dict(SMALL, keys_per_thread=500))
+        report = run_replay(config)
+        assert report["hash_errors"] == 0
+        routes = len(config.key_types)
+        assert [native for native, _ in seen] == [
+            [True] * routes
+        ] * config.threads
+        # No compile ran between the producers' starts.
+        assert len({count for _, count in seen}) == 1
+
 
 class TestScalingRatio:
     def test_ratio_of_widest_over_one_shard(self):

@@ -232,9 +232,12 @@ class TestSharding:
         assert sorted(lock_held) == [
             (0, False), (1, False), (2, True), (2, True), (2, True)
         ]
-        # The overflow lane takes part in table installs like the rest.
+        # The overflow lane takes part in table installs like the rest
+        # (register, the native upgrade at go-live, register).
         svc.register(MAC)
-        assert {shard.table.version for shard in lanes} == {2}
+        assert {shard.table.version for shard in lanes} == {
+            3 if svc.table.routes[0].native else 2
+        }
 
     def test_oversubscribed_service_loses_nothing(self):
         # 6 submitter threads on 2 lanes: two own a lane, four share
@@ -312,7 +315,9 @@ class TestSharding:
             generation=state.generation + 1,
         )
         svc.swap_route(successor)
-        assert svc.table.version == 2  # register + swap
+        # register, the native upgrade at go-live (where the plan
+        # compiles, as its successor's did), swap
+        assert svc.table.version == (3 if successor.native else 2)
         for key in keys[32:]:
             svc.submit(key)
         svc.flush()
