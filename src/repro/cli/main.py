@@ -230,7 +230,6 @@ def _run_obs(args: argparse.Namespace) -> int:
     print(
         f"compile cache: {cache_stats['hits']} hits, "
         f"{cache_stats['misses']} misses, "
-        f"{cache_stats['disk_hits']} disk hits, "
         f"{cache_stats['entries']} entries "
         f"({exec_calls} exec calls this process)"
     )
@@ -238,8 +237,7 @@ def _run_obs(args: argparse.Namespace) -> int:
         kind_stats = cache_stats["kinds"][kind]
         line = (
             f"  {kind:6s}: {kind_stats['hits']} hits, "
-            f"{kind_stats['misses']} misses, "
-            f"{kind_stats['disk_hits']} disk reuse"
+            f"{kind_stats['misses']} misses"
         )
         if kind == "native":
             line += (

@@ -23,8 +23,8 @@ Two amortization layers sit alongside the backends:
   NumPy lane body that removes per-key call overhead or the scalar
   function mapped over the keys.
 - :mod:`repro.codegen.cache` — a content-addressed compile cache so
-  repeated synthesis of the same plan skips IR, emission, and ``exec``
-  (and, for the native kind, persists and reloads the compiled ``.so``).
+  repeated synthesis of the same plan in one process skips IR,
+  emission, and ``exec`` (and, for the native kind, the compiler).
 """
 
 from repro.codegen.batch import emit_python_module

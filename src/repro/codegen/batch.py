@@ -108,8 +108,6 @@ def _emit_vector_arith(
         lines.append(f"    {dest} = {args[0]} ^ {args[1]}")
     elif op == "or":
         lines.append(f"    {dest} = {args[0]} | {args[1]}")
-    elif op == "add":
-        lines.append(f"    {dest} = {args[0]} + {args[1]}")
 
 
 # The lane function opens with LANE_PROLOGUE before its stages; the
@@ -174,7 +172,7 @@ def lane_stages(
                         f"    {dest} = _wb.view('<u8').ravel()",
                     ]
                 )
-        elif op in ("pext", "shl", "shr", "mul64", "rotl", "xor", "or", "add"):
+        elif op in ("pext", "shl", "shr", "mul64", "rotl", "xor", "or"):
             # uint64 lane arrays wrap implicitly, so the emitted ops
             # carry no `& MASK64`.  A per-plan Python-int operand would
             # break that invariant (ints don't wrap), and 128-bit column

@@ -8,29 +8,17 @@ work that has already been done.  This module memoizes that tail of the
 pipeline behind a stable *plan fingerprint* (SHA-256 over a canonical
 JSON rendering of every codegen-relevant plan field).
 
-Two tiers:
-
-- an in-memory LRU of :class:`CompiledArtifact` (source + callable),
-  keyed by ``(fingerprint, function name, python|native)`` (the
-  native kind has no name: its exports are named from the
-  fingerprint) — a warm
-  hit performs **zero** ``exec`` calls (pinned by
-  ``tests.codegen.test_cache`` via the ``codegen.python.exec_calls``
-  counter) and, for the native kind, zero compiler invocations.  The
-  ``python`` kind is one module per plan: a cold miss lowers, emits
-  and runs ``exec`` once, and the scalar function it returns carries the
-  batch entry as ``.many`` (:func:`repro.codegen.batch
-  .emit_python_module`);
-- an optional on-disk tier (``source_dir``): generated Python source is
-  persisted as one ``.py`` file per plan, named by fingerprint *and*
-  lowering version (a process restart skips IR construction and
-  emission, paying only the ``exec``; a newer emitter never loads an
-  older one's source), and
-  native shared objects as ``.so`` files tagged with the toolchain's
-  artifact key — compiler, flags, features, JIT unit version and host
-  CPU (a restart skips the C++ compiler entirely and goes straight to
-  ``dlopen``).  A unit compiled for several plans is recorded under
-  each member's entry.
+The cache is an in-memory LRU of :class:`CompiledArtifact` (source +
+callable), keyed by ``(fingerprint, function name, python|native)``
+(the native kind has no name: its exports are named from the
+fingerprint).  A warm hit performs **zero** ``exec`` calls (pinned by
+``tests.codegen.test_cache`` via the ``codegen.python.exec_calls``
+counter) and, for the native kind, zero compiler invocations.  The
+``python`` kind is one module per plan: a cold miss lowers, emits and
+runs ``exec`` once, and the scalar function it returns carries the
+batch entry as ``.many`` (:func:`repro.codegen.batch
+.emit_python_module`).  Nothing is persisted: every process starts
+cold.
 
 The ``native`` kind delegates compilation to
 :mod:`repro.codegen.native`.  :meth:`CompileCache.native_batch` compiles
@@ -51,17 +39,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import shutil
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.codegen.batch import emit_python_module
 from repro.codegen.ir import IRFunction, build_ir, optimize
-from repro.codegen.python_backend import LOWERING_VERSION, compile_source
+from repro.codegen.python_backend import compile_source
 from repro.core.plan import SynthesisPlan
 from repro.errors import NativeUnavailableError
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -109,8 +94,6 @@ def plan_fingerprint(plan: SynthesisPlan) -> str:
         "final_mix": plan.final_mix,
     }
     if plan.perfect:
-        # Included only when set so every pre-existing plan keeps its
-        # fingerprint (and any on-disk cached artifact stays valid).
         payload["perfect"] = True
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -125,10 +108,8 @@ class CompiledArtifact:
     ``function.many``.  For the ``native`` kind, ``function`` is a
     :class:`repro.codegen.native.NativeModule` — callable for the
     scalar entry point, with ``.hash_many`` for the batched one — and
-    ``source`` is the C++ translation unit (empty when the artifact was
-    reloaded from a cached ``.so`` whose companion source is gone).
-    ``ir`` is the optimized IR a ``python`` module was lowered from, or
-    None when its source came from the on-disk tier.
+    ``source`` is the C++ translation unit.  ``ir`` is the optimized IR
+    a ``python`` module was lowered from (None for the ``native`` kind).
     """
 
     fingerprint: str
@@ -147,19 +128,12 @@ class CompileCache:
             evicted beyond it.
         registry: metrics registry for the hit/miss/eviction counters
             (the process-wide one by default, so ``sepe obs`` sees it).
-        source_dir: when set, generated source is also persisted to
-            ``<fingerprint>.python.v<version>.<name>.py`` files there
-            (``version`` is
-            :data:`~repro.codegen.python_backend.LOWERING_VERSION`) and
-            reloaded on an in-memory miss, skipping IR construction and
-            emission.
     """
 
     def __init__(
         self,
         maxsize: int = 256,
         registry: Optional[MetricsRegistry] = None,
-        source_dir: Optional[Union[str, Path]] = None,
     ):
         if maxsize < 1:
             raise ValueError("cache maxsize must be at least 1")
@@ -167,11 +141,9 @@ class CompileCache:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple[str, str, str], CompiledArtifact]"
         self._entries = OrderedDict()
-        self._source_dir = Path(source_dir) if source_dir else None
         registry = registry if registry is not None else get_registry()
         self._hits = registry.counter("codegen.cache.hits")
         self._misses = registry.counter("codegen.cache.misses")
-        self._disk_hits = registry.counter("codegen.cache.disk_hits")
         self._evictions = registry.counter("codegen.cache.evictions")
         self._native_failures = registry.counter(
             "codegen.cache.native_failures"
@@ -204,9 +176,7 @@ class CompileCache:
 
         The artifact's ``function`` is a
         :class:`repro.codegen.native.NativeModule`: call it for one key,
-        use ``.hash_many`` for a batch.  With a ``source_dir``, the
-        shared object is persisted and a later synthesis of the same
-        plan (same compiler) dlopens it without invoking the compiler.
+        use ``.hash_many`` for a batch.
 
         Raises:
             NativeUnavailableError: no working toolchain, missing ISA
@@ -226,19 +196,16 @@ class CompileCache:
 
         Returns one entry per plan, in order: its artifact, or the
         :class:`~repro.errors.NativeUnavailableError` that refused it.
-        Memory hits, negative-cache hits and disk hits are served plan by
-        plan as :meth:`native` serves them; the remaining plans are
-        compiled into one unit (:func:`repro.codegen.native
-        .compile_plans_native`), one compiler run and one load, and each
-        plan's artifact is a view of that unit.  With a ``source_dir``
-        the unit is recorded under every member's entry (a hard link, or
-        a copy where linking fails), so a later lookup of any of them
-        loads it without the compiler.  Failures stay per plan: a plan
-        whose ISA features the probed toolchain lacks is negative-cached
-        and the rest still compile together, and when the unit fails to
-        compile each plan is retried alone, so only the plans that fail
-        alone enter the negative cache.  A host without a toolchain
-        refuses every plan and caches none of the refusals.
+        Memory hits and negative-cache hits are served plan by plan as
+        :meth:`native` serves them; the remaining plans are compiled into
+        one unit (:func:`repro.codegen.native.compile_plans_native`), one
+        compiler run and one load, and each plan's artifact is a view of
+        that unit.  Failures stay per plan: a plan whose ISA features the
+        probed toolchain lacks is negative-cached and the rest still
+        compile together, and when the unit fails to compile each plan
+        is retried alone, so only the plans that fail alone enter the
+        negative cache.  A host without a toolchain refuses every plan
+        and caches none of the refusals.
         """
         fingerprints = [plan_fingerprint(plan) for plan in plans]
         results: Dict[str, Union[CompiledArtifact, NativeUnavailableError]]
@@ -265,8 +232,8 @@ class CompileCache:
                 self._kind_inc("native", "misses")
                 misses[fingerprint] = plan
             if misses:
-                for fingerprint, result in self._native_misses(
-                    misses
+                for fingerprint, result in self._native_compile(
+                    misses, None
                 ).items():
                     results[fingerprint] = result
                     if isinstance(result, CompiledArtifact):
@@ -276,13 +243,7 @@ class CompileCache:
     def _kind_inc(self, kind: str, event: str) -> None:
         stats = self._kind_stats.setdefault(
             kind,
-            {
-                "hits": 0,
-                "misses": 0,
-                "disk_hits": 0,
-                "failures": 0,
-                "negative_hits": 0,
-            },
+            dict.fromkeys(("hits", "misses", "failures", "negative_hits"), 0),
         )
         stats[event] += 1
 
@@ -314,15 +275,9 @@ class CompileCache:
     def _compile_miss(
         self, plan: SynthesisPlan, name: str, fingerprint: str
     ) -> CompiledArtifact:
-        source = self._read_disk(fingerprint, name)
-        func = None
-        if source is not None:
-            self._disk_hits.inc()
-        else:
-            with span("codegen.ir"):
-                func = optimize(build_ir(plan, name=name))
-            source = emit_python_module(func)
-            self._write_disk(fingerprint, name, source)
+        with span("codegen.ir"):
+            func = optimize(build_ir(plan, name=name))
+        source = emit_python_module(func)
         with span("codegen.python.compile", function=name):
             function = compile_source(source, name)
         return CompiledArtifact(
@@ -334,69 +289,15 @@ class CompileCache:
             ir=func,
         )
 
-    def _native_misses(
-        self, misses: Dict[str, SynthesisPlan]
-    ) -> Dict[str, Union[CompiledArtifact, NativeUnavailableError]]:
-        """Serve ``misses`` (fingerprint -> plan; lock held) from the
-        disk tier where it holds them, and compile the rest as one
-        unit."""
-        # Imported lazily: the native tier pulls in ctypes/subprocess
-        # machinery that pure-Python callers never need.
-        from repro.codegen import native as native_mod
-
-        results: Dict[str, Union[CompiledArtifact, NativeUnavailableError]]
-        results = {}
-        toolchain = None
-        if self._source_dir is not None:
-            # The persisted object's name needs the probed toolchain;
-            # without a disk tier the compile runs beside the probe.
-            try:
-                toolchain = native_mod.detect_toolchain()
-            except NativeUnavailableError as exc:
-                return self._host_refused(misses, exc)
-            misses = dict(misses)
-            for fingerprint, plan in list(misses.items()):
-                artifact = self._native_disk_hit(
-                    fingerprint, plan, toolchain
-                )
-                if artifact is not None:
-                    results[fingerprint] = artifact
-                    del misses[fingerprint]
-        if misses:
-            results.update(self._native_compile(misses, toolchain))
-        return results
-
-    def _native_disk_hit(
-        self, fingerprint: str, plan: SynthesisPlan, toolchain
-    ) -> Optional[CompiledArtifact]:
-        """The plan's view of a unit persisted under its entry, or None."""
-        from repro.codegen import native as native_mod
-
-        so_path = self._native_disk_path(fingerprint, toolchain)
-        if not so_path.exists():
-            return None
-        try:
-            module = native_mod.load_native_module(
-                so_path, plan, compiler=toolchain.identity
-            )
-        except NativeUnavailableError:
-            return None  # Stale/corrupt artifact: recompile.
-        self._disk_hits.inc()
-        self._kind_inc("native", "disk_hits")
-        return CompiledArtifact(
-            fingerprint=fingerprint,
-            name=module.symbol,
-            kind="native",
-            source=self._read_native_source(so_path),
-            function=module,
-        )
-
     def _native_compile(
         self, misses: Dict[str, SynthesisPlan], toolchain
     ) -> Dict[str, Union[CompiledArtifact, NativeUnavailableError]]:
-        """Compile ``misses`` as one unit.  Where the toolchain is
-        probed already, the plans it cannot run are left out first; a
-        refused unit goes to :meth:`_native_refused`."""
+        """Compile ``misses`` (fingerprint -> plan; lock held) as one
+        unit.  Where the toolchain is probed already, the plans it cannot
+        run are left out first; a refused unit goes to
+        :meth:`_native_refused`."""
+        # Imported lazily: the native tier pulls in ctypes/subprocess
+        # machinery that pure-Python callers never need.
         from repro.codegen import native as native_mod
 
         known = toolchain or native_mod.probed_toolchain()
@@ -406,32 +307,12 @@ class CompileCache:
         ):
             # Leave the plans the host cannot run out of the unit.
             return self._native_refused(misses, known, None)
-        paths = (
-            [
-                self._native_disk_path(fingerprint, toolchain)
-                for fingerprint in misses
-            ]
-            if self._source_dir is not None and toolchain is not None
-            else [None]
-        )
-        plans = list(misses.values())
         try:
-            try:
-                modules, source = native_mod.compile_plans_native(
-                    plans, toolchain=toolchain, out_path=paths[0]
-                )
-            except OSError:
-                # Unwritable source_dir: retry into a private temp dir
-                # so a broken disk tier cannot take the native tier down
-                # with it.
-                paths = [None]
-                modules, source = native_mod.compile_plans_native(
-                    plans, toolchain=toolchain, out_path=None
-                )
+            modules, source = native_mod.compile_plans_native(
+                list(misses.values()), toolchain=toolchain
+            )
         except NativeUnavailableError as exc:
             return self._native_refused(misses, toolchain, exc)
-        for path in paths[1:]:
-            _record_unit(paths[0], path)
         return {
             fingerprint: CompiledArtifact(
                 fingerprint=fingerprint,
@@ -517,63 +398,6 @@ class CompileCache:
             self._kind_inc("native", "failures")
         return {fingerprint: refused for fingerprint in misses}
 
-    def _native_disk_path(self, fingerprint: str, toolchain) -> Path:
-        """Toolchain-tagged ``.so`` path in the disk tier.
-
-        The filename embeds a digest of
-        :meth:`~repro.codegen.native.Toolchain.artifact_key`: compiler
-        identity, flags, features, JIT unit version and, under
-        ``-march=native``, the host CPU.  Shared objects from another
-        toolchain, flag set or CPU never collide, so a cache dir shared
-        between hosts recompiles instead of dlopening an object that
-        may use instructions this CPU lacks.
-        """
-        tag = hashlib.sha256(
-            toolchain.artifact_key().encode("utf-8")
-        ).hexdigest()[:12]
-        return self._source_dir / f"{fingerprint}.native.{tag}.so"
-
-    @staticmethod
-    def _read_native_source(so_path: Path) -> str:
-        try:
-            return so_path.with_suffix(".cpp").read_text(
-                encoding="utf-8"
-            )
-        except OSError:
-            return ""
-
-    # -- on-disk source tier --------------------------------------------
-
-    def _disk_path(self, fingerprint: str, name: str) -> Path:
-        """``<fingerprint>.python.v<LOWERING_VERSION>.<name>.py``: the
-        fingerprint names the plan, the version the emitter, so source
-        persisted by an older lowering is re-emitted, never exec'd."""
-        assert self._source_dir is not None
-        return (
-            self._source_dir
-            / f"{fingerprint}.python.v{LOWERING_VERSION}.{name}.py"
-        )
-
-    def _read_disk(self, fingerprint: str, name: str) -> Optional[str]:
-        if self._source_dir is None:
-            return None
-        path = self._disk_path(fingerprint, name)
-        try:
-            return path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-
-    def _write_disk(self, fingerprint: str, name: str, source: str) -> None:
-        if self._source_dir is None:
-            return
-        try:
-            self._source_dir.mkdir(parents=True, exist_ok=True)
-            self._disk_path(fingerprint, name).write_text(
-                source, encoding="utf-8"
-            )
-        except OSError:
-            pass  # Disk tier is best-effort; memory tier already holds it.
-
     # -- maintenance -----------------------------------------------------
 
     def __len__(self) -> int:
@@ -588,19 +412,18 @@ class CompileCache:
     def stats(self) -> Dict[str, object]:
         """Counter snapshot: process-wide aggregates plus per-kind.
 
-        The flat keys (``hits``/``misses``/``disk_hits``/``evictions``)
-        are the historical aggregates across every kind; ``kinds`` maps
-        each kind ever requested (``python``/``native``) to
-        its own ``hits``/``misses``/``disk_hits``/``failures``/
-        ``negative_hits`` breakdown.  ``native_failures`` counts plans
-        whose native compile failed and entered the negative cache.
+        The flat keys (``hits``/``misses``/``evictions``) are the
+        aggregates across every kind; ``kinds`` maps each kind ever
+        requested (``python``/``native``) to its own ``hits``/``misses``/
+        ``failures``/``negative_hits`` breakdown.  ``native_failures``
+        counts plans whose native compile failed and entered the negative
+        cache.
         """
         with self._lock:
             return {
                 "entries": len(self._entries),
                 "hits": self._hits.value,
                 "misses": self._misses.value,
-                "disk_hits": self._disk_hits.value,
                 "evictions": self._evictions.value,
                 "native_failures": self._native_failures.value,
                 "kinds": {
@@ -608,22 +431,6 @@ class CompileCache:
                     for kind, stats in self._kind_stats.items()
                 },
             }
-
-
-def _record_unit(unit: Path, entry: Path) -> None:
-    """Record the shared object ``unit`` and its source under another
-    member plan's disk entry ``entry``: a hard link, or a copy where
-    linking fails.  Best-effort, like the rest of the disk tier."""
-    for suffix in (".so", ".cpp"):
-        source, target = unit.with_suffix(suffix), entry.with_suffix(suffix)
-        try:
-            target.unlink(missing_ok=True)
-            try:
-                os.link(source, target)
-            except OSError:
-                shutil.copyfile(source, target)
-        except OSError:
-            pass
 
 
 _DEFAULT_CACHE = CompileCache()

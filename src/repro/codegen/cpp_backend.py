@@ -136,14 +136,6 @@ static inline sepe_v2di sepe_aesenc(sepe_v2di state, sepe_v2di key) {
 CORE_FUNCTION = "sepe_hash_core"
 """Name of the emitted ``(const char*, size_t) -> uint64_t`` core."""
 
-NATIVE_UNIT_VERSION = 4
-"""Version of the :func:`emit_cpp_native` unit; bumped whenever its
-prelude or ABI changes, so a shared object persisted from an older unit
-is recompiled rather than loaded (2: the header-light x86 prelude; 3:
-the list entry replaces the pointer-array batch entry, and the x86
-prelude includes no header; 4: one unit holds several plans, each core
-in its own namespace, with exports named by :func:`native_symbol`)."""
-
 _PYTHON_API = """\
 // The Python C API calls of the list entry, declared by hand instead of
 // through <Python.h> and weak, so the unit links without libpython and

@@ -88,8 +88,6 @@ def _interpret(
             value = get(args[0]) ^ get(args[1])
         elif op == "or":
             value = get(args[0]) | get(args[1])
-        elif op == "add":
-            value = (get(args[0]) + get(args[1])) & MASK64
         elif op == "aes_absorb":
             state, lo, hi = (get(a) for a in args)
             value = aesenc(state ^ (lo | (hi << 64)), AES_ROUND_KEY)

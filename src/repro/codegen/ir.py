@@ -21,7 +21,6 @@ opcode / args          meaning
 ``rotl src amount``    dest = src rotated left by ``amount``
 ``xor a b``            dest = a ^ b
 ``or a b``             dest = a | b
-``add a b``            dest = (a + b) mod 2^64
 ``aes_absorb s lo hi`` dest = aesenc(s ^ (lo | hi << 64), round_key)
 ``aes_fold s``         dest = (s & 2^64-1) ^ (s >> 64)
 ``tail_xor acc start`` dest = acc xor-folded with key bytes from ``start``

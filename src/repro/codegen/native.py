@@ -89,8 +89,6 @@ compiler, ``-O2 -fPIC -std=c++17 -march=native``.  It keeps the object
 only if the probe returns that command and those flags and proves the
 unit's ISA features, and recompiles with the probed toolchain (or
 degrades) otherwise; nothing is loaded before the probe has returned.
-A compile cache with an on-disk tier probes first instead: the
-persisted object's name needs the probed toolchain.
 
 Every degradation path — no compiler, compile error, unsupported
 target/feature — raises :class:`repro.errors.NativeUnavailableError`.
@@ -101,8 +99,8 @@ once per process.  Nothing here is allowed to take the pipeline down.
 
 Every compile and probe compile also passes ``-pipe`` (the assembly
 goes to the assembler through a pipe, not a temporary file), a
-front-end flag kept out of ``Toolchain.flags``: it changes no machine code, so
-artifact keys and cached objects stay valid.
+front-end flag kept out of ``Toolchain.flags``, which holds only the
+flags that decide the machine code.
 
 Observability: ``codegen.native.probe`` (on the probe's own thread
 when it runs beside a compile) and ``codegen.native.compile`` spans,
@@ -118,7 +116,6 @@ x86 VM (medians of 15): a plan compile takes 31–34 ms and the probe
 from __future__ import annotations
 
 import ctypes
-import functools
 import os
 import platform
 import shutil
@@ -134,7 +131,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.codegen.cpp_backend import (
-    NATIVE_UNIT_VERSION,
     SCAN_SYMBOL,
     emit_cpp_native,
     emit_scan_unit,
@@ -166,8 +162,6 @@ __all__ = [
     "compile_plans_native",
     "compile_shared_object",
     "detect_toolchain",
-    "host_cpu_identity",
-    "load_native_module",
     "native_available",
     "native_enabled",
     "native_target",
@@ -184,8 +178,8 @@ COMPILE_MS_BUCKETS: Tuple[float, ...] = exponential_buckets(4, 2, 12)
 
 _BASE_FLAGS: Tuple[str, ...] = ("-O2", "-fPIC", "-std=c++17")
 
-# Link flags, kept out of ``Toolchain.flags`` (they change no machine
-# code, so cached objects stay valid).  On ELF hosts the link skips the
+# Link flags, kept out of ``Toolchain.flags`` (the probe links an
+# executable under the same codegen flags).  On ELF hosts the link skips the
 # default libraries: a JIT unit calls nothing in libstdc++, libm or
 # libgcc, and reading their symbol tables was about a third of each
 # compile.  ``-z defs`` turns an unresolved symbol into a link error (a
@@ -209,7 +203,9 @@ _PROBE_LINK_FLAGS: Tuple[str, ...] = (
 _LIBC: Tuple[str, ...] = ("-lc",) if _LEAN_LINK else ()
 
 # Compiler front-end flags every compile and probe compile passes, also
-# kept out of ``Toolchain.flags``: ``-pipe`` hands the assembly to the
+# kept out of ``Toolchain.flags``, which holds only the flags that decide
+# the machine code (a compile beside the probe is kept only when its
+# flags equal the probed ones): ``-pipe`` hands the assembly to the
 # assembler through a pipe instead of a temporary file, and changes no
 # machine code.
 _FRONT_END_FLAGS: Tuple[str, ...] = ("-pipe",)
@@ -368,27 +364,6 @@ class Toolchain:
     def supports(self, needed: Iterable[str]) -> bool:
         return set(needed) <= self.features
 
-    def artifact_key(self) -> str:
-        """Everything a shared object built by this toolchain depends on.
-
-        The compiler identity, its flags, the probed features, the JIT
-        unit version, the Python ABI its list entry calls into and,
-        when ``-march=native`` is in the flags, the host CPU (two hosts
-        with the same compiler but different CPUs produce objects that
-        need not run on each other).  The compile cache tags persisted
-        ``.so`` files with a digest of this key.
-        """
-        parts = [
-            self.identity,
-            " ".join(self.flags),
-            ",".join(sorted(self.features)),
-            f"unit-v{NATIVE_UNIT_VERSION}",
-            sys.implementation.cache_tag or sys.implementation.name,
-        ]
-        if "-march=native" in self.flags:
-            parts.append(host_cpu_identity())
-        return "\n".join(parts)
-
 
 def _kernel_key(key, minimum: int) -> bytes:
     """``key`` as the ``bytes`` a kernel is handed.
@@ -420,15 +395,14 @@ class NativeModule:
     path: the loader maps the object once.
 
     Attributes:
-        path: the ``.so`` on disk (may live in a temp dir the views of
-            its unit share; the mapping stays valid for their lifetime).
+        path: the ``.so`` on disk, in the temp dir the views of its unit
+            share (the mapping stays valid for their lifetime).
         symbol: the stem of the plan's exports
             (:func:`~repro.codegen.cpp_backend.native_symbol`).
-        compiler: identity string of the toolchain that produced it
-            (empty when loaded from a cached artifact without metadata).
+        compiler: identity string of the toolchain that produced it.
         compile_ms: wall-clock latency of the compile that built the
             unit, in milliseconds (every view of one unit reads the
-            same), 0.0 for a disk-cache load that skipped the compiler.
+            same).
         key_length: the plan's fixed key length, or None.
         min_length: the bytes the kernel reads whatever the key's
             length; a shorter key is zero-filled to it first.
@@ -438,21 +412,19 @@ class NativeModule:
         self,
         so_path: Path,
         symbol: str,
-        compiler: str = "",
-        compile_ms: float = 0.0,
-        key_length: Optional[int] = None,
-        min_length: Optional[int] = None,
-        _tempdir: Optional[tempfile.TemporaryDirectory] = None,
+        compiler: str,
+        compile_ms: float,
+        key_length: Optional[int],
+        min_length: int,
+        _tempdir: tempfile.TemporaryDirectory,
     ):
         self.path = Path(so_path)
         self.symbol = symbol
         self.compiler = compiler
         self.compile_ms = compile_ms
         self.key_length = key_length
-        self.min_length = (
-            min_length if min_length is not None else key_length or 0
-        )
-        self._tempdir = _tempdir  # keeps a temp build dir alive with us
+        self.min_length = min_length
+        self._tempdir = _tempdir  # keeps the temp build dir alive with us
         try:
             lib = ctypes.PyDLL(str(self.path))
             scalar = lib[f"{symbol}_hash"]
@@ -733,39 +705,6 @@ def _proves(
         command, flags, _probe_program(target, (probe,)), work, stem
     )
     return probe.line in lines
-
-
-_CPUINFO_KEYS = frozenset(
-    {
-        # x86
-        "vendor_id", "cpu family", "model", "model name", "flags",
-        # aarch64
-        "CPU implementer", "CPU architecture", "CPU variant", "CPU part",
-        "Features",
-    }
-)
-
-
-@functools.lru_cache(maxsize=None)
-def host_cpu_identity() -> str:
-    """The host CPU's model and ISA flags, as ``-march=native`` sees them.
-
-    Read from the first processor block of ``/proc/cpuinfo``; where that
-    file does not exist, ``platform`` supplies a coarser identity.
-    """
-    try:
-        with open("/proc/cpuinfo", "r", encoding="utf-8") as handle:
-            block = handle.read().split("\n\n", 1)[0]
-    except OSError:
-        block = ""
-    fields = []
-    for line in block.splitlines():
-        key, _, value = line.partition(":")
-        if key.strip() in _CPUINFO_KEYS:
-            fields.append(f"{key.strip()}={value.strip()}")
-    if not fields:
-        fields = [platform.machine(), platform.processor()]
-    return "; ".join(fields)
 
 
 def _compiler_identity(command: str) -> str:
@@ -1140,36 +1079,9 @@ def _load_scan_unit():
         return False
 
 
-def load_native_module(
-    so_path: Path,
-    plan: SynthesisPlan,
-    compiler: str = "",
-    compile_ms: float = 0.0,
-    _tempdir: Optional[tempfile.TemporaryDirectory] = None,
-) -> NativeModule:
-    """dlopen a JIT shared object that holds ``plan`` and bind the
-    plan's entry points (:func:`~repro.codegen.cpp_backend
-    .native_symbol`).
-
-    The view reads the plan's ``key_length`` and
-    :func:`~repro.codegen.cpp_backend.native_min_length`: they say how
-    far the kernel reads, so short keys are zero-filled before the call.
-    """
-    return NativeModule(
-        Path(so_path),
-        symbol=native_symbol(plan),
-        compiler=compiler,
-        compile_ms=compile_ms,
-        key_length=plan.key_length,
-        min_length=native_min_length(plan),
-        _tempdir=_tempdir,
-    )
-
-
 def compile_plans_native(
     plans: Sequence[SynthesisPlan],
     toolchain: Optional[Toolchain] = None,
-    out_path: Optional[Path] = None,
 ) -> Tuple[List[NativeModule], str]:
     """Emit, compile and load one native unit for all of ``plans``.
 
@@ -1177,9 +1089,11 @@ def compile_plans_native(
     :func:`compile_shared_object` call with the union of the plans' ISA
     features (linked against libc only when a plan is variable-length),
     then one :class:`NativeModule` view per plan on the one path, in
-    ``plans`` order.  Returns ``(modules, source)`` so callers (the
-    compile cache) can persist the translation unit alongside the
-    artifact.  When ``out_path`` is None the shared object lives in a
+    ``plans`` order.  Each view reads its plan's ``key_length`` and
+    :func:`~repro.codegen.cpp_backend.native_min_length`: they say how
+    far the kernel reads, so short keys are zero-filled before the call.
+    Returns ``(modules, source)``: the compile cache keeps the
+    translation unit beside the artifact.  The shared object lives in a
     private temp directory that the views share and keep alive.
     Without a ``toolchain``, the first compile of a cold process runs
     beside the toolchain probe (:func:`compile_shared_object`).
@@ -1208,10 +1122,8 @@ def compile_plans_native(
         families=",".join(sorted({plan.family.value for plan in plans})),
         target=target,
     ):
-        tempdir: Optional[tempfile.TemporaryDirectory] = None
-        if out_path is None:
-            tempdir = tempfile.TemporaryDirectory(prefix="sepe-native-")
-            out_path = Path(tempdir.name) / "plan.so"
+        tempdir = tempfile.TemporaryDirectory(prefix="sepe-native-")
+        out_path = Path(tempdir.name) / "plan.so"
         try:
             elapsed_ms, toolchain = compile_shared_object(
                 source,
@@ -1221,18 +1133,19 @@ def compile_plans_native(
                 features=features,
             )
             modules = [
-                load_native_module(
+                NativeModule(
                     out_path,
-                    plan,
+                    symbol=native_symbol(plan),
                     compiler=toolchain.identity,
                     compile_ms=elapsed_ms,
+                    key_length=plan.key_length,
+                    min_length=native_min_length(plan),
                     _tempdir=tempdir,
                 )
                 for plan in plans
             ]
         except NativeUnavailableError:
-            if tempdir is not None:
-                tempdir.cleanup()
+            tempdir.cleanup()
             raise
     return modules, source
 
@@ -1240,7 +1153,6 @@ def compile_plans_native(
 def compile_plan_native(
     plan: SynthesisPlan,
     toolchain: Optional[Toolchain] = None,
-    out_path: Optional[Path] = None,
 ) -> Tuple[NativeModule, str]:
     """Emit, compile and load the native module for ``plan`` alone: the
     one-plan case of :func:`compile_plans_native`.
@@ -1248,5 +1160,5 @@ def compile_plan_native(
     Raises:
         NativeUnavailableError: as :func:`compile_plans_native`.
     """
-    (module,), source = compile_plans_native([plan], toolchain, out_path)
+    (module,), source = compile_plans_native([plan], toolchain)
     return module, source

@@ -75,9 +75,9 @@ LOAD_WINDOW_BYTES = 16
 in a span this wide share one ``int.from_bytes`` call."""
 
 LOWERING_VERSION = 6
-"""Version of the emitted source for an unchanged plan.  The compile
-cache's on-disk tier puts it in file names, so a persisted lowering
-from an older emitter is re-emitted rather than loaded."""
+"""Version of the emitted source for an unchanged plan: a change to the
+emitted module bytes bumps it (``tests/codegen/test_batch.py`` pins
+the module digest of every built-in plan by version)."""
 
 _MAX_GATHERS = 32
 """Most gathers a symbolic register may hold.  A linear op whose result
@@ -201,10 +201,9 @@ class _FusedBody:
     and terms at the same distance merge by xor-ing their masks.  A
     symbolic register is *materialized* — one ``shift & mask`` term per
     distinct distance — only where something else reads it: ``ret``,
-    ``add``, ``mul64``, the AES opcodes, ``tail_xor``, an ``or`` whose
-    operands may share bits, a linear op with a concrete operand, or a
-    linear op whose result would hold more than :data:`_MAX_GATHERS`
-    terms.
+    ``mul64``, the AES opcodes, ``tail_xor``, an ``or`` whose operands
+    may share bits, a linear op with a concrete operand, or a linear op
+    whose result would hold more than :data:`_MAX_GATHERS` terms.
 
     This is exact on every key, conforming or not: slicing past the end
     of a key zero-fills ``key[o:o+w]`` and ``key[a:b]`` alike, so
@@ -497,11 +496,6 @@ class _FusedBody:
                 lines.append(f"{indent}{dest} = {names[0]} ^ {names[1]}")
             elif op == "or":
                 lines.append(f"{indent}{dest} = {names[0]} | {names[1]}")
-            elif op == "add":
-                lines.append(
-                    f"{indent}{dest} = ({names[0]} + {names[1]}) & "
-                    f"{hex(MASK64)}"
-                )
             elif op == "aes_absorb":
                 lines.extend(_emit_aes_absorb(dest, *names))
             elif op == "aes_fold":

@@ -97,8 +97,7 @@ class SynthesizedHash:
             (the compiled module also holds its batch entry).
         synthesis_seconds: wall-clock time spent synthesizing (pattern
             analysis through Python compilation), measured for RQ6.
-        ir: the optimized IR the Python module was lowered from, or None
-            when the compile cache's on-disk tier supplied the source.
+        ir: the optimized IR the Python module was lowered from.
     """
 
     family: HashFamily
@@ -292,11 +291,11 @@ def load_native(hashes: Sequence[SynthesizedHash]) -> None:
 
 def compile_python(
     plan: SynthesisPlan, name: str
-) -> Tuple[str, HashCallable, Optional[IRFunction]]:
+) -> Tuple[str, HashCallable, IRFunction]:
     """``(python_source, function, ir)`` for ``plan`` from the process
     compile cache: the scalar function's source, the function itself
     carrying the batch entry as ``.many``, and the optimized IR it was
-    lowered from (None when the on-disk tier supplied the source)."""
+    lowered from."""
     artifact = get_compile_cache().python(plan, name=name)
     return scalar_source(artifact.source), artifact.function, artifact.ir
 

@@ -191,7 +191,6 @@ def profile_plan(
     equal ``synthesized.batch_function(keys)``.
     """
     from repro.codegen.batch import lane_stages
-    from repro.codegen.ir import build_ir, optimize
     from repro.codegen.python_backend import compile_source
 
     keys = list(keys)
@@ -200,10 +199,7 @@ def profile_plan(
     values = None
     # The IR synthesis already optimized; rebuilding it would run the
     # dataflow verifier again, outside the synthesis span.
-    ir = synthesized.ir
-    if ir is None:
-        ir = optimize(build_ir(synthesized.plan))
-    lowered = lane_stages(ir)
+    lowered = lane_stages(synthesized.ir)
     if lowered is not None:
         source, labels = _render_profiled(
             *lowered, synthesized.plan.key_length

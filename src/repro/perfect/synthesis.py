@@ -169,10 +169,14 @@ def _resolve_format(
         suspects = [keys[index] for index in np.flatnonzero(offending)]
     for key in suspects:
         if not pattern.matches(key):
+            # The caller's own string where one was given; the widened
+            # rendering only for a KeyPattern or an inferred format.
+            named = (
+                source if isinstance(source, str) else render_regex(pattern)
+            )
             raise SynthesisError(
-                f"key {key!r} does not match the format "
-                f"{render_regex(pattern)!r}; a perfect hash is only "
-                f"meaningful over conforming keys"
+                f"key {key!r} does not match the format {named!r}; a "
+                f"perfect hash is only meaningful over conforming keys"
             )
     return pattern
 

@@ -288,35 +288,6 @@ def _or_value(a: AbstractValue, b: AbstractValue) -> AbstractValue:
     return _make(zeros, ones, tuple(prov), a.width)
 
 
-def _add_value(a: AbstractValue, b: AbstractValue) -> AbstractValue:
-    width = a.width
-    mask = _width_mask(width)
-    if a.is_const and b.is_const:
-        return const_value((a.value + b.value) & mask, width)
-    # Exact low bits while both operands (and hence the carry) are known.
-    zeros = 0
-    ones = 0
-    carry = 0
-    for index in range(width):
-        if not ((a.known >> index) & 1 and (b.known >> index) & 1):
-            break
-        total = ((a.ones >> index) & 1) + ((b.ones >> index) & 1) + carry
-        if total & 1:
-            ones |= 1 << index
-        else:
-            zeros |= 1 << index
-        carry = total >> 1
-    # Carries propagate upward: bit i depends on bits 0..i of both sides.
-    prov = []
-    cumulative: FrozenSet[BitSource] = frozenset()
-    for index in range(width):
-        combined = a.prov[index] | b.prov[index]
-        if combined:
-            cumulative = cumulative | combined
-        prov.append(cumulative)
-    return _make(zeros, ones, tuple(prov), width)
-
-
 def _aes_absorb_value(
     state: AbstractValue, lo: AbstractValue, hi: AbstractValue
 ) -> AbstractValue:

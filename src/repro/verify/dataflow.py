@@ -53,7 +53,6 @@ from repro.verify.absint import (
     MASK64,
     TAIL,
     AbstractValue,
-    _add_value,
     _aes_absorb_value,
     _aes_fold_value,
     _mul_value,
@@ -185,12 +184,6 @@ def _iv_or(a: Interval, b: Interval) -> Interval:
     return Interval(max(a.lo, b.lo), bound, a.width)
 
 
-def _iv_add(a: Interval, b: Interval) -> Interval:
-    if a.hi + b.hi <= MASK64:
-        return Interval(a.lo + b.lo, a.hi + b.hi)
-    return top_interval()  # the sum can wrap for some operand pair
-
-
 def _iv_aes_fold(state: Interval) -> Interval:
     if state.is_const:
         return const_interval((state.lo ^ (state.lo >> 64)) & MASK64)
@@ -283,7 +276,6 @@ _TRANSFERS: Dict[str, Tuple[Tuple[int, ...], Callable, Callable]] = {
     "mul64": ((64,), _mul_value, _iv_mul),
     "xor": ((0, 0), _xor_value, _iv_xor),
     "or": ((0, 0), _or_value, _iv_or),
-    "add": ((64, 64), _add_value, _iv_add),
     "aes_absorb": (
         (128, 64, 64),
         _aes_absorb_value,

@@ -94,6 +94,36 @@ class TestBench:
         assert "Table 2" in capsys.readouterr().out
 
 
+class TestFuzz:
+    def test_list_oracles_prints_one_line_per_oracle(self, capsys):
+        from repro.fuzz.oracles import ORACLES
+
+        assert run(["fuzz", "--list-oracles"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(ORACLES)
+        assert [line.split()[0] for line in lines] == list(ORACLES)
+
+    def test_report_file_equals_stdout(self, capsys, tmp_path):
+        import json
+
+        report = tmp_path / "fuzz.json"
+        assert run(
+            [
+                "fuzz", "--seed", "0", "--max-cases", "3",
+                "--oracles", "perfect-no-collision",
+                "--report", str(report),
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert report.read_text() == out
+        document = json.loads(out)
+        assert document["seed"] == 0 and document["cases"] == 3
+
+    def test_unknown_oracle_exits_2(self, capsys):
+        assert run(["fuzz", "--oracles", "no-such-oracle"]) == 2
+        assert "unknown oracle 'no-such-oracle'" in capsys.readouterr().err
+
+
 class TestObs:
     def test_obs_prints_span_tree_and_exports_jsonl(self, capsys, tmp_path):
         import json

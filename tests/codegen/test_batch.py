@@ -244,11 +244,10 @@ class TestBatchSource:
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="vector tier needs numpy")
     def test_module_bytes_are_pinned_to_the_lowering_version(self):
-        """The disk cache execs ``.python.v<LOWERING_VERSION>.`` files,
-        so a change to the emitted module must bump the version.  This
-        digest covers every built-in plan (13 paper + extended formats x
-        4 families); when the lowering changes, bump LOWERING_VERSION and
-        record the new digest beside it."""
+        """A change to the emitted module must bump LOWERING_VERSION.
+        This digest covers every built-in plan (13 paper + extended
+        formats x 4 families); when the lowering changes, bump
+        LOWERING_VERSION and record the new digest beside it."""
         specs = {**KEY_TYPES, **EXTENDED_KEY_TYPES}
         digest = hashlib.sha256()
         plans = 0

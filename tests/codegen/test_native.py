@@ -236,37 +236,16 @@ def test_every_builtin_plan_links_and_matches_interpreter(name):
     assert compiled >= 2  # Naive and OffXor need no ISA feature
 
 
-# -- disk cache round-trip --------------------------------------------------
+# -- compile cache ----------------------------------------------------------
 
 
 @requires_compiler
-def test_disk_so_reused_without_recompiling(tmp_path, monkeypatch):
-    plan = synthesize(SSN, HashFamily.OFFXOR).plan
-    keys = generate_keys("SSN", 128, Distribution.UNIFORM, seed=5)
-
-    first = CompileCache(source_dir=tmp_path)
-    artifact = first.native(plan)
-    expected = artifact.function.hash_many(keys)
-    assert list(tmp_path.glob("*.native.*.so")), "no persisted artifact"
-
-    def boom(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("second synthesis invoked the compiler")
-
-    monkeypatch.setattr(native_mod, "compile_shared_object", boom)
-    second = CompileCache(source_dir=tmp_path)
-    warm = second.native(plan)
-    assert warm.function.hash_many(keys) == expected
-    assert warm.function.compile_ms == 0.0
-    kinds = second.stats()["kinds"]
-    assert kinds["native"]["disk_hits"] == 1
-    assert kinds["native"]["misses"] == 1
-
-
-@requires_compiler
-def test_memory_hit_and_kind_stats(tmp_path):
+def test_memory_hit_and_kind_stats():
     plan = synthesize(SSN, HashFamily.NAIVE).plan
-    cache = CompileCache(source_dir=tmp_path)
-    assert cache.native(plan) is cache.native(plan)
+    cache = CompileCache()
+    artifact = cache.native(plan)
+    assert artifact is cache.native(plan)
+    assert artifact.function.compile_ms > 0.0
     kinds = cache.stats()["kinds"]
     assert kinds["native"]["hits"] == 1
     assert kinds["native"]["misses"] == 1
@@ -324,7 +303,7 @@ def test_missing_compiler_falls_back(clean_native_state):
     assert synthesized.hash_many_native([key]) == [synthesized(key)]
 
 
-def test_broken_compiler_negative_cached(clean_native_state, tmp_path):
+def test_broken_compiler_negative_cached(clean_native_state):
     """A compile error degrades and is negative-cached per plan."""
     monkeypatch = clean_native_state
     broken = native_mod.Toolchain(
@@ -338,7 +317,7 @@ def test_broken_compiler_negative_cached(clean_native_state, tmp_path):
         native_mod, "detect_toolchain", lambda refresh=False: broken
     )
     plan = synthesize(SSN, HashFamily.OFFXOR).plan
-    cache = CompileCache(source_dir=tmp_path)
+    cache = CompileCache()
     # ``native_failures`` is a process-wide counter: earlier tests may
     # have negative-cached plans of their own, so count this cache's.
     failures_before = cache.stats()["native_failures"]
@@ -482,14 +461,12 @@ def test_threads_share_one_module():
 
 
 @requires_compiler
-def test_unit_calls_only_weak_python_symbols(tmp_path):
+def test_unit_calls_only_weak_python_symbols():
     """The JIT unit declares the Python C API it calls by hand: no
     ``<Python.h>``, and every ``Py*`` symbol the shared object imports
     is weak, so it links without libpython."""
     plan = synthesize(SSN, HashFamily.OFFXOR).plan
-    module, source = native_mod.compile_plan_native(
-        plan, out_path=tmp_path / "unit.so"
-    )
+    module, source = native_mod.compile_plan_native(plan)
     assert "#include <Python.h>" not in source
     if shutil.which("nm"):
         listing = subprocess.run(
@@ -527,31 +504,6 @@ def test_unit_calls_only_weak_python_symbols(tmp_path):
         "PyEval_RestoreThread",
     }
     assert weak == set(imported)
-
-
-@requires_compiler
-def test_so_cached_under_the_previous_unit_is_recompiled(
-    tmp_path, monkeypatch
-):
-    """A ``.so`` persisted under an older unit version's key (the
-    pointer-array unit, version 2) is never loaded: the cache compiles
-    the current unit beside it."""
-    plan = synthesize(SSN, HashFamily.OFFXOR).plan
-    keys = generate_keys("SSN", 64, Distribution.UNIFORM, seed=4)
-    with monkeypatch.context() as patch:
-        patch.setattr(native_mod, "NATIVE_UNIT_VERSION", 2)
-        CompileCache(source_dir=tmp_path).native(plan)
-    (stale,) = tmp_path.glob("*.native.*.so")
-    cache = CompileCache(source_dir=tmp_path)
-    artifact = cache.native(plan)
-    assert artifact.function.path != stale
-    assert artifact.function.compile_ms > 0.0
-    kinds = cache.stats()["kinds"]
-    assert kinds["native"]["disk_hits"] == 0
-    assert len(list(tmp_path.glob("*.native.*.so"))) == 2
-    assert artifact.function.hash_many(keys) == [
-        synthesize(SSN, HashFamily.OFFXOR).function(key) for key in keys
-    ]
 
 
 @requires_compiler

@@ -19,6 +19,7 @@ import pytest
 
 from repro.codegen import native as native_mod
 from repro.codegen.cache import CompileCache
+from repro.codegen.cpp_backend import emit_cpp_native
 from repro.core.plan import HashFamily
 from repro.core.synthesis import synthesize
 from repro.errors import NativeUnavailableError
@@ -169,7 +170,11 @@ def test_object_beside_a_refusing_probe_is_never_loaded(
     plan = synthesize(SSN, HashFamily.PEXT).plan
     discards = _count("discards")
     with pytest.raises(NativeUnavailableError):
-        native_mod.compile_plan_native(plan, out_path=tmp_path / "plan.so")
+        native_mod.compile_shared_object(
+            emit_cpp_native([plan]),
+            tmp_path / "plan.so",
+            features=native_mod.plan_isa_features(plan),
+        )
     assert events == ["guess", "probe"]
     assert _count("discards") == discards + 1
     assert not (tmp_path / "plan.so").exists()

@@ -3,9 +3,8 @@
 A ``HashService`` compiles every route registered before it goes live
 as one unit: one compiler run, one load, one view per plan.  These tests
 hold that unit to the interpreter for plans of every family in one
-unit, keep its failures per plan in the compile cache, read the unit
-back from the disk tier without the compiler, and check the service's
-go-live: one compile for all its routes, the native states installed
+unit, keep its failures per plan in the compile cache, and check the
+service's go-live: one compile for all its routes, the native states installed
 before ``start()`` returns, and no compiler at all under
 ``SEPE_NATIVE=0``.
 """
@@ -237,42 +236,6 @@ def test_plan_the_host_cannot_run_is_split_off(monkeypatch):
     assert "lacks required ISA features: aes" in str(results[1])
     assert results[0].function.path == results[2].function.path
     assert cache.stats()["kinds"]["native"]["failures"] == 1
-
-
-@requires_compiler
-def test_disk_tier_records_the_unit_under_every_member(
-    tmp_path, monkeypatch
-):
-    plans = [
-        synthesize(SSN, HashFamily.OFFXOR).plan,
-        synthesize(MAC, HashFamily.NAIVE).plan,
-        synthesize(SKIP_TABLE, HashFamily.OFFXOR).plan,
-    ]
-    keys = [b"123-45-6789", b"01:23:45:67:89:ab", b"0123456789ab:cdef01"]
-    first = CompileCache(registry=MetricsRegistry(), source_dir=tmp_path)
-    compiles = _count("compiles")
-    expected = [
-        artifact.function(key)
-        for artifact, key in zip(first.native_batch(plans), keys)
-    ]
-    assert _count("compiles") == compiles + 1
-    units = sorted(tmp_path.glob("*.native.*.so"))
-    assert len(units) == len(plans)
-    assert len({os.stat(path).st_ino for path in units}) == 1 or all(
-        path.read_bytes() == units[0].read_bytes() for path in units
-    )
-
-    def boom(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("a warm disk tier invoked the compiler")
-
-    monkeypatch.setattr(native_mod, "compile_shared_object", boom)
-    for index, plan in enumerate(plans):
-        # Each member's entry serves it, also in a cache of its own.
-        warm = CompileCache(registry=MetricsRegistry(), source_dir=tmp_path)
-        artifact = warm.native(plan)
-        assert artifact.function(keys[index]) == expected[index]
-        assert artifact.function.compile_ms == 0.0
-        assert warm.stats()["kinds"]["native"]["disk_hits"] == 1
 
 
 # -- the service goes live ----------------------------------------------------

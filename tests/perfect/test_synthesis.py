@@ -159,13 +159,9 @@ class TestFormatCheck:
         return keys
 
     def _message(self, key: bytes) -> str:
-        from repro.core.regex_expand import pattern_from_regex
-        from repro.core.regex_render import render_regex
-
-        regex = render_regex(pattern_from_regex(self.FORMAT))
         return (
-            f"key {key!r} does not match the format {regex!r}; a perfect "
-            f"hash is only meaningful over conforming keys"
+            f"key {key!r} does not match the format {self.FORMAT!r}; a "
+            f"perfect hash is only meaningful over conforming keys"
         )
 
     @pytest.mark.parametrize(
@@ -177,6 +173,16 @@ class TestFormatCheck:
         with pytest.raises(SynthesisError) as raised:
             synthesize_perfect(self._keys_with(bad), format=self.FORMAT)
         assert str(raised.value) == self._message(bad)
+
+    def test_key_pattern_is_named_by_its_rendering(self):
+        from repro.core.regex_expand import pattern_from_regex
+        from repro.core.regex_render import render_regex
+
+        pattern = pattern_from_regex(self.FORMAT)
+        bad = b"123-45-678X"
+        with pytest.raises(SynthesisError) as raised:
+            synthesize_perfect(self._keys_with(bad), format=pattern)
+        assert f"the format {render_regex(pattern)!r};" in str(raised.value)
 
 
 def _variable_length_sets():

@@ -186,7 +186,6 @@ WIDTH_CASES = [
     ("shr", ("state", 3)),
     ("rotl", ("state", 3)),
     ("mul64", ("state", 3)),
-    ("add", ("state", "state")),
     ("xor", ("state", "word")),
     ("or", ("word", "state")),
     ("aes_absorb", ("state", "state", "word")),

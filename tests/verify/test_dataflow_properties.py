@@ -19,7 +19,6 @@ from repro.isa.bits import MASK64, pext, rotl64
 from repro.verify.absint import EMPTY, AbstractValue, refine_known_bits
 from repro.verify.dataflow import (
     Interval,
-    _iv_add,
     _iv_aes_fold,
     _iv_mul,
     _iv_or,
@@ -111,12 +110,6 @@ class TestBinaryTransferSoundness:
         a, ia = left
         b, ib = right
         assert _iv_or(ia, ib).contains(a | b)
-
-    @given(value_with_interval(), value_with_interval())
-    def test_add(self, left, right):
-        a, ia = left
-        b, ib = right
-        assert _iv_add(ia, ib).contains((a + b) & MASK64)
 
 
 class TestReducedProduct:
